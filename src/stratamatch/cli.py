@@ -7,7 +7,7 @@ the fitted tree), ``gen`` (write a synthetic dataset).
 Logs go to stderr; data artifacts go to files. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 estimation impossible. Report
 payloads exclude timestamps, so the same config and seed reproduce them
-byte for byte regardless of thread count.
+byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .bench import (
     write_records_csv,
 )
 from .config import PipelineConfig
-from .dataset import Dataset, load_dataset, normalize_min_max, split_by_treatment
+from .dataset import Dataset, load_dataset
 from .errors import (
     AuditNotFound,
     ConfigError,
@@ -45,7 +45,7 @@ from .errors import (
     PositivityViolation,
     StrataMatchError,
 )
-from .estimation import ESTIMATORS, AttReport, _grow_pipeline_tree
+from .estimation import ESTIMATORS, AttReport, fit_pipeline
 from .tree import export_rules, tree_to_dict
 
 logger = logging.getLogger(__name__)
@@ -61,39 +61,25 @@ _DATA_ERRORS = (
     FileNotFoundError,
 )
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
 # config-file key -> PipelineConfig attribute
 _CFG_KEYS = {
     "lambda": "lambda_",
     "theta": "theta",
     "psi": "psi",
-    "m1": "m1",
     "m2": "m2",
     "node_budget": "solver_node_budget",
     "max_depth": "max_depth",
     "bins": "bins",
     "seed": "seed",
-    "threads": "threads",
-    "per_leaf_weights": "per_leaf_weights",
-    "global_candidates": "global_candidates",
 }
 
 
 def _parse_value(attr: str, raw: str):
     raw = raw.strip()
-    if attr in ("per_leaf_weights", "global_candidates"):
-        low = raw.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"{attr}: expected a boolean, got {raw!r}")
     if attr in ("theta", "solver_node_budget") and raw.lower() == "none":
         return None
     try:
-        if attr in ("lambda_", "m1", "m2"):
+        if attr in ("lambda_", "m2"):
             return float(raw)
         return int(raw)
     except ValueError as exc:
@@ -129,14 +115,16 @@ def parse_config_file(path: str | Path) -> tuple[dict, dict]:
 
 
 def _resolve_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict]:
-    """Merge defaults, config file, and explicit CLI flags (in that order)."""
+    """Merge defaults, config file, and explicit CLI flags (in that order).
+
+    Flags hold raw strings and parse like their config keys."""
     overrides: dict = {}
     extras: dict = {}
     if getattr(args, "config", None):
         overrides, extras = parse_config_file(args.config)
     for attr in _CFG_KEYS.values():
         if hasattr(args, attr):
-            overrides[attr] = getattr(args, attr)
+            overrides[attr] = _parse_value(attr, getattr(args, attr))
     cfg = PipelineConfig(**overrides)
     cfg.validate()
     return cfg, extras
@@ -146,23 +134,17 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
     g = sp.add_argument_group("pipeline")
     s = argparse.SUPPRESS
     g.add_argument("--config", help="key = value config file (flags override it)")
-    g.add_argument("--lambda", dest="lambda_", type=float, default=s,
+    g.add_argument("--lambda", dest="lambda_", default=s,
                    help="split acceptance penalty for small children")
-    g.add_argument("--theta", dest="theta", type=int, default=s,
-                   help="small-child size guard (default max(30, 2p))")
-    g.add_argument("--psi", type=int, default=s, help="candidate pool size per treated unit")
-    g.add_argument("--m1", type=float, default=s, help="cap-deactivation constant")
-    g.add_argument("--m2", type=float, default=s, help="deviation-sum priority multiplier")
-    g.add_argument("--node-budget", dest="solver_node_budget", type=int, default=s,
-                   help="per-unit match search node budget")
-    g.add_argument("--max-depth", dest="max_depth", type=int, default=s, help="tree depth cap")
-    g.add_argument("--bins", type=int, default=s, help="histogram bins for overlap")
-    g.add_argument("--seed", type=int, default=s, help="base seed for all randomness")
-    g.add_argument("--threads", type=int, default=s, help="parallel match solves")
-    g.add_argument("--per-leaf-weights", dest="per_leaf_weights", action="store_true",
-                   default=s, help="weight features by the leaf fit instead of the global fit")
-    g.add_argument("--global-candidates", dest="global_candidates", action="store_true",
-                   default=s, help="draw candidates from all controls, not the unit's leaf")
+    g.add_argument("--theta", dest="theta", default=s,
+                   help="small-child size guard (default or 'none': max(30, 2p))")
+    g.add_argument("--psi", default=s, help="candidate pool size per treated unit")
+    g.add_argument("--m2", default=s, help="deviation-sum priority multiplier")
+    g.add_argument("--node-budget", dest="solver_node_budget", default=s,
+                   help="per-unit match search node budget ('none' for exhaustive search)")
+    g.add_argument("--max-depth", dest="max_depth", default=s, help="tree depth cap")
+    g.add_argument("--bins", default=s, help="histogram bins for overlap")
+    g.add_argument("--seed", default=s, help="base seed for all randomness")
 
 
 def _add_io_flags(sp: argparse.ArgumentParser) -> None:
@@ -195,11 +177,9 @@ def _dump_json(obj: dict, path: Path) -> None:
 
 
 def _report_payload(report: AttReport, cfg: PipelineConfig, method: str, d: Dataset) -> dict:
-    # thread count cannot change results, so it lives in meta, not here
-    cfg_echo = {k: v for k, v in cfg.as_dict().items() if k != "threads"}
     return {
         "method": method,
-        "config": {**cfg_echo, "method": method},
+        "config": {**cfg.as_dict(), "method": method},
         "dataset": {
             "n": d.n,
             "p": d.p,
@@ -258,17 +238,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     d = _load(args)
     report = ESTIMATORS[method](d, cfg)
     out = _out_dir(args)
-    if method != "naive":
-        _, _, tree, _ = _grow_pipeline_tree(d, cfg)
-        (out / "tree_rules.txt").write_text(export_rules(tree))
-        _dump_json(tree_to_dict(tree), out / "tree.json")
+    if report.tree is not None:
+        (out / "tree_rules.txt").write_text(export_rules(report.tree))
+        _dump_json(tree_to_dict(report.tree), out / "tree.json")
     _write_audit(report, out / "audit.jsonl")
     (out / "summary.txt").write_text(_summary_text(report, method, d))
     payload = _report_payload(report, cfg, method, d)
     meta = {
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "runtime_s": time.perf_counter() - t0,
-        "threads": cfg.threads,
         "version": __version__,
         "input": str(args.input),
     }
@@ -356,14 +334,13 @@ def cmd_tree(args: argparse.Namespace) -> int:
         logger.info("dry run ok")
         return 0
     d = _load(args)
-    _, _, tree, _ = _grow_pipeline_tree(d, cfg)
+    fit = fit_pipeline(d, cfg)
     out = _out_dir(args)
-    (out / "tree_rules.txt").write_text(export_rules(tree))
-    blob = tree_to_dict(tree)
-    dn = normalize_min_max(d)
-    blob["feature_scaling"] = [list(pair) for pair in (dn.scaling or ())]
+    (out / "tree_rules.txt").write_text(export_rules(fit.tree))
+    blob = tree_to_dict(fit.tree)
+    blob["feature_scaling"] = [list(pair) for pair in (fit.control.scaling or ())]
     _dump_json(blob, out / "tree.json")
-    logger.info("tree: %d leaves; artifacts in %s", len(tree.leaves()), out)
+    logger.info("tree: %d leaves; artifacts in %s", len(fit.tree.leaves()), out)
     return 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .matching import DEFAULT_M1, DEFAULT_M2, DEFAULT_NODE_BUDGET, DEFAULT_PSI
+from .matching import DEFAULT_M2, DEFAULT_NODE_BUDGET, DEFAULT_PSI
 from .tree import DEFAULT_LAMBDA, DEFAULT_MAX_DEPTH, default_theta
 
 
@@ -21,15 +21,11 @@ class PipelineConfig:
     lambda_: float = DEFAULT_LAMBDA
     theta: int | None = None
     psi: int = DEFAULT_PSI
-    m1: float = DEFAULT_M1
     m2: float = DEFAULT_M2
     solver_node_budget: int | None = DEFAULT_NODE_BUDGET
     max_depth: int = DEFAULT_MAX_DEPTH
     bins: int = 20
     seed: int = 0
-    threads: int = 1
-    per_leaf_weights: bool = False
-    global_candidates: bool = False
 
     def theta_for(self, p: int) -> int:
         return default_theta(p) if self.theta is None else self.theta
@@ -41,16 +37,14 @@ class PipelineConfig:
             raise ConfigError("theta must be non-negative")
         if self.psi < 1:
             raise ConfigError("psi must be at least 1")
-        if self.m1 <= 0 or self.m2 <= 0:
-            raise ConfigError("m1 and m2 must be positive")
+        if self.m2 <= 0:
+            raise ConfigError("m2 must be positive")
         if self.solver_node_budget is not None and self.solver_node_budget < 1:
             raise ConfigError("solver node budget must be at least 1 (or unset)")
         if self.max_depth < 0:
             raise ConfigError("max depth must be non-negative")
         if self.bins < 1:
             raise ConfigError("bins must be at least 1")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
 

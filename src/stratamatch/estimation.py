@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -153,7 +152,9 @@ class AttReport:
     """Estimate plus its unit-level decomposition.
 
     ``att`` is always the plain mean of the ``iatt`` values, so the
-    decomposition reproduces the headline number exactly.
+    decomposition reproduces the headline number exactly. ``tree`` is the
+    tree the estimate was fitted with (``None`` for the naive baseline); it
+    is exported beside the report, never serialised into it.
     """
 
     method: str
@@ -162,6 +163,7 @@ class AttReport:
     skipped: tuple[SkipRecord, ...]
     n_treated: int
     strata: tuple[dict, ...] = ()
+    tree: TreeModel | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_used(self) -> int:
@@ -169,7 +171,8 @@ class AttReport:
 
 
 def _finish(method: str, records: list[IattRecord], skipped: list[SkipRecord],
-            n_treated: int, strata: tuple[dict, ...] = ()) -> AttReport:
+            n_treated: int, strata: tuple[dict, ...] = (),
+            tree: TreeModel | None = None) -> AttReport:
     if not records:
         raise EstimationImpossible(f"{method}: every treated unit was skipped")
     records.sort(key=lambda r: r.treated_row)
@@ -183,15 +186,43 @@ def _finish(method: str, records: list[IattRecord], skipped: list[SkipRecord],
         skipped=tuple(sorted(skipped, key=lambda r: r.treated_row)),
         n_treated=n_treated,
         strata=strata,
+        tree=tree,
     )
 
 
-def _grow_pipeline_tree(d: Dataset, cfg: PipelineConfig) -> tuple[Dataset, Dataset, TreeModel, np.ndarray]:
+@dataclass(frozen=True)
+class PipelineFit:
+    """The discretize step, fitted once per run and shared by every consumer.
+
+    ``control`` and ``treated`` are the min-max normalized groups (both carry
+    the scaling pairs), ``weights`` the global feature weights, ``tree`` the
+    control-only model tree, and ``leaf_ids[k]`` the leaf of treated unit
+    ``k``.
+    """
+
+    control: Dataset
+    treated: Dataset
+    weights: np.ndarray
+    tree: TreeModel
+    leaf_ids: tuple[int, ...]
+
+
+def fit_pipeline(d: Dataset, cfg: PipelineConfig) -> PipelineFit:
+    """Validate ``cfg``, normalize ``d``, split it by treatment, compute the
+    feature weights, grow the tree on the controls and route every treated
+    unit to its leaf."""
+    cfg.validate()
     dn = normalize_min_max(d)
     control, treated = split_by_treatment(dn)
     w = feature_weights(dn)
     tree = build_tree(control, cfg.lambda_, cfg.theta_for(d.p), cfg.max_depth)
-    return control, treated, tree, w
+    return PipelineFit(
+        control=control,
+        treated=treated,
+        weights=w,
+        tree=tree,
+        leaf_ids=tuple(assign_leaf(tree, x) for x in treated.x),
+    )
 
 
 def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
@@ -208,57 +239,42 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
         EstimationImpossible: when no treated unit could be matched.
     """
     cfg = cfg or PipelineConfig()
-    cfg.validate()
-    control, treated, tree, w_global = _grow_pipeline_tree(d, cfg)
+    fit = fit_pipeline(d, cfg)
+    control, treated = fit.control, fit.treated
     pos_of_row = {int(r): i for i, r in enumerate(control.rows())}
-    all_controls = np.arange(control.n)
-
-    def work(k: int) -> IattRecord | SkipRecord:
+    records: list[IattRecord] = []
+    skipped: list[SkipRecord] = []
+    for k, leaf_id in enumerate(fit.leaf_ids):
         row = int(treated.rows()[k])
-        leaf_id = assign_leaf(tree, treated.x[k])
-        leaf = tree.node(leaf_id)
-        if cfg.per_leaf_weights and leaf.leaf_model is not None:
-            w = np.abs(leaf.leaf_model.coefficients)
-        else:
-            w = w_global
-        pool = all_controls if cfg.global_candidates else leaf.control_indices
         try:
             prob = select_candidates(
-                control, pool, treated.x[k], w, cfg.psi, cfg.m1, cfg.m2
+                control, fit.tree.node(leaf_id).control_indices, treated.x[k], fit.weights,
+                cfg.psi, cfg.m2,
             )
         except NoCandidates:
-            return SkipRecord(treated_row=row, reason="no_candidates")
+            skipped.append(SkipRecord(treated_row=row, reason="no_candidates"))
+            continue
         sol = solve_match(prob, node_budget=cfg.solver_node_budget)
         ys = control.y[[pos_of_row[r] for r in sol.selected_ids]]
-        iatt = float(treated.y[k] - np.mean(ys))
-        return IattRecord(
+        records.append(IattRecord(
             treated_row=row,
             leaf=leaf_id,
-            iatt=iatt,
+            iatt=float(treated.y[k] - np.mean(ys)),
             matched_rows=tuple(int(r) for r in sol.selected_ids),
             epsilon=sol.epsilon,
             a=sol.a,
             objective=sol.objective,
             nodes=sol.stats.nodes,
             suboptimal=sol.stats.suboptimal,
-        )
+        ))
 
-    units = range(treated.n)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool_exec:
-            results = list(pool_exec.map(work, units))
-    else:
-        results = [work(k) for k in units]
-
-    records = [r for r in results if isinstance(r, IattRecord)]
-    skipped = [r for r in results if isinstance(r, SkipRecord)]
     n_sub = sum(1 for r in records if r.suboptimal)
     if n_sub:
         logger.warning(
             "match solver hit its node budget on %d of %d units; those matches are "
             "best incumbents, not certified optima", n_sub, len(records),
         )
-    return _finish("m5c-mf", records, skipped, treated.n)
+    return _finish("m5c-mf", records, skipped, treated.n, tree=fit.tree)
 
 
 def estimate_m5c_m(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
@@ -270,24 +286,21 @@ def estimate_m5c_m(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     Raises:
         EstimationImpossible: when every treated unit was skipped.
     """
-    cfg = cfg or PipelineConfig()
-    cfg.validate()
-    control, treated, tree, _ = _grow_pipeline_tree(d, cfg)
+    fit = fit_pipeline(d, cfg or PipelineConfig())
+    treated = fit.treated
     records: list[IattRecord] = []
     skipped: list[SkipRecord] = []
-    for k in range(treated.n):
+    for k, leaf_id in enumerate(fit.leaf_ids):
         row = int(treated.rows()[k])
-        leaf_id = assign_leaf(tree, treated.x[k])
-        leaf = tree.node(leaf_id)
-        fit = leaf.leaf_model
-        if fit is None or fit.r2_adj is None:
+        model = fit.tree.node(leaf_id).leaf_model
+        if model is None or model.r2_adj is None:
             skipped.append(SkipRecord(treated_row=row, reason="leaf_fit_undefined"))
             continue
-        pred = float(fit.predict(treated.x[k]))
+        pred = float(model.predict(treated.x[k]))
         records.append(
             IattRecord(treated_row=row, leaf=leaf_id, iatt=float(treated.y[k]) - pred)
         )
-    return _finish("m5c-m", records, skipped, treated.n)
+    return _finish("m5c-m", records, skipped, treated.n, tree=fit.tree)
 
 
 def estimate_naive(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
@@ -311,20 +324,18 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
     per-stratum detail table carries all three strategy values; the 1:1 value
     is included when outcomes are binary.
     """
-    cfg = cfg or PipelineConfig()
-    cfg.validate()
-    control, treated, tree, _ = _grow_pipeline_tree(d, cfg)
+    fit = fit_pipeline(d, cfg or PipelineConfig())
+    control, treated = fit.control, fit.treated
     by_leaf: dict[int, list[int]] = {}
-    for k in range(treated.n):
-        by_leaf.setdefault(assign_leaf(tree, treated.x[k]), []).append(k)
+    for k, leaf_id in enumerate(fit.leaf_ids):
+        by_leaf.setdefault(leaf_id, []).append(k)
 
     binary = bool(np.all((d.y == 0) | (d.y == 1)))
     records: list[IattRecord] = []
     strata: list[dict] = []
     for leaf_id in sorted(by_leaf):
         units = by_leaf[leaf_id]
-        leaf = tree.node(leaf_id)
-        yc = control.y[leaf.control_indices]
+        yc = control.y[fit.tree.node(leaf_id).control_indices]
         s = StratumOutcome(treated=treated.y[units], control=yc, stratum_id=leaf_id)
         cbar = float(np.mean(yc))
         for k in units:
@@ -345,7 +356,7 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
         if binary:
             detail["att_1to1"] = robust_att_1to1(s)
         strata.append(detail)
-    return _finish("strategy-1:k", records, [], treated.n, strata=tuple(strata))
+    return _finish("strategy-1:k", records, [], treated.n, strata=tuple(strata), tree=fit.tree)
 
 
 ESTIMATORS = {

@@ -26,7 +26,6 @@ from .errors import EmptyInput, HierarchyBoundWarning, NoCandidates, OracleTooLa
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_M1 = 1e6
 DEFAULT_M2 = 1e6
 DEFAULT_PSI = 20
 DEFAULT_NODE_BUDGET = 1000
@@ -45,17 +44,13 @@ class MatchProblem:
     """One treated unit's selection instance.
 
     ``candidate_ids`` carry the candidates' original control indices, used
-    for audit trails and for deterministic tie-breaking. ``m1`` deactivates
-    the per-candidate cap constraints for unselected candidates in the
-    constraint program; the subset solvers enforce that analytically, so it
-    only participates in validation. Weights must be non-negative; features
-    are assumed to share one scale (normalize first).
+    for audit trails and for deterministic tie-breaking. Weights must be
+    non-negative; features are assumed to share one scale (normalize first).
     """
 
     treated_features: np.ndarray
     candidate_features: np.ndarray
     weights: np.ndarray
-    m1: float = DEFAULT_M1
     m2: float = DEFAULT_M2
     candidate_ids: np.ndarray | None = None
 
@@ -75,8 +70,8 @@ class MatchProblem:
             raise EmptyInput("match problem contains non-finite values")
         if np.any(w < 0):
             raise EmptyInput("weights must be non-negative")
-        if not (self.m1 > 0 and self.m2 > 0):
-            raise EmptyInput("m1 and m2 must be positive")
+        if not self.m2 > 0:
+            raise EmptyInput("m2 must be positive")
         ids = self.candidate_ids
         if ids is None:
             ids = np.arange(cand.shape[0])
@@ -149,7 +144,6 @@ def select_candidates(
     treated_features: np.ndarray,
     weights: np.ndarray,
     psi: int = DEFAULT_PSI,
-    m1: float = DEFAULT_M1,
     m2: float = DEFAULT_M2,
 ) -> MatchProblem:
     """Build a match problem from the ``psi`` nearest controls in one leaf.
@@ -179,7 +173,6 @@ def select_candidates(
         treated_features=mu,
         candidate_features=control.x[chosen],
         weights=w,
-        m1=m1,
         m2=m2,
         candidate_ids=control.rows()[chosen],
     )

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from stratamatch.dataset import Dataset, _frozen, make_dataset
+
+# the CLI tests start ``python -m stratamatch`` in child processes; point them
+# at this checkout's sources, as pytest's ``pythonpath`` setting does in-process
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def control_only(x: np.ndarray, y: np.ndarray) -> Dataset:

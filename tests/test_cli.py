@@ -114,11 +114,12 @@ def test_estimate_unknown_method_exit_2(tmp_path, data_csv):
 
 
 def test_estimate_bad_flag_value_exit_2(tmp_path, data_csv):
-    r = run_cli(
-        "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
-        "--psi", "0", "--out", str(tmp_path / "x"),
-    )
-    assert r.returncode == 2
+    for flag, value in (("--psi", "0"), ("--node-budget", "banana")):
+        r = run_cli(
+            "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+            flag, value, "--out", str(tmp_path / "x"),
+        )
+        assert r.returncode == 2, (flag, value)
 
 
 def test_dry_run_validates_without_writing(tmp_path, data_csv):
@@ -133,27 +134,32 @@ def test_dry_run_validates_without_writing(tmp_path, data_csv):
 
 def test_config_file_applies_and_flags_win(tmp_path, data_csv):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# pipeline settings\npsi = 5\nseed = 11\nmethod = m5c-mf\n")
+    cfg.write_text("# pipeline settings\npsi = 5\nseed = 11\nnode_budget = 50\nmethod = m5c-mf\n")
     out = tmp_path / "run"
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
-        "--config", str(cfg), "--psi", "7", "--out", str(out),
+        "--config", str(cfg), "--psi", "7", "--node-budget", "none", "--out", str(out),
     )
     assert r.returncode == 0, r.stderr
     payload = json.loads((out / "report.json").read_text())["payload"]
     assert payload["config"]["psi"] == 7
+    assert payload["config"]["solver_node_budget"] is None
     assert payload["config"]["seed"] == 11
     assert payload["method"] == "m5c-mf"
 
 
-def test_config_file_unknown_key_exit_2(tmp_path, data_csv):
+@pytest.mark.parametrize(
+    "key", ["zeta", "m1", "threads", "per_leaf_weights", "global_candidates"]
+)
+def test_config_file_unknown_key_exit_2(tmp_path, data_csv, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("zeta = 1\n")
+    cfg.write_text(f"{key} = 1\n")
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
         "--config", str(cfg), "--out", str(tmp_path / "x"),
     )
     assert r.returncode == 2
+    assert "unknown key" in r.stderr
 
 
 def test_config_file_bad_value_exit_2(tmp_path, data_csv):
@@ -164,6 +170,46 @@ def test_config_file_bad_value_exit_2(tmp_path, data_csv):
         "--config", str(cfg), "--out", str(tmp_path / "x"),
     )
     assert r.returncode == 2
+
+
+@pytest.mark.filterwarnings("ignore::stratamatch.errors.HierarchyBoundWarning")
+@pytest.mark.parametrize("method", ["m5c-mf", "m5c-m", "strategies"])
+def test_estimate_grows_the_tree_once(tmp_path, data_csv, monkeypatch, method):
+    from stratamatch import cli, estimation
+
+    calls = []
+    build_tree = estimation.build_tree
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "build_tree", counting)
+    rc = cli.main([
+        "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+        "--method", method, "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 0
+    assert len(calls) == 1
+
+
+def _leaf_ids(node):
+    if "split" not in node:
+        return {node["id"]}
+    return _leaf_ids(node["left"]) | _leaf_ids(node["right"])
+
+
+def test_audit_leaves_are_leaves_of_exported_tree(tmp_path, data_csv):
+    out = tmp_path / "run"
+    r = run_cli(
+        "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+        "--seed", "11", "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    leaves = _leaf_ids(json.loads((out / "tree.json").read_text())["root"])
+    audit = [json.loads(line) for line in (out / "audit.jsonl").read_text().splitlines()]
+    used = {rec["leaf"] for rec in audit if "leaf" in rec}
+    assert used and used <= leaves
 
 
 def test_balance_flow(tmp_path, data_csv):

@@ -270,14 +270,6 @@ def test_m5c_mf_row_order_independence():
         assert permuted[row] == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
-def test_m5c_mf_threads_do_not_change_results():
-    d = toy_dataset(seed=6, n_treated=12, n_control=150)
-    rep1 = estimate_m5c_mf(d, PipelineConfig(seed=6, threads=1))
-    rep4 = estimate_m5c_mf(d, PipelineConfig(seed=6, threads=4))
-    assert rep1.att == rep4.att
-    assert [r.matched_rows for r in rep1.iatt] == [r.matched_rows for r in rep4.iatt]
-
-
 def test_m5c_m_predicts_counterfactual():
     d = toy_dataset(seed=7, n_treated=15, n_control=200)
     rep = estimate_m5c_m(d, PipelineConfig(seed=7))
@@ -365,5 +357,3 @@ def test_config_validation_runs():
         estimate_m5c_mf(d, PipelineConfig(psi=0))
     with pytest.raises(ConfigError):
         estimate_m5c_mf(d, PipelineConfig(lambda_=-0.5))
-    with pytest.raises(ConfigError):
-        estimate_m5c_mf(d, PipelineConfig(threads=0))

@@ -201,7 +201,7 @@ def test_select_candidates_nearest_by_weighted_distance():
     control = _pool()
     treated = np.array([0.5, 0.5])
     w = np.array([1.0, 1.0])
-    prob = select_candidates(control, np.arange(control.n), treated, w, psi=5, m1=1e6, m2=1e6)
+    prob = select_candidates(control, np.arange(control.n), treated, w, psi=5, m2=1e6)
     assert prob.candidate_features.shape == (5, 2)
     d_all = np.sqrt((w * (control.x - treated) ** 2).sum(axis=1))
     chosen = sorted(prob.candidate_ids)
@@ -212,7 +212,7 @@ def test_select_candidates_nearest_by_weighted_distance():
 def test_select_candidates_psi_larger_than_pool():
     control = _pool(n=3)
     prob = select_candidates(
-        control, np.arange(3), np.array([0.5, 0.5]), np.ones(2), psi=20, m1=1e6, m2=1e6
+        control, np.arange(3), np.array([0.5, 0.5]), np.ones(2), psi=20, m2=1e6
     )
     assert prob.candidate_features.shape[0] == 3
 
@@ -222,7 +222,7 @@ def test_select_candidates_empty_pool():
     with pytest.raises(NoCandidates):
         select_candidates(
             control, np.array([], dtype=int), np.array([0.5, 0.5]), np.ones(2),
-            psi=5, m1=1e6, m2=1e6,
+            psi=5, m2=1e6,
         )
 
 
@@ -231,7 +231,7 @@ def test_select_candidates_zero_weights_fall_back(caplog):
     with caplog.at_level(logging.WARNING):
         prob = select_candidates(
             control, np.arange(control.n), np.array([0.5, 0.5]), np.zeros(2),
-            psi=5, m1=1e6, m2=1e6,
+            psi=5, m2=1e6,
         )
     assert any("weight" in r.message.lower() for r in caplog.records)
     np.testing.assert_array_equal(prob.weights, [1.0, 1.0])
@@ -240,7 +240,7 @@ def test_select_candidates_zero_weights_fall_back(caplog):
 def test_matched_ids_map_to_rows():
     control = _pool()
     prob = select_candidates(
-        control, np.arange(control.n), np.array([0.5, 0.5]), np.ones(2), psi=6, m1=1e6, m2=1e6
+        control, np.arange(control.n), np.array([0.5, 0.5]), np.ones(2), psi=6, m2=1e6
     )
     sol = solve_match(prob)
     assert set(sol.selected_ids).issubset(set(int(r) for r in control.rows()))
@@ -249,7 +249,7 @@ def test_matched_ids_map_to_rows():
 def test_select_candidates_psi_one_keeps_exact_twin():
     control = control_only(np.array([[0.5], [0.9]]), np.array([1.0, 2.0]))
     prob = select_candidates(
-        control, np.arange(2), np.array([0.5]), np.ones(1), psi=1, m1=1e6, m2=1e6
+        control, np.arange(2), np.array([0.5]), np.ones(1), psi=1, m2=1e6
     )
     assert tuple(prob.candidate_ids) == (0,)
 
@@ -265,7 +265,6 @@ def test_select_candidates_zero_weight_drops_a_feature():
         np.array([0.0, 0.0]),
         np.array([4.0, 0.0]),
         psi=1,
-        m1=1e6,
         m2=1e6,
     )
     assert tuple(prob.candidate_ids) == (0,)
