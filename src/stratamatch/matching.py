@@ -8,8 +8,11 @@ deviations cancel), and ``a`` caps every selected candidate's single largest
 weighted absolute deviation. The optimum is found by depth-first implicit
 enumeration over include/exclude decisions with lower-bound pruning, which is
 exhaustive-with-pruning on small pools and branch-and-bound on larger ones.
-An independent full-enumeration oracle and a two-stage strictly-hierarchical
-solver are provided for cross-checking.
+The search is a loop over an explicit stack, so pool size is not limited by
+recursion depth; its set-up (deviations, suffix bounds) and its incumbent
+seeding from all singletons and pairs run in numpy. An independent
+full-enumeration oracle and a two-stage strictly-hierarchical solver are
+provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -167,7 +170,11 @@ def select_candidates(
     feats = control.x[leaf_indices]
     diff = feats - mu
     dist = np.sqrt(np.sum(w * diff * diff, axis=1))
-    order = np.argsort(dist, kind="stable")[: max(1, int(psi))]
+    k = min(max(1, int(psi)), dist.size)
+    # only entries at or below the k-th smallest distance can be chosen; a
+    # stable sort of those, by position, keeps the lower-index tie-break
+    near = np.flatnonzero(dist <= dist[np.argpartition(dist, k - 1)[k - 1]])
+    order = near[np.argsort(dist[near], kind="stable")[:k]]
     chosen = leaf_indices[order]
     return MatchProblem(
         treated_features=mu,
@@ -183,25 +190,18 @@ def select_candidates(
 
 
 def _prep(prob: MatchProblem) -> tuple[list[list[float]], list[float], list[int], int, int]:
-    mu = prob.treated_features
-    w = prob.weights
-    cand = prob.candidate_features
-    n, p = cand.shape
-    delta = [[float(w[j] * (cand[i, j] - mu[j])) for j in range(p)] for i in range(n)]
-    dev = [max(abs(v) for v in row) for row in delta]
-    ids = [int(v) for v in prob.candidate_ids]
-    return delta, dev, ids, n, p
+    delta_np = prob.weights * (prob.candidate_features - prob.treated_features)
+    n, p = delta_np.shape
+    dev = np.abs(delta_np).max(axis=1)
+    return delta_np.tolist(), dev.tolist(), prob.candidate_ids.tolist(), n, p
 
 
 def _evaluate(delta: list[list[float]], dev: list[float], sel: tuple[int, ...]) -> tuple[float, float]:
     """Exact (eps, a) for a selected subset; the single source of truth all
     solvers share, accumulating in ascending position order."""
-    p = len(delta[0])
-    sums = [0.0] * p
+    sums = [0.0] * len(delta[0])
     for i in sel:
-        row = delta[i]
-        for j in range(p):
-            sums[j] += row[j]
+        sums = [s + d for s, d in zip(sums, delta[i])]
     eps = max(abs(s) for s in sums)
     a = max(dev[i] for i in sel)
     return eps, a
@@ -227,34 +227,77 @@ class _Incumbent:
 
 
 def _suffix_bounds(delta: list[list[float]], n: int, p: int):
-    spos = [[0.0] * p for _ in range(n + 1)]
-    sneg = [[0.0] * p for _ in range(n + 1)]
-    for k in range(n - 1, -1, -1):
-        row = delta[k]
-        for j in range(p):
-            d = row[j]
-            spos[k][j] = spos[k + 1][j] + (d if d > 0 else 0.0)
-            sneg[k][j] = sneg[k + 1][j] + (d if d < 0 else 0.0)
-    return spos, sneg
+    """Per-feature sums of the positive and of the negative deviations of
+    candidates ``k..n-1``, accumulated from the last candidate backwards."""
+    d = np.asarray(delta, dtype=np.float64)
+    spos = np.zeros((n + 1, p))
+    sneg = np.zeros((n + 1, p))
+    # add.accumulate is sequential, so each suffix sum rounds like a loop
+    spos[:n] = np.add.accumulate(np.where(d > 0, d, 0.0)[::-1], axis=0)[::-1]
+    sneg[:n] = np.add.accumulate(np.where(d < 0, d, 0.0)[::-1], axis=0)[::-1]
+    return spos.tolist(), sneg.tolist()
 
 
 def _min_suffix(dev: list[float], n: int) -> list[float]:
-    out = [float("inf")] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        out[k] = dev[k] if dev[k] < out[k + 1] else out[k + 1]
-    return out
+    out = np.full(n + 1, np.inf)
+    out[:n] = np.minimum.accumulate(np.asarray(dev, dtype=np.float64)[::-1])[::-1]
+    return out.tolist()
+
+
+def _seed_incumbent(
+    delta: list[list[float]], dev: list[float], ids: list[int], m2: float, inc: _Incumbent
+) -> None:
+    """Offer the best singleton or pair to ``inc``.
+
+    numpy scores every singleton and, one row at a time, every pair
+    ``(i, k)`` with ``i < k``, keeping only each row's minimum, so memory
+    stays O(n * p). Subsets scoring within a small margin of the overall
+    minimum are then re-scored through :func:`_evaluate` and offered in
+    enumeration order (singletons, then pairs by ``i`` and ``k``), so the
+    incumbent and its tie-break are those of offering every subset.
+    """
+    d = np.asarray(delta, dtype=np.float64)
+    dv = np.asarray(dev, dtype=np.float64)
+    n = dv.size
+
+    def pair_scores(i: int) -> np.ndarray:
+        eps = np.abs(d[i + 1:] + d[i]).max(axis=1)
+        return np.maximum(dv[i + 1:], dv[i]) + m2 * eps
+
+    single = dv + m2 * dv
+    row_best = np.array([pair_scores(i).min() for i in range(n - 1)] + [np.inf])
+    best = float(min(single.min(), row_best.min()))
+    cut = best + 1e-9 * (1.0 + abs(best))
+
+    def consider(sel: tuple[int, ...]) -> None:
+        eps, a = _evaluate(delta, dev, sel)
+        inc.offer(sel, eps, a, a + m2 * eps, _id_key(ids, sel))
+
+    for i in np.flatnonzero(single <= cut).tolist():
+        consider((i,))
+    for i in np.flatnonzero(row_best <= cut).tolist():
+        for k in (np.flatnonzero(pair_scores(i) <= cut) + i + 1).tolist():
+            consider((i, k))
 
 
 def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolution:
     """Exact minimizer of ``a + m2 * eps`` over non-empty candidate subsets.
 
-    Depth-first search over include/exclude decisions in candidate order.
+    Depth-first search over include/exclude decisions in candidate order,
+    include branch first. The search runs as a loop: the list of included
+    positions doubles as the explicit stack, so backtracking pops the deepest
+    included candidate, subtracts its deviations from the running sums, and
+    explores its exclude branch. No recursion means no depth limit on the
+    candidate count.
+
     Partial selections are pruned with a joint lower bound: the cap can only
-    grow from the included candidates' largest deviation, and each feature's
-    final signed sum is confined to the interval spanned by the undecided
-    candidates' positive and negative deviations. Incumbents are seeded from
-    all singletons and pairs. Objective ties resolve to the lexicographically
-    smallest selected original-index set.
+    grow from the included candidates' largest deviation (kept as a stack of
+    running maxima), and each feature's final signed sum is confined to the
+    interval spanned by the undecided candidates' positive and negative
+    deviations. The bound stops early once it passes the incumbent. Set-up
+    (deviations, suffix bounds) is vectorized, and the incumbent is seeded
+    from the best singleton or pair found by a numpy screen. Objective ties
+    resolve to the lexicographically smallest selected original-index set.
 
     With a ``node_budget``, search stops after that many nodes and the best
     incumbent is returned flagged as possibly suboptimal (and logged); with
@@ -264,65 +307,63 @@ def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolu
     delta, dev, ids, n, p = _prep(prob)
     m2 = prob.m2
     inc = _Incumbent()
-
-    def consider(sel: tuple[int, ...]) -> None:
-        eps, a = _evaluate(delta, dev, sel)
-        inc.offer(sel, eps, a, a + m2 * eps, _id_key(ids, sel))
-
-    for i in range(n):
-        consider((i,))
-    for i in range(n):
-        for k in range(i + 1, n):
-            consider((i, k))
+    _seed_incumbent(delta, dev, ids, m2, inc)
 
     spos, sneg = _suffix_bounds(delta, n, p)
     min_dev = _min_suffix(dev, n)
+    limit = float("inf") if node_budget is None else node_budget
+    thr = inc.obj + 1e-9 + 1e-12 * abs(inc.obj)
     sums = [0.0] * p
     included: list[int] = []
+    caps: list[float] = []
     nodes = 0
     budget_hit = False
-
-    def rec(k: int) -> None:
-        nonlocal nodes, budget_hit
-        if budget_hit:
-            return
-        if node_budget is not None and nodes >= node_budget:
+    k = 0
+    while True:
+        if nodes >= limit:
             budget_hit = True
-            return
+            break
         nodes += 1
-        if k == n:
-            if included:
-                consider(tuple(included))
-            return
-        a_lb = max(dev[i] for i in included) if included else min_dev[k]
-        eps_lb = 0.0
-        sp = spos[k]
-        sn = sneg[k]
-        for j in range(p):
-            lo = sums[j] + sn[j]
-            hi = sums[j] + sp[j]
-            if lo > 0.0:
-                m = lo
-            elif hi < 0.0:
-                m = -hi
-            else:
-                m = 0.0
-            if m > eps_lb:
-                eps_lb = m
-        lb = a_lb + m2 * eps_lb
-        if lb > inc.obj + 1e-9 + 1e-12 * abs(inc.obj):
-            return
-        row = delta[k]
-        for j in range(p):
-            sums[j] += row[j]
-        included.append(k)
-        rec(k + 1)
-        included.pop()
-        for j in range(p):
-            sums[j] -= row[j]
-        rec(k + 1)
+        if k < n:
+            a_lb = caps[-1] if caps else min_dev[k]
+            # the bound at eps_lb = 0; the loop tests only positive maxima
+            if a_lb <= thr:
+                eps_lb = 0.0
+                for s, lo_d, hi_d in zip(sums, sneg[k], spos[k]):
+                    m = s + lo_d
+                    if m <= 0.0:
+                        m = -(s + hi_d)
+                        if m <= 0.0:
+                            continue
+                    # a_lb + m2 * eps_lb only grows with eps_lb, so the first
+                    # feature that passes the threshold decides the prune
+                    if m > eps_lb:
+                        eps_lb = m
+                        if a_lb + m2 * m > thr:
+                            break
+                else:
+                    sums = [s + d for s, d in zip(sums, delta[k])]
+                    included.append(k)
+                    caps.append(dev[k] if not caps or dev[k] > caps[-1] else caps[-1])
+                    k += 1
+                    continue
+        elif included:
+            sel = tuple(included)
+            eps, a = _evaluate(delta, dev, sel)
+            obj = a + m2 * eps
+            if obj <= inc.obj:  # only a possible winner needs its id key
+                inc.offer(sel, eps, a, obj, _id_key(ids, sel))
+                thr = inc.obj + 1e-9 + 1e-12 * abs(inc.obj)
+        # this node is done: resume at the exclude branch of the deepest include
+        if not included:
+            break
+        k = included.pop()
+        caps.pop()
+        # subtract instead of restoring a saved copy: the exclude branch's
+        # bounds, and so the nodes visited, depend on (s + row) - row
+        sums = [s - d for s, d in zip(sums, delta[k])]
+        k += 1
 
-    rec(0)
     if budget_hit:
         # per-solve noise stays at debug; callers aggregate via stats.suboptimal
         logger.debug(

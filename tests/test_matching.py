@@ -11,6 +11,8 @@ from stratamatch.errors import (
 )
 from stratamatch.matching import (
     MatchProblem,
+    _evaluate,
+    _prep,
     hierarchy_m2_bound,
     select_candidates,
     solve_match,
@@ -153,6 +155,121 @@ def test_node_budget_flags_suboptimal():
     assert capped.objective >= full.objective
 
 
+def test_large_pool_search_has_no_depth_limit():
+    # 1500 candidates put the search 1500 levels deep; a recursive search
+    # raised RecursionError here
+    rng = np.random.default_rng(0)
+    prob = _problem(np.full(5, 0.5), rng.uniform(0, 1, (1500, 5)))
+    sol = solve_match(prob, node_budget=5000)
+    assert sol.stats.suboptimal
+    assert sol.stats.nodes == 5000
+    eps, a = _evaluate(*_prep(prob)[:2], sol.selected)
+    assert (sol.epsilon, sol.a) == (eps, a)
+    assert sol.objective == a + prob.m2 * eps
+
+
+# (selected_ids, nodes, suboptimal, objective.hex()) of the budgeted search on
+# _pinned_problem(seed), recorded from the recursive search this solver
+# replaced: any change to visit order, pruning or tie-breaks shows here
+PINNED_BUDGETED = [
+    ((388, 18), 1000, True, "0x1.eb036092bbd87p+17"),
+    ((179,), 217, False, "0x1.aff7086a47d8dp+20"),
+    ((241,), 1000, True, "0x1.1612201c82fcap+20"),
+    ((254, 62), 1000, True, "0x1.f6188d81e1505p+18"),
+    ((207,), 549, False, "0x1.b7042cb966fd3p+19"),
+    ((65,), 501, False, "0x1.a491161908401p+19"),
+    ((90, 198), 1000, True, "0x1.c3d41ab3cc84bp+18"),
+    ((223, 236, 279, 6, 274, 100, 362, 231, 29, 93, 353, 11, 184, 336), 1000, True,
+     "0x1.da304a8f2831fp+13"),
+    ((159,), 283, False, "0x1.75f42133077f5p+18"),
+    ((83,), 197, False, "0x1.6a266f1b7637ep+20"),
+    ((303,), 193, False, "0x1.473784f0a8628p+19"),
+    ((333, 282), 967, False, "0x1.e109e151c6dd6p+17"),
+    ((96,), 427, False, "0x1.3d70df503664fp+20"),
+    ((186, 197, 263), 1000, True, "0x1.57c44f4642050p+17"),
+    ((365, 107), 485, False, "0x1.e844379386279p+19"),
+    ((320,), 191, False, "0x1.f07eb5319f81bp+19"),
+    ((147,), 1000, True, "0x1.febf05d48f326p+19"),
+    ((184,), 311, False, "0x1.7cdf2aec58975p+20"),
+    ((46,), 1000, True, "0x1.f18ec031c9cd5p+20"),
+    ((30, 147), 1000, True, "0x1.2a7357ca597d3p+18"),
+    # m2 = 1: the cap alone can pass the incumbent
+    ((373,), 223, False, "0x1.81e54cff47428p+1"),
+    ((171,), 41, False, "0x1.4db9582230f3cp-2"),
+    ((216,), 247, False, "0x1.29bf3ff4afb46p+1"),
+    ((190,), 517, False, "0x1.400b18570858ep+0"),
+]
+
+
+def _pinned_problem(seed):
+    # psi=20 nearest candidates from a uniform pool, as select_candidates
+    # builds them; the default m2 for seeds below 20
+    rng = np.random.default_rng(1000 + seed)
+    p = int(rng.integers(2, 13))
+    mu = rng.uniform(0, 1, p)
+    pool = rng.uniform(0, 1, (400, p))
+    w = rng.uniform(0, 10, p)
+    near = np.argsort(np.sqrt((w * (pool - mu) ** 2).sum(axis=1)), kind="stable")[:20]
+    return MatchProblem(
+        treated_features=mu, candidate_features=pool[near], weights=w, candidate_ids=near,
+        m2=1e6 if seed < 20 else 1.0,
+    )
+
+
+@pytest.mark.parametrize("seed", range(len(PINNED_BUDGETED)))
+def test_budgeted_search_order_is_pinned(seed):
+    sol = solve_match(_pinned_problem(seed), node_budget=1000)
+    got = (sol.selected_ids, sol.stats.nodes, sol.stats.suboptimal, sol.objective.hex())
+    assert got == PINNED_BUDGETED[seed]
+
+
+def _milp_objective(prob):
+    """Optimal ``a + m2 * eps`` from scipy's MILP solver (HiGHS), re-scored
+    exactly on the subset it selects.
+
+    Variables are the selection indicators ``s_i``, then ``eps`` and ``a``:
+    minimize ``a + m2 * eps`` subject to ``|sum_i s_i delta_ij| <= eps``,
+    ``a >= dev_i * s_i`` and ``sum_i s_i >= 1``.
+    """
+    pytest.importorskip("scipy", minversion="1.9")  # milp arrived in 1.9
+    from scipy import optimize
+    delta, dev, _, n, p = _prep(prob)
+    d = np.asarray(delta)
+    zp, zn = np.zeros(p), np.zeros(n)
+    rows = np.vstack([
+        np.c_[d.T, -np.ones(p), zp],  # sum_i s_i delta_ij - eps <= 0
+        np.c_[-d.T, -np.ones(p), zp],  # -sum_i s_i delta_ij - eps <= 0
+        np.c_[np.diag(dev), zn, -np.ones(n)],  # dev_i s_i - a <= 0
+        np.r_[np.ones(n), 0.0, 0.0][None],  # sum_i s_i >= 1
+    ])
+    upper = np.r_[np.zeros(2 * p + n), np.inf]
+    lower = np.r_[np.full(2 * p + n, -np.inf), 1.0]
+    res = optimize.milp(
+        np.r_[zn, prob.m2, 1.0],
+        constraints=optimize.LinearConstraint(rows, lower, upper),
+        integrality=np.r_[np.ones(n), 0.0, 0.0],
+        bounds=optimize.Bounds(np.zeros(n + 2), np.r_[np.ones(n), np.inf, np.inf]),
+        options={"mip_rel_gap": 0},
+    )
+    assert res.success, res.message
+    sel = tuple(np.flatnonzero(res.x[:n] > 0.5).tolist())
+    eps, a = _evaluate(delta, dev, sel)
+    return res.fun, a + prob.m2 * eps
+
+
+@pytest.mark.parametrize("psi", [24, 28, 32, 36, 40])
+def test_milp_oracle_agrees_above_bruteforce_limit(psi):
+    for seed in range(2):
+        rng = np.random.default_rng(100 * seed + psi)
+        p = int(rng.integers(4, 7))
+        prob = _problem(rng.uniform(0, 1, p), rng.uniform(0, 1, (psi, p)), rng.uniform(0, 10, p))
+        sol = solve_match(prob)
+        assert not sol.stats.suboptimal
+        reported, rescored = _milp_objective(prob)
+        assert rescored == pytest.approx(sol.objective, rel=1e-9)
+        assert reported == pytest.approx(sol.objective, rel=1e-9)
+
+
 def test_bruteforce_size_guard():
     prob = _problem(np.zeros(1), np.zeros((21, 1)))
     with pytest.raises(OracleTooLarge):
@@ -252,6 +369,16 @@ def test_select_candidates_psi_one_keeps_exact_twin():
         control, np.arange(2), np.array([0.5]), np.ones(1), psi=1, m2=1e6
     )
     assert tuple(prob.candidate_ids) == (0,)
+
+
+def test_select_candidates_ties_at_cutoff_keep_lower_positions_in_order():
+    # distances (1, 0, 1, 1, 0, 1, 2): the third pick is tied four ways and
+    # goes to the lowest position; candidates come nearest first
+    x = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0], [2.0]])
+    control = control_only(x, np.zeros(len(x)))
+    for psi, want in ((3, (1, 4, 0)), (5, (1, 4, 0, 2, 3)), (7, (1, 4, 0, 2, 3, 5, 6))):
+        prob = select_candidates(control, np.arange(len(x)), np.array([0.0]), np.ones(1), psi=psi)
+        assert tuple(prob.candidate_ids) == want
 
 
 def test_select_candidates_zero_weight_drops_a_feature():
