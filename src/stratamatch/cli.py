@@ -39,6 +39,7 @@ from .errors import (
     EmptyInput,
     EstimationImpossible,
     InvalidSample,
+    MalformedInput,
     NamedColumnAbsent,
     OracleTooLarge,
     ParseFailure,
@@ -51,6 +52,7 @@ from .tree import export_rules, tree_to_dict
 logger = logging.getLogger(__name__)
 
 _DATA_ERRORS = (
+    MalformedInput,
     NamedColumnAbsent,
     ParseFailure,
     PositivityViolation,

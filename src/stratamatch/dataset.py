@@ -12,6 +12,7 @@ import numpy as np
 
 from .errors import (
     EmptyInput,
+    MalformedInput,
     NamedColumnAbsent,
     ParseFailure,
     PositivityViolation,
@@ -121,18 +122,60 @@ def make_dataset(
     )
 
 
-def _read_table(path: str | Path, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInput(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+def _undecodable_line(path: str | Path) -> int:
+    """The 1-based line of the first byte sequence that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return 0
+
+
+def _read_table(
+    path: str | Path, delimiter: str
+) -> tuple[list[str], list[list[str]], list[int]]:
+    """Read the header and the data rows, with the file line each row ends on.
+
+    Blank and delimiter-only rows are skipped. Every kept row must have as
+    many cells as the header.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyInput(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            if len(set(header)) < len(header):
+                repeated = next(h for h in header if header.count(h) > 1)
+                raise MalformedInput(f"{path}: column {repeated!r} appears more than once")
+            width = len(header)
+            rows: list[list[str]] = []
+            lines: list[int] = []
+            for row in reader:
+                if row and any(cell.strip() for cell in row):
+                    if len(row) != width:
+                        raise ParseFailure(
+                            reader.line_num, "<row>", f"{len(row)} cells, expected {width}"
+                        )
+                    rows.append(row)
+                    lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise MalformedInput(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise MalformedInput(
+            f"{path}: line {_undecodable_line(path)}: not UTF-8 text"
+        ) from None
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise MalformedInput(f"{path}: cannot read: {exc.strerror}") from None
     if not rows:
         raise EmptyInput(f"{path}: no data rows")
-    return header, rows
+    return header, rows, lines
 
 
 def _is_number(cell: str) -> bool:
@@ -141,6 +184,30 @@ def _is_number(cell: str) -> bool:
     except ValueError:
         return False
     return math.isfinite(v)
+
+
+def _first_bad_cell(
+    header: list[str],
+    rows: list[list[str]],
+    lines: list[int],
+    numeric: list[int],
+    t_idx: int,
+) -> None:
+    """Raise :class:`ParseFailure` for the first cell that is not a finite
+    number, or not 0 or 1 in the treatment column ``t_idx``.
+
+    Rows are scanned in file order; within a row the ``numeric`` columns come
+    first, in the order given, then the treatment. Returns if every cell is
+    valid.
+    """
+    for row, line_no in zip(rows, lines):
+        for j in numeric:
+            cell = row[j].strip()
+            if not _is_number(cell):
+                raise ParseFailure(line_no, header[j], cell)
+        cell = row[t_idx].strip()
+        if not _is_number(cell) or float(cell) not in (0.0, 1.0):
+            raise ParseFailure(line_no, header[t_idx], cell)
 
 
 def encode_categoricals(
@@ -157,7 +224,7 @@ def encode_categoricals(
     for j, name in enumerate(header):
         if name in skip:
             continue
-        col = [row[j].strip() if j < len(row) else "" for row in rows]
+        col = [row[j].strip() for row in rows]
         if any(not _is_number(c) for c in col):
             cat_cols.append(j)
     if not cat_cols:
@@ -178,7 +245,7 @@ def encode_categoricals(
         out: list[str] = []
         for j, levels in plan:
             if levels is None:
-                out.append(row[j] if j < len(row) else "")
+                out.append(row[j])
             else:
                 val = row[j].strip()
                 out.extend("1" if val == lvl else "0" for lvl in levels)
@@ -194,12 +261,20 @@ def load_dataset(
     delimiter: str = ",",
     encode: bool = False,
 ) -> Dataset:
-    """Load a delimited table with a header row into a :class:`Dataset`.
+    """Load a delimited UTF-8 table with a header row into a :class:`Dataset`.
 
     Every column other than the treatment and outcome columns becomes a
-    feature. Cells must parse as finite numbers; missing values are rejected
-    rather than imputed. With ``encode=True``, non-numeric feature columns are
-    first expanded into one indicator column per level.
+    feature. Cells must parse as finite numbers, with Python's ``float``
+    grammar after surrounding whitespace is stripped; missing values are
+    rejected rather than imputed. With ``encode=True``, non-numeric feature
+    columns are first expanded into one indicator column per level.
+
+    The file is read in one csv pass, which skips blank and delimiter-only
+    lines, and the kept rows are converted to floats in one numpy call. The
+    finiteness and 0/1 treatment checks then run on whole arrays. Only when
+    one of these steps fails are the cells scanned one by one, to name the
+    first bad cell. Errors give the physical file line (1-based, the header
+    is line 1) on which the offending row ends.
 
     Args:
         path: file to read.
@@ -208,12 +283,21 @@ def load_dataset(
         delimiter: cell separator, comma by default (pass "\\t" for tab).
         encode: one-hot encode non-numeric feature columns before validation.
 
+    Every error below is a data error on the command line (exit 3), with a
+    one-line message.
+
     Raises:
+        FileNotFoundError: the file does not exist.
+        MalformedInput: the file cannot be read (a directory, no permission),
+            is not UTF-8, holds a record the csv reader refuses (a cell over
+            its field size limit), or repeats a column name.
+        EmptyInput: no header, no data rows or no feature columns.
         NamedColumnAbsent: treatment or outcome column missing.
-        ParseFailure: a cell does not parse as a finite number.
+        ParseFailure: a row has the wrong number of cells, or a cell does
+            not parse as a finite number, or a treatment is not 0 or 1.
         PositivityViolation: either treatment group is empty.
     """
-    header, rows = _read_table(path, delimiter)
+    header, rows, lines = _read_table(path, delimiter)
     for required in (treatment_col, outcome_col):
         if required not in header:
             raise NamedColumnAbsent(required, tuple(header))
@@ -227,29 +311,21 @@ def load_dataset(
     if not feature_names:
         raise EmptyInput("input has no feature columns")
 
-    n = len(rows)
-    t = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=np.float64)
-    x = np.empty((n, len(feat_idx)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        line_no = i + 2  # 1-based, after the header line
-        if len(row) != len(header):
-            raise ParseFailure(line_no, "<row>", f"{len(row)} cells, expected {len(header)}")
-        for k, j in enumerate(feat_idx):
-            cell = row[j].strip()
-            if not _is_number(cell):
-                raise ParseFailure(line_no, header[j], cell)
-            x[i, k] = float(cell)
-        cell = row[y_idx].strip()
-        if not _is_number(cell):
-            raise ParseFailure(line_no, outcome_col, cell)
-        y[i] = float(cell)
-        cell = row[t_idx].strip()
-        if not _is_number(cell) or float(cell) not in (0.0, 1.0):
-            raise ParseFailure(line_no, treatment_col, cell)
-        t[i] = int(float(cell))
+    # features before the outcome: the order in which bad cells are named
+    numeric = feat_idx + [y_idx]
+    try:
+        table = np.array(rows, dtype=np.float64)
+    except ValueError:
+        _first_bad_cell(header, rows, lines, numeric, t_idx)
+        # str.strip also removes the ASCII separators \x1c-\x1f, which float()
+        # keeps; cells padded with them parse once stripped
+        table = np.array([[cell.strip() for cell in row] for row in rows], dtype=np.float64)
+    t = table[:, t_idx]
+    if not (np.isfinite(table).all() and ((t == 0.0) | (t == 1.0)).all()):
+        _first_bad_cell(header, rows, lines, numeric, t_idx)
+    del rows, lines
 
-    d = make_dataset(t, x, y, feature_names)
+    d = make_dataset(t.astype(np.int64), table[:, feat_idx], table[:, y_idx], feature_names)
     logger.info(
         "loaded %s: n=%d (treated=%d, control=%d), p=%d",
         path, d.n, d.n_treated, d.n_control, d.p,

@@ -23,6 +23,11 @@ class NamedColumnAbsent(StrataMatchError):
         super().__init__(msg)
 
 
+class MalformedInput(StrataMatchError):
+    """The input file cannot be read as a table: it is unreadable, not UTF-8,
+    refused by the csv reader, or its header repeats a column name."""
+
+
 class ParseFailure(StrataMatchError):
     """A cell could not be parsed as a finite number.
 

@@ -105,6 +105,46 @@ def test_estimate_missing_file_exit_3(tmp_path):
     assert r.returncode == 3
 
 
+def _estimate_exit(tmp_path, csv_path):
+    return run_cli(
+        "estimate", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+        "--method", "naive", "--out", str(tmp_path / "x"),
+    )
+
+
+def _assert_one_line_data_error(r, *parts):
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+    (line,) = [ln for ln in r.stderr.splitlines() if ln.startswith("ERROR")]
+    assert "data error" in line
+    for part in parts:
+        assert part in line
+
+
+def test_estimate_non_utf8_file_exit_3(tmp_path):
+    csv_path = tmp_path / "latin1.csv"
+    csv_path.write_bytes(b"t,y,a\n0,1,2\n1,3,caf\xe9\n")
+    _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "latin1.csv", "line 3")
+
+
+def test_estimate_oversized_cell_exit_3(tmp_path):
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("t,y,a\n0,1,2\n1,3," + "1" * 200_000 + "\n")
+    _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "wide.csv", "line 3")
+
+
+def test_estimate_directory_input_exit_3(tmp_path):
+    folder = tmp_path / "folder.csv"
+    folder.mkdir()
+    _assert_one_line_data_error(_estimate_exit(tmp_path, folder), "folder.csv")
+
+
+def test_estimate_repeated_column_exit_3(tmp_path):
+    csv_path = tmp_path / "dup.csv"
+    csv_path.write_text("t,y,y\n0,1,2\n1,3,4\n0,2,2\n1,4,4\n")
+    _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "dup.csv", "'y'")
+
+
 def test_estimate_unknown_method_exit_2(tmp_path, data_csv):
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stratamatch import dataset
 from stratamatch.dataset import (
     denormalize_min_max,
     load_dataset,
@@ -10,6 +11,7 @@ from stratamatch.dataset import (
 )
 from stratamatch.errors import (
     EmptyInput,
+    MalformedInput,
     NamedColumnAbsent,
     ParseFailure,
     PositivityViolation,
@@ -128,6 +130,77 @@ def test_load_dataset_bad_cell_reports_line(tmp_path):
     assert ei.value.row == 3
     assert ei.value.col == "y"
     assert ei.value.value == "oops"
+
+
+def test_load_dataset_reports_physical_line_after_skipped_lines(tmp_path):
+    p = _write(tmp_path, "t,y,x1\n0,1.0,2.0\n\n1,2.0,3.0\n,,\n \t\n0,3.0,abc\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col, ei.value.value) == (7, "x1", "abc")
+
+
+def test_load_dataset_wrong_cell_count_reports_physical_line(tmp_path):
+    p = _write(tmp_path, "t,y,x1\n0,1.0,2.0\n\n, ,\n1,2.0\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col) == (5, "<row>")
+
+
+def test_load_dataset_line_is_where_a_multiline_row_ends(tmp_path):
+    p = _write(tmp_path, 't,y,x1\n0,1.0,"2.0\n"\n1,"2.0\n\n",oops\n')
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col) == (6, "x1")
+
+
+def test_load_dataset_first_bad_cell_in_scan_order(tmp_path):
+    # within a row, features are checked before the outcome and the treatment
+    p = _write(tmp_path, "t,y,a,b\n0,1,2,3\n2,nan,4,x\n1,zz,1,1\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col, ei.value.value) == (3, "b", "x")
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e400", "", " "])
+def test_load_dataset_rejects_nonfinite_and_empty_cells(tmp_path, cell):
+    p = _write(tmp_path, f"t,y,a\n0,1,2\n1,3,{cell}\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col, ei.value.value) == (3, "a", cell.strip())
+
+
+def test_load_dataset_keeps_float_grammar(tmp_path):
+    # padding, quotes, underscores, non-ASCII digits, and the ASCII
+    # separators that str.strip removes but float() does not
+    p = _write(tmp_path, 't,y,a\n0, 1.5 ,"1_0"\n1,\u0663,\x1c2e0\x1c\n-0.0,-0.0,+.5\n')
+    d = load_dataset(p, treatment_col="t", outcome_col="y")
+    np.testing.assert_array_equal(d.t, [0, 1, 0])
+    np.testing.assert_array_equal(d.y, [1.5, 3.0, -0.0])
+    assert np.signbit(d.y[2])
+    np.testing.assert_array_equal(d.x[:, 0], [10.0, 2.0, 0.5])
+
+
+def test_load_dataset_success_path_does_no_per_cell_work(tmp_path, monkeypatch):
+    def _refuse(cell):
+        raise AssertionError("per-cell check on the success path")
+
+    monkeypatch.setattr(dataset, "_is_number", _refuse)
+    p = _write(tmp_path, "t,y,a,b\n0,1.5,1,2\n\n1,2.5,3,4\n0,0.5,5,6\n")
+    d = load_dataset(p, treatment_col="t", outcome_col="y", encode=False)
+    np.testing.assert_array_equal(d.x, [[1, 2], [3, 4], [5, 6]])
+
+
+def test_load_dataset_rejects_repeated_column(tmp_path):
+    p = _write(tmp_path, "t,y, y\n0,1,2\n1,3,4\n")
+    with pytest.raises(MalformedInput, match="'y'"):
+        load_dataset(p, treatment_col="t", outcome_col="y")
+
+
+def test_load_dataset_encode_short_row_is_a_parse_failure(tmp_path):
+    p = _write(tmp_path, "t,y,a,c\n0,1,2,red\n1,3,4\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y", encode=True)
+    assert (ei.value.row, ei.value.col) == (3, "<row>")
 
 
 def test_load_dataset_nonbinary_treatment(tmp_path):
