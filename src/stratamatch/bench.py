@@ -180,6 +180,39 @@ def _rep_seeds(base_seed: int, replications: int) -> list[int]:
     return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(replications)]
 
 
+def _run_methods(
+    d: Dataset,
+    methods: list[str],
+    cfg: PipelineConfig,
+    rep: int,
+    rep_seed: int,
+    true_att: float | None,
+) -> list[ReplicationRecord]:
+    """Time each method once on ``d``. A failure is recorded with its error,
+    never raised; the bias is left out when ``true_att`` is unknown."""
+    records = []
+    for m in methods:
+        t0 = time.perf_counter()
+        try:
+            est = float(ESTIMATORS[m](d, cfg).att)
+            err = None
+        except Exception as exc:  # noqa: BLE001  (recorded, not fatal)
+            est, err = None, f"{type(exc).__name__}: {exc}"
+            logger.warning("replication %d, method %s failed: %s", rep, m, err)
+        records.append(
+            ReplicationRecord(
+                replication=rep,
+                seed=rep_seed,
+                method=m,
+                estimate=est,
+                bias=None if est is None or true_att is None else est - true_att,
+                runtime_s=time.perf_counter() - t0,
+                error=err,
+            )
+        )
+    return records
+
+
 def run_bias_study(
     spec: DgpSpec,
     methods: list[str],
@@ -199,26 +232,7 @@ def run_bias_study(
     records: list[ReplicationRecord] = []
     for rep, rep_seed in enumerate(_rep_seeds(spec.seed, replications)):
         d = generate(spec, seed=rep_seed)
-        for m in methods:
-            t0 = time.perf_counter()
-            try:
-                est = float(ESTIMATORS[m](d, cfg).att)
-                err = None
-                bias = est - spec.true_att
-            except Exception as exc:  # noqa: BLE001  (recorded, not fatal)
-                est, bias, err = None, None, f"{type(exc).__name__}: {exc}"
-                logger.warning("replication %d, method %s failed: %s", rep, m, err)
-            records.append(
-                ReplicationRecord(
-                    replication=rep,
-                    seed=rep_seed,
-                    method=m,
-                    estimate=est,
-                    bias=bias,
-                    runtime_s=time.perf_counter() - t0,
-                    error=err,
-                )
-            )
+        records += _run_methods(d, methods, cfg, rep, rep_seed, spec.true_att)
         logger.info("bias study: replication %d/%d done", rep + 1, replications)
     return StudyResult(
         kind="bias",
@@ -265,25 +279,7 @@ def run_bootstrap_study(
         mask[chosen] = True
         idx = np.nonzero(mask)[0]
         sub = make_dataset(d.t[idx], d.x[idx], d.y[idx], d.feature_names)
-        for m in methods:
-            t0 = time.perf_counter()
-            try:
-                est = float(ESTIMATORS[m](sub, cfg).att)
-                err = None
-            except Exception as exc:  # noqa: BLE001
-                est, err = None, f"{type(exc).__name__}: {exc}"
-                logger.warning("bootstrap replication %d, method %s failed: %s", rep, m, err)
-            records.append(
-                ReplicationRecord(
-                    replication=rep,
-                    seed=rep_seed,
-                    method=m,
-                    estimate=est,
-                    bias=None,
-                    runtime_s=time.perf_counter() - t0,
-                    error=err,
-                )
-            )
+        records += _run_methods(sub, methods, cfg, rep, rep_seed, None)
         logger.info("bootstrap study: replication %d/%d done", rep + 1, replications)
     return StudyResult(
         kind="bootstrap",

@@ -6,7 +6,7 @@ the fitted tree), ``gen`` (write a synthetic dataset).
 
 Logs go to stderr; data artifacts go to files. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 estimation impossible. Report
-payloads exclude timestamps, so the same config and seed reproduce them
+payloads exclude timestamps, so the same data and config reproduce them
 byte for byte.
 """
 
@@ -71,8 +71,6 @@ _CFG_KEYS = {
     "m2": "m2",
     "node_budget": "solver_node_budget",
     "max_depth": "max_depth",
-    "bins": "bins",
-    "seed": "seed",
 }
 
 
@@ -132,7 +130,9 @@ def _resolve_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict]:
     return cfg, extras
 
 
-def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(sp: argparse.ArgumentParser, matching: bool = True) -> None:
+    """``--config`` and the tree flags, plus the matcher flags if ``matching``.
+    The config file may name any pipeline key either way."""
     g = sp.add_argument_group("pipeline")
     s = argparse.SUPPRESS
     g.add_argument("--config", help="key = value config file (flags override it)")
@@ -140,13 +140,31 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser) -> None:
                    help="split acceptance penalty for small children")
     g.add_argument("--theta", dest="theta", default=s,
                    help="small-child size guard (default or 'none': max(30, 2p))")
+    g.add_argument("--max-depth", dest="max_depth", default=s, help="tree depth cap")
+    if not matching:
+        return
     g.add_argument("--psi", default=s, help="candidate pool size per treated unit")
     g.add_argument("--m2", default=s, help="deviation-sum priority multiplier")
     g.add_argument("--node-budget", dest="solver_node_budget", default=s,
                    help="per-unit match search node budget ('none' for exhaustive search)")
-    g.add_argument("--max-depth", dest="max_depth", default=s, help="tree depth cap")
-    g.add_argument("--bins", default=s, help="histogram bins for overlap")
-    g.add_argument("--seed", default=s, help="base seed for all randomness")
+
+
+def _seed(raw: str) -> int:
+    seed = int(raw)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+    return seed
+
+
+def _bins(raw: str) -> int:
+    bins = int(raw)
+    if bins < 1:
+        raise argparse.ArgumentTypeError("bins must be at least 1")
+    return bins
+
+
+def _add_seed_flag(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--seed", type=_seed, default=0, help="base seed for all randomness")
 
 
 def _add_io_flags(sp: argparse.ArgumentParser) -> None:
@@ -261,7 +279,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
-    spec = dataclasses.replace(PRESETS[args.preset], seed=cfg.seed)
+    spec = dataclasses.replace(PRESETS[args.preset], seed=args.seed)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigError("no methods given")
@@ -275,7 +293,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         d = generate(spec)
         result = run_bootstrap_study(
-            d, methods, args.replications, args.treated_sample, seed=cfg.seed, cfg=cfg
+            d, methods, args.replications, args.treated_sample, seed=args.seed, cfg=cfg
         )
     out = _out_dir(args)
     write_records_csv(result, out / "records.csv")
@@ -290,7 +308,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_balance(args: argparse.Namespace) -> int:
-    cfg, _ = _resolve_config(args)
     if args.dry_run:
         for path in (args.input, args.audit):
             if not Path(path).exists():
@@ -309,12 +326,12 @@ def cmd_balance(args: argparse.Namespace) -> int:
         rows = rec.get("matched_rows")
         if rows:
             matches.append((int(rec["treated_row"]), tuple(int(r) for r in rows)))
-    pre = pre_match_report(d, bins=cfg.bins)
+    pre = pre_match_report(d, bins=args.bins)
     out = _out_dir(args)
     text = report_to_text(pre)
     blob = {"pre": report_to_dict(pre)}
     if matches:
-        post = post_match_report(d, matches, bins=cfg.bins)
+        post = post_match_report(d, matches, bins=args.bins)
         text += "\n" + report_to_text(post)
         blob["post"] = report_to_dict(post)
     else:
@@ -347,7 +364,6 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cfg, _ = _resolve_config(args)
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
     spec = PRESETS[args.preset]
@@ -356,9 +372,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.n_control is not None:
         spec = dataclasses.replace(spec, n_control=args.n_control)
     if args.dry_run:
-        logger.info("dry run ok: preset=%s seed=%d", args.preset, cfg.seed)
+        logger.info("dry run ok: preset=%s seed=%d", args.preset, args.seed)
         return 0
-    d = generate(spec, seed=cfg.seed)
+    d = generate(spec, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
@@ -395,19 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
                     help="treated subsample size (bootstrap study)")
     sp.add_argument("--out", required=True, help="output directory")
     _add_pipeline_flags(sp)
+    _add_seed_flag(sp)
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("balance", help="pre/post balance for a completed run")
     _add_io_flags(sp)
     sp.add_argument("--audit", required=True, help="audit.jsonl from an estimate run")
     sp.add_argument("--out", required=True, help="output directory")
-    _add_pipeline_flags(sp)
+    sp.add_argument("--bins", type=_bins, default=20, help="histogram bins for overlap")
     sp.set_defaults(func=cmd_balance)
 
     sp = sub.add_parser("tree", help="fit and export the stratification tree")
     _add_io_flags(sp)
     sp.add_argument("--out", required=True, help="output directory")
-    _add_pipeline_flags(sp)
+    _add_pipeline_flags(sp, matching=False)
     sp.set_defaults(func=cmd_tree)
 
     sp = sub.add_parser("gen", help="write a synthetic dataset")
@@ -415,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-treated", type=int, default=None, help="override preset treated count")
     sp.add_argument("--n-control", type=int, default=None, help="override preset control count")
     sp.add_argument("--out", required=True, help="output CSV path")
-    _add_pipeline_flags(sp)
+    _add_seed_flag(sp)
     sp.set_defaults(func=cmd_gen)
 
     for parser in sub.choices.values():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .matching import DEFAULT_M2, DEFAULT_NODE_BUDGET, DEFAULT_PSI
@@ -11,7 +11,8 @@ from .tree import DEFAULT_LAMBDA, DEFAULT_MAX_DEPTH, default_theta
 
 @dataclass
 class PipelineConfig:
-    """Every knob of the estimation pipeline, with its default.
+    """Every setting that changes a fitted pipeline or its matches, with its
+    default.
 
     ``theta=None`` means the size guard follows the feature count as
     ``max(30, 2p)``. ``solver_node_budget`` caps the per-unit match search;
@@ -24,8 +25,6 @@ class PipelineConfig:
     m2: float = DEFAULT_M2
     solver_node_budget: int | None = DEFAULT_NODE_BUDGET
     max_depth: int = DEFAULT_MAX_DEPTH
-    bins: int = 20
-    seed: int = 0
 
     def theta_for(self, p: int) -> int:
         return default_theta(p) if self.theta is None else self.theta
@@ -43,10 +42,6 @@ class PipelineConfig:
             raise ConfigError("solver node budget must be at least 1 (or unset)")
         if self.max_depth < 0:
             raise ConfigError("max depth must be non-negative")
-        if self.bins < 1:
-            raise ConfigError("bins must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -138,16 +138,17 @@ def _read_table(
 ) -> tuple[list[str], list[list[str]], list[int]]:
     """Read the header and the data rows, with the file line each row ends on.
 
-    Blank and delimiter-only rows are skipped. Every kept row must have as
-    many cells as the header.
+    Blank and delimiter-only rows are skipped, before the header too, and a
+    UTF-8 byte-order mark is dropped. Every kept row must have as many cells
+    as the header.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyInput(f"{path}: file is empty") from None
+            kept = (row for row in reader if any(cell.strip() for cell in row))
+            header = next(kept, None)
+            if header is None:
+                raise EmptyInput(f"{path}: file is empty")
             header = [h.strip() for h in header]
             if len(set(header)) < len(header):
                 repeated = next(h for h in header if header.count(h) > 1)
@@ -155,14 +156,13 @@ def _read_table(
             width = len(header)
             rows: list[list[str]] = []
             lines: list[int] = []
-            for row in reader:
-                if row and any(cell.strip() for cell in row):
-                    if len(row) != width:
-                        raise ParseFailure(
-                            reader.line_num, "<row>", f"{len(row)} cells, expected {width}"
-                        )
-                    rows.append(row)
-                    lines.append(reader.line_num)
+            for row in kept:
+                if len(row) != width:
+                    raise ParseFailure(
+                        reader.line_num, "<row>", f"{len(row)} cells, expected {width}"
+                    )
+                rows.append(row)
+                lines.append(reader.line_num)
     except csv.Error as exc:
         raise MalformedInput(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:

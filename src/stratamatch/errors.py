@@ -83,4 +83,8 @@ class AuditNotFound(StrataMatchError):
 
 class HierarchyBoundWarning(UserWarning):
     """The configured big-M multiplier is below the bound that guarantees
-    deviation-sum minimization takes strict priority over the per-unit cap."""
+    deviation-sum minimization takes strict priority over the per-unit cap.
+
+    Nothing in the package issues it any more (see
+    :func:`~stratamatch.matching.hierarchy_m2_bound` for the bound); the name
+    stays importable for code that filters or counts it."""

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyInput, HierarchyBoundWarning, NoCandidates, OracleTooLarge
+from .errors import EmptyInput, NoCandidates, OracleTooLarge
 
 logger = logging.getLogger(__name__)
 
@@ -35,11 +34,6 @@ DEFAULT_NODE_BUDGET = 1000
 DELTA_PRECISION = 1e-9
 
 _ORACLE_MAX = 20
-
-_HIERARCHY_MSG = (
-    "m2 is at or below the sufficiency bound for strict deviation-sum priority; "
-    "the per-unit cap may override sum minimization on near-ties"
-)
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,6 @@ class MatchProblem:
             arr = np.ascontiguousarray(arr)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.m2 <= hierarchy_m2_bound(self):
-            warnings.warn(_HIERARCHY_MSG, HierarchyBoundWarning, stacklevel=2)
 
     @property
     def n_candidates(self) -> int:

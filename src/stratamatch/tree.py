@@ -224,23 +224,11 @@ def build_tree(
         nodes[node_id] = node
         return node_id
 
-    root_fit = ols_fit(control.x, control.y)
     if n < p + 2:
         logger.warning(
             "control set too small for any split (n=%d < p+2=%d); single-leaf tree", n, p + 2
         )
-        nodes.append(
-            TreeNode(
-                node_id=0,
-                depth=0,
-                control_indices=np.arange(n),
-                r2_adj=root_fit.r2_adj,
-                n=n,
-                leaf_model=root_fit,
-            )
-        )
-    else:
-        grow(np.arange(n), 0, root_fit)
+    grow(np.arange(n), 0, ols_fit(control.x, control.y))
     model = TreeModel(
         nodes=nodes,
         root=0,

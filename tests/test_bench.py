@@ -17,8 +17,6 @@ from stratamatch.bench import (
 from stratamatch.config import PipelineConfig
 from stratamatch.errors import ConfigError, InvalidSample
 
-pytestmark = pytest.mark.filterwarnings("ignore::stratamatch.errors.HierarchyBoundWarning")
-
 
 def test_presets_shapes():
     assert PRESETS["hyb20var"].n_treated == 200
@@ -91,7 +89,7 @@ def _tiny_spec():
 
 
 def test_bias_study_records_and_summaries():
-    res = run_bias_study(_tiny_spec(), ["naive", "strategies"], 3, PipelineConfig(seed=0))
+    res = run_bias_study(_tiny_spec(), ["naive", "strategies"], 3, PipelineConfig())
     assert res.kind == "bias"
     assert res.replications == 3
     assert res.true_att == 2.0
@@ -109,14 +107,14 @@ def test_bias_study_records_and_summaries():
 
 
 def test_bias_study_deterministic():
-    a = run_bias_study(_tiny_spec(), ["naive"], 3, PipelineConfig(seed=9))
-    b = run_bias_study(_tiny_spec(), ["naive"], 3, PipelineConfig(seed=9))
+    a = run_bias_study(_tiny_spec(), ["naive"], 3, PipelineConfig())
+    b = run_bias_study(_tiny_spec(), ["naive"], 3, PipelineConfig())
     assert [r.estimate for r in a.records] == [r.estimate for r in b.records]
     assert [r.seed for r in a.records] == [r.seed for r in b.records]
 
 
 def test_bias_study_distinct_rep_seeds():
-    res = run_bias_study(_tiny_spec(), ["naive"], 4, PipelineConfig(seed=0))
+    res = run_bias_study(_tiny_spec(), ["naive"], 4, PipelineConfig())
     seeds = [r.seed for r in res.records]
     assert len(set(seeds)) == 4
 
@@ -154,7 +152,7 @@ def test_bootstrap_rejects_oversample():
 
 
 def test_records_csv_round_trip(tmp_path):
-    res = run_bias_study(_tiny_spec(), ["naive"], 2, PipelineConfig(seed=1))
+    res = run_bias_study(_tiny_spec(), ["naive"], 2, PipelineConfig())
     path = tmp_path / "records.csv"
     write_records_csv(res, path)
     with open(path) as fh:
@@ -169,7 +167,7 @@ def test_records_csv_round_trip(tmp_path):
 def test_summary_to_dict_is_json_ready(tmp_path):
     import json
 
-    res = run_bias_study(_tiny_spec(), ["naive"], 2, PipelineConfig(seed=1))
+    res = run_bias_study(_tiny_spec(), ["naive"], 2, PipelineConfig())
     blob = summary_to_dict(res)
     json.dumps(blob)
     assert blob["kind"] == "bias"
@@ -180,7 +178,7 @@ def test_summary_to_dict_is_json_ready(tmp_path):
 def test_errors_recorded_not_raised():
     # 21 controls with p=20 leave the root fit without residual dof
     spec = dataclasses.replace(PRESETS["hyb20var-desk"], n_treated=2, n_control=21)
-    res = run_bias_study(spec, ["m5c-m", "naive"], 2, PipelineConfig(seed=0))
+    res = run_bias_study(spec, ["m5c-m", "naive"], 2, PipelineConfig())
     m = [r for r in res.records if r.method == "m5c-m"]
     assert all(r.error is not None and r.estimate is None for r in m)
     sm = next(s for s in res.summaries if s.method == "m5c-m")
@@ -192,13 +190,13 @@ def test_errors_recorded_not_raised():
 def test_bias_study_naive_ci_brackets_truth():
     # the additive-effect design makes naive unbiased here, so at 30
     # replications its interval should cover the true value of 2
-    res = run_bias_study(_tiny_spec(), ["naive"], 30, PipelineConfig(seed=2))
+    res = run_bias_study(_tiny_spec(), ["naive"], 30, PipelineConfig())
     (s,) = res.summaries
     assert s.ci_low <= 2.0 <= s.ci_high
 
 
 def test_bias_study_single_rep_single_method():
-    res = run_bias_study(_tiny_spec(), ["naive"], 1, PipelineConfig(seed=3))
+    res = run_bias_study(_tiny_spec(), ["naive"], 1, PipelineConfig())
     assert len(res.records) == 1
     (s,) = res.summaries
     assert s.n_ok == 1

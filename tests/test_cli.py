@@ -1,6 +1,9 @@
+import argparse
 import json
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,7 +62,7 @@ def test_estimate_writes_artifacts(tmp_path, data_csv):
     out = tmp_path / "run"
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
-        "--method", "m5c-mf", "--seed", "11", "--out", str(out),
+        "--method", "m5c-mf", "--out", str(out),
     )
     assert r.returncode == 0, r.stderr
     for name in ("report.json", "audit.jsonl", "summary.txt", "tree_rules.txt", "tree.json"):
@@ -145,6 +148,64 @@ def test_estimate_repeated_column_exit_3(tmp_path):
     _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "dup.csv", "'y'")
 
 
+_PIPELINE_FLAGS = {"--config", "--lambda", "--theta", "--psi", "--m2", "--node-budget", "--max-depth"}
+_SETTING_FLAGS = {
+    "estimate": _PIPELINE_FLAGS,
+    "bench": _PIPELINE_FLAGS | {"--seed"},
+    "tree": {"--config", "--lambda", "--theta", "--max-depth"},
+    "balance": {"--bins"},
+    "gen": {"--seed"},
+}
+
+
+def test_each_subcommand_takes_only_the_settings_it_reads():
+    from stratamatch import cli
+    from stratamatch.config import PipelineConfig
+
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_SETTING_FLAGS)
+    settings = _PIPELINE_FLAGS | {"--seed", "--bins"}
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags & settings == _SETTING_FLAGS[name], name
+    assert sum(map(len, _SETTING_FLAGS.values())) == 21
+    attrs = {f.name for f in fields(PipelineConfig)}
+    assert attrs == set(cli._CFG_KEYS.values())
+    assert attrs == {"lambda_", "theta", "psi", "m2", "solver_node_budget", "max_depth"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--seed", "-1"],
+        ["gen", "--seed", str(2**64)],
+        ["gen", "--seed", "banana"],
+        ["bench", "--seed", "-1"],
+        ["balance", "--bins", "0", "--input", "d.csv", "--treatment", "t", "--outcome", "y",
+         "--audit", "audit.jsonl"],
+    ],
+)
+def test_bad_seed_or_bins_is_usage_error(tmp_path, argv):
+    from stratamatch import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_issues_no_warning(tmp_path, data_csv):
+    from stratamatch import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main([
+            "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+            "--method", "m5c-mf", "--out", str(tmp_path / "run"),
+        ])
+    assert rc == 0
+
+
 def test_estimate_unknown_method_exit_2(tmp_path, data_csv):
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
@@ -174,7 +235,7 @@ def test_dry_run_validates_without_writing(tmp_path, data_csv):
 
 def test_config_file_applies_and_flags_win(tmp_path, data_csv):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# pipeline settings\npsi = 5\nseed = 11\nnode_budget = 50\nmethod = m5c-mf\n")
+    cfg.write_text("# pipeline settings\npsi = 5\nmax_depth = 3\nnode_budget = 50\nmethod = m5c-mf\n")
     out = tmp_path / "run"
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
@@ -184,12 +245,12 @@ def test_config_file_applies_and_flags_win(tmp_path, data_csv):
     payload = json.loads((out / "report.json").read_text())["payload"]
     assert payload["config"]["psi"] == 7
     assert payload["config"]["solver_node_budget"] is None
-    assert payload["config"]["seed"] == 11
+    assert payload["config"]["max_depth"] == 3
     assert payload["method"] == "m5c-mf"
 
 
 @pytest.mark.parametrize(
-    "key", ["zeta", "m1", "threads", "per_leaf_weights", "global_candidates"]
+    "key", ["zeta", "m1", "threads", "per_leaf_weights", "global_candidates", "seed", "bins"]
 )
 def test_config_file_unknown_key_exit_2(tmp_path, data_csv, key):
     cfg = tmp_path / "bad.cfg"
@@ -212,7 +273,6 @@ def test_config_file_bad_value_exit_2(tmp_path, data_csv):
     assert r.returncode == 2
 
 
-@pytest.mark.filterwarnings("ignore::stratamatch.errors.HierarchyBoundWarning")
 @pytest.mark.parametrize("method", ["m5c-mf", "m5c-m", "strategies"])
 def test_estimate_grows_the_tree_once(tmp_path, data_csv, monkeypatch, method):
     from stratamatch import cli, estimation
@@ -243,7 +303,7 @@ def test_audit_leaves_are_leaves_of_exported_tree(tmp_path, data_csv):
     out = tmp_path / "run"
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
-        "--seed", "11", "--out", str(out),
+        "--out", str(out),
     )
     assert r.returncode == 0, r.stderr
     leaves = _leaf_ids(json.loads((out / "tree.json").read_text())["root"])
@@ -256,7 +316,7 @@ def test_balance_flow(tmp_path, data_csv):
     run_dir = tmp_path / "run"
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
-        "--seed", "11", "--out", str(run_dir),
+        "--out", str(run_dir),
     )
     assert r.returncode == 0, r.stderr
     bal_dir = tmp_path / "bal"

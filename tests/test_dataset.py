@@ -139,6 +139,27 @@ def test_load_dataset_reports_physical_line_after_skipped_lines(tmp_path):
     assert (ei.value.row, ei.value.col, ei.value.value) == (7, "x1", "abc")
 
 
+def test_load_dataset_skips_blank_lines_before_the_header(tmp_path):
+    p = _write(tmp_path, "\n,,\n \nt,y,x1\n0,1,2\n1,2,3\n0,2,5\n")
+    d = load_dataset(p, treatment_col="t", outcome_col="y")
+    assert d.feature_names == ("x1",)
+    np.testing.assert_array_equal(d.x[:, 0], [2, 3, 5])
+    p = _write(tmp_path, "\nt,y,x1\n0,1,2\n1,2,oops\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col, ei.value.value) == (4, "x1", "oops")
+
+
+def test_load_dataset_drops_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbft,y,x1\n0,1,2\n1,2,3\n")
+    d = load_dataset(p, treatment_col="t", outcome_col="y")
+    np.testing.assert_array_equal(d.t, [0, 1])
+    p.write_bytes(b'\xef\xbb\xbf"t",y,x1\n0,1,2\n1,2,caf\xe9\n')
+    with pytest.raises(MalformedInput, match="line 3"):
+        load_dataset(p, treatment_col="t", outcome_col="y")
+
+
 def test_load_dataset_wrong_cell_count_reports_physical_line(tmp_path):
     p = _write(tmp_path, "t,y,x1\n0,1.0,2.0\n\n, ,\n1,2.0\n")
     with pytest.raises(ParseFailure) as ei:

@@ -24,8 +24,6 @@ from stratamatch.estimation import (
 
 from conftest import toy_dataset
 
-pytestmark = pytest.mark.filterwarnings("ignore::stratamatch.errors.HierarchyBoundWarning")
-
 # five treated units (two successes), seven controls (two successes)
 BINARY_STRATUM = StratumOutcome(
     treated=np.array([1.0, 1.0, 0.0, 0.0, 0.0]),
@@ -195,7 +193,7 @@ def test_registry_contents():
 
 def test_m5c_mf_att_is_mean_of_iatts():
     d = toy_dataset(seed=1)
-    rep = estimate_m5c_mf(d, PipelineConfig(seed=1))
+    rep = estimate_m5c_mf(d, PipelineConfig())
     assert rep.method == "m5c-mf"
     assert rep.att == float(np.mean([r.iatt for r in rep.iatt]))
     assert rep.n_used + len(rep.skipped) == d.n_treated
@@ -203,7 +201,7 @@ def test_m5c_mf_att_is_mean_of_iatts():
 
 def test_m5c_mf_records_are_complete_and_sorted():
     d = toy_dataset(seed=2)
-    rep = estimate_m5c_mf(d, PipelineConfig(seed=2))
+    rep = estimate_m5c_mf(d, PipelineConfig())
     rows = [r.treated_row for r in rep.iatt]
     assert rows == sorted(rows)
     for r in rep.iatt:
@@ -217,7 +215,7 @@ def test_m5c_mf_records_are_complete_and_sorted():
 
 def test_m5c_mf_iatt_reconstructs_from_outcomes():
     d = toy_dataset(seed=3)
-    rep = estimate_m5c_mf(d, PipelineConfig(seed=3))
+    rep = estimate_m5c_mf(d, PipelineConfig())
     for r in rep.iatt:
         counterfactual = float(np.mean(d.y[list(r.matched_rows)]))
         assert r.iatt == pytest.approx(float(d.y[r.treated_row]) - counterfactual, abs=1e-12)
@@ -225,7 +223,7 @@ def test_m5c_mf_iatt_reconstructs_from_outcomes():
 
 def test_m5c_mf_recovers_toy_effect():
     d = toy_dataset(seed=4, n_treated=20, n_control=300)
-    rep = estimate_m5c_mf(d, PipelineConfig(seed=4))
+    rep = estimate_m5c_mf(d, PipelineConfig())
     assert rep.att == pytest.approx(1.0, abs=0.15)
 
 
@@ -256,10 +254,10 @@ def test_m5c_mf_single_control_forces_that_match():
 
 def test_m5c_mf_row_order_independence():
     d = toy_dataset(seed=5, n_treated=10, n_control=120)
-    rep = estimate_m5c_mf(d, PipelineConfig(seed=5))
+    rep = estimate_m5c_mf(d, PipelineConfig())
     perm = np.random.default_rng(0).permutation(d.n)
     d2 = make_dataset(d.t[perm], d.x[perm], d.y[perm], d.feature_names)
-    rep2 = estimate_m5c_mf(d2, PipelineConfig(seed=5))
+    rep2 = estimate_m5c_mf(d2, PipelineConfig())
     assert rep2.att == pytest.approx(rep.att, rel=1e-12, abs=1e-12)
     # per-unit effects agree once rows are mapped back
     back = {int(perm[i]): i for i in range(d.n)}
@@ -272,7 +270,7 @@ def test_m5c_mf_row_order_independence():
 
 def test_m5c_m_predicts_counterfactual():
     d = toy_dataset(seed=7, n_treated=15, n_control=200)
-    rep = estimate_m5c_m(d, PipelineConfig(seed=7))
+    rep = estimate_m5c_m(d, PipelineConfig())
     assert rep.method == "m5c-m"
     assert rep.att == pytest.approx(1.0, abs=0.2)
     for r in rep.iatt:
@@ -323,7 +321,7 @@ def test_estimate_naive_matches_direct_difference():
 
 def test_estimate_strategies_reports_strata():
     d = toy_dataset(seed=11, n_treated=15, n_control=200)
-    rep = estimate_strategies(d, PipelineConfig(seed=11))
+    rep = estimate_strategies(d, PipelineConfig())
     assert rep.method == "strategy-1:k"
     assert rep.strata, "per-stratum details are reported"
     for s in rep.strata:
@@ -345,7 +343,7 @@ def test_estimate_strategies_binary_outcomes_add_1to1():
     t[rng.choice(n, size=20, replace=False)] = 1
     y = (rng.random(n) < 0.4).astype(float)
     d = make_dataset(t, x, y, ("a", "b"))
-    rep = estimate_strategies(d, PipelineConfig(seed=12))
+    rep = estimate_strategies(d, PipelineConfig())
     assert all("att_1to1" in s for s in rep.strata)
 
 

@@ -22,9 +22,6 @@ from stratamatch.matching import (
 
 from conftest import control_only
 
-# small instances keep m2 below the strict-priority bound by design
-pytestmark = pytest.mark.filterwarnings("ignore::stratamatch.errors.HierarchyBoundWarning")
-
 
 def _problem(treated, candidates, weights=None, **kw):
     treated = np.asarray(treated, dtype=np.float64)
@@ -292,11 +289,6 @@ def test_hierarchy_bound_value():
     # range 1, so bound = n_c * 2 * 1 / delta
     prob = _problem([0.5], [[0.0], [1.0]], [2.0], m2=1e30)
     assert hierarchy_m2_bound(prob, delta=1e-9) == pytest.approx(2 * 2 * 1.0 / 1e-9, rel=1e-12)
-
-
-def test_hierarchy_warning_fires_below_bound():
-    with pytest.warns(HierarchyBoundWarning):
-        _problem([0.5], [[0.0], [1.0]], [2.0], m2=1.0)
 
 
 def test_no_hierarchy_warning_above_bound():

@@ -13,8 +13,6 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from stratamatch.matching import MatchProblem, solve_match, solve_match_bruteforce  # noqa: E402
 
-pytestmark = pytest.mark.filterwarnings("ignore::stratamatch.errors.HierarchyBoundWarning")
-
 GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 CHECKS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
 
