@@ -146,7 +146,8 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser, matching: bool = True) -> N
     g.add_argument("--psi", default=s, help="candidate pool size per treated unit")
     g.add_argument("--m2", default=s, help="deviation-sum priority multiplier")
     g.add_argument("--node-budget", dest="solver_node_budget", default=s,
-                   help="per-unit match search node budget ('none' for exhaustive search)")
+                   help="opt-in cap on the states each match search expands; a capped "
+                        "match is flagged (default 'none': exhaustive, certified)")
 
 
 def _seed(raw: str) -> int:

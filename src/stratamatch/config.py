@@ -15,8 +15,10 @@ class PipelineConfig:
     default.
 
     ``theta=None`` means the size guard follows the feature count as
-    ``max(30, 2p)``. ``solver_node_budget`` caps the per-unit match search;
-    ``None`` lifts the cap (fully exact solves).
+    ``max(30, 2p)``. ``solver_node_budget=None``, the default, runs every
+    per-unit match search to the end, so every match is a certified optimum.
+    A number is an opt-in guard: a search stops after expanding that many
+    states and its match is flagged as possibly suboptimal.
     """
 
     lambda_: float = DEFAULT_LAMBDA

@@ -5,12 +5,15 @@ matcher picks the non-empty candidate subset minimizing ``a + m2 * eps``:
 ``eps`` caps, feature by feature, the absolute weighted sum of the selected
 candidates' signed deviations from the treated unit (so opposite-side
 deviations cancel), and ``a`` caps every selected candidate's single largest
-weighted absolute deviation. The optimum is found by depth-first implicit
-enumeration over include/exclude decisions with lower-bound pruning, which is
-exhaustive-with-pruning on small pools and branch-and-bound on larger ones.
-The search is a loop over an explicit stack, so pool size is not limited by
-recursion depth; its set-up (deviations, suffix bounds) and its incumbent
-seeding from all singletons and pairs run in numpy. An independent
+weighted absolute deviation. The optimum is found by a level-synchronous
+(breadth-first) branch-and-bound over include/exclude decisions: the frontier
+of partial subsets is held as numpy arrays and decided one candidate at a
+time, every include child is scored as a complete subset, and states whose
+lower bound passes the incumbent are pruned. A frontier wider than a fixed
+cap is searched in depth-first chunks, so memory stays bounded for any pool
+size. The search is exhaustive unless a node budget (a cap on the frontier
+states expanded) is given. Set-up (deviations, suffix bounds) and incumbent
+seeding from all singletons and pairs also run in numpy. An independent
 full-enumeration oracle and a two-stage strictly-hierarchical solver are
 provided for cross-checking.
 """
@@ -30,10 +33,14 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_M2 = 1e6
 DEFAULT_PSI = 20
-DEFAULT_NODE_BUDGET = 1000
+DEFAULT_NODE_BUDGET: int | None = None
 DELTA_PRECISION = 1e-9
 
 _ORACLE_MAX = 20
+# widest frontier solve_match expands in one step; a wider one is split into
+# chunks searched depth-first, which bounds memory but not the pool size
+_FRONTIER_MAX = 1 << 10
+_EPS = 2.0**-52  # float64 machine epsilon
 
 
 @dataclass(frozen=True)
@@ -181,11 +188,17 @@ def select_candidates(
 # shared exact evaluation
 
 
+def _deviations(prob: MatchProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted signed deviations from the treated unit (n x p) and each
+    candidate's largest absolute one."""
+    d = prob.weights * (prob.candidate_features - prob.treated_features)
+    return d, np.abs(d).max(axis=1)
+
+
 def _prep(prob: MatchProblem) -> tuple[list[list[float]], list[float], list[int], int, int]:
-    delta_np = prob.weights * (prob.candidate_features - prob.treated_features)
-    n, p = delta_np.shape
-    dev = np.abs(delta_np).max(axis=1)
-    return delta_np.tolist(), dev.tolist(), prob.candidate_ids.tolist(), n, p
+    d, dev = _deviations(prob)
+    n, p = d.shape
+    return d.tolist(), dev.tolist(), prob.candidate_ids.tolist(), n, p
 
 
 def _evaluate(delta: list[list[float]], dev: list[float], sel: tuple[int, ...]) -> tuple[float, float]:
@@ -218,38 +231,39 @@ class _Incumbent:
             self.sel, self.eps, self.a, self.obj, self.key = sel, eps, a, obj, key
 
 
-def _suffix_bounds(delta: list[list[float]], n: int, p: int):
+def _suffix_bounds(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature sums of the positive and of the negative deviations of
-    candidates ``k..n-1``, accumulated from the last candidate backwards."""
-    d = np.asarray(delta, dtype=np.float64)
+    candidates ``k..n-1`` (row ``k``), accumulated from the last candidate
+    backwards; row ``n`` is zero."""
+    n, p = d.shape
     spos = np.zeros((n + 1, p))
     sneg = np.zeros((n + 1, p))
     # add.accumulate is sequential, so each suffix sum rounds like a loop
     spos[:n] = np.add.accumulate(np.where(d > 0, d, 0.0)[::-1], axis=0)[::-1]
     sneg[:n] = np.add.accumulate(np.where(d < 0, d, 0.0)[::-1], axis=0)[::-1]
-    return spos.tolist(), sneg.tolist()
+    return spos, sneg
 
 
-def _min_suffix(dev: list[float], n: int) -> list[float]:
-    out = np.full(n + 1, np.inf)
-    out[:n] = np.minimum.accumulate(np.asarray(dev, dtype=np.float64)[::-1])[::-1]
-    return out.tolist()
+def _min_suffix(dev: np.ndarray) -> np.ndarray:
+    out = np.full(dev.size + 1, np.inf)
+    out[:-1] = np.minimum.accumulate(dev[::-1])[::-1]
+    return out
 
 
 def _seed_incumbent(
-    delta: list[list[float]], dev: list[float], ids: list[int], m2: float, inc: _Incumbent
+    d: np.ndarray, delta: list[list[float]], dev: list[float], ids: list[int], m2: float,
+    inc: _Incumbent,
 ) -> None:
     """Offer the best singleton or pair to ``inc``.
 
     numpy scores every singleton and, one row at a time, every pair
     ``(i, k)`` with ``i < k``, keeping only each row's minimum, so memory
-    stays O(n * p). Subsets scoring within a small margin of the overall
-    minimum are then re-scored through :func:`_evaluate` and offered in
-    enumeration order (singletons, then pairs by ``i`` and ``k``), so the
+    stays O(n * p). Subsets scoring within a small relative margin of the
+    overall minimum are then re-scored through :func:`_evaluate` and offered
+    in enumeration order (singletons, then pairs by ``i`` and ``k``), so the
     incumbent and its tie-break are those of offering every subset.
     """
-    d = np.asarray(delta, dtype=np.float64)
-    dv = np.asarray(dev, dtype=np.float64)
+    dv = np.asarray(dev)
     n = dv.size
 
     def pair_scores(i: int) -> np.ndarray:
@@ -259,7 +273,10 @@ def _seed_incumbent(
     single = dv + m2 * dv
     row_best = np.array([pair_scores(i).min() for i in range(n - 1)] + [np.inf])
     best = float(min(single.min(), row_best.min()))
-    cut = best + 1e-9 * (1.0 + abs(best))
+    # numpy rounds these scores exactly as _evaluate does, so a relative
+    # margin suffices; an absolute one would pass every pair of a problem
+    # whose weights are tiny
+    cut = best + 1e-9 * abs(best)
 
     def consider(sel: tuple[int, ...]) -> None:
         eps, a = _evaluate(delta, dev, sel)
@@ -272,90 +289,155 @@ def _seed_incumbent(
             consider((i, k))
 
 
+def _rounding_slack(m2: float, n: int, dev: np.ndarray) -> float:
+    """Absolute pruning margin that covers floating-point rounding.
+
+    A state's bound compares three computed signed sums per feature with
+    exact arithmetic: the state's prefix sum, the undecided candidates'
+    suffix total, and the completed subset's sum that :func:`_evaluate`
+    forms. Each adds at most ``n`` terms of size at most ``D = max(dev)``,
+    so each is within ``gamma_n * n * D ~ n**2 * u * D`` of its exact value
+    (``u = eps / 2``, Higham's ``gamma_n``), and adding the first two costs
+    one more rounding of size ``<= 2 * n * u * D``. A computed ``eps`` lower
+    bound therefore exceeds the computed ``eps`` of any completion by less
+    than ``5 * n**2 * u * D = 2.5 * n**2 * eps * D``. Scaling by ``m2`` and
+    adding ``a`` round by a few ``u`` relative to the objective, which the
+    threshold's relative term ``1e-12 * |obj|`` covers. ``3 * m2 * n**2 *
+    eps * D`` is therefore safe. It is proportional to the weights, so a
+    problem whose weights are multiplied by a power of two is searched
+    through exactly the same states.
+    """
+    return 3.0 * m2 * n * n * _EPS * float(dev.max())
+
+
+def _take(trail, index):
+    """The trail of the frontier states picked by ``index``. The root
+    frontier, whose trail is ``None``, holds one state and is never cut."""
+    parent, flag, k, up = trail
+    return parent[index], flag[index], k, up
+
+
+def _included(trail, j: int) -> tuple[int, ...]:
+    """Positions included by state ``j`` of the frontier with this trail,
+    ascending."""
+    out = []
+    while trail is not None:
+        parent, flag, k, trail = trail
+        if flag[j]:
+            out.append(k)
+        j = parent[j]
+    return tuple(reversed(out))
+
+
 def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolution:
     """Exact minimizer of ``a + m2 * eps`` over non-empty candidate subsets.
 
-    Depth-first search over include/exclude decisions in candidate order,
-    include branch first. The search runs as a loop: the list of included
-    positions doubles as the explicit stack, so backtracking pops the deepest
-    included candidate, subtracts its deviations from the running sums, and
-    explores its exclude branch. No recursion means no depth limit on the
-    candidate count.
+    Level-synchronous branch-and-bound over include/exclude decisions in
+    candidate order. The frontier of partial subsets that decided
+    candidates ``0..k-1`` is held as arrays: each state's running signed
+    sums (one row per state, added in ascending position order exactly as
+    :func:`_evaluate` adds them) and its running cap (``-inf`` while nothing
+    is included). Deciding candidate ``k`` forms every state's include and
+    exclude child with one concatenation. Each include child is also a
+    complete subset (the undecided candidates left out); all of them are
+    scored at once and the best score lowers the pruning threshold.
 
-    Partial selections are pruned with a joint lower bound: the cap can only
-    grow from the included candidates' largest deviation (kept as a stack of
-    running maxima), and each feature's final signed sum is confined to the
-    interval spanned by the undecided candidates' positive and negative
-    deviations. The bound stops early once it passes the incumbent. Set-up
-    (deviations, suffix bounds) is vectorized, and the incumbent is seeded
-    from the best singleton or pair found by a numpy screen. Objective ties
-    resolve to the lexicographically smallest selected original-index set.
+    A state is pruned when its lower bound passes the threshold: the cap can
+    only grow from the included candidates' largest deviation (or from the
+    smallest undecided one while nothing is included), and each feature's
+    final signed sum is confined to the interval spanned by the undecided
+    candidates' positive and negative deviations. The threshold starts from
+    the best singleton or pair of a numpy screen, and its margin covers the
+    rounding of the bound (see :func:`_rounding_slack`). Subsets scoring
+    within the margin of the best are re-scored through :func:`_evaluate`
+    at the end, so objective ties resolve to the lexicographically smallest
+    selected original-index set.
 
-    With a ``node_budget``, search stops after that many nodes and the best
-    incumbent is returned flagged as possibly suboptimal (and logged); with
-    the default ``None`` the search is exhaustive, hence exact.
+    A state records only its parent's index in the previous frontier and
+    whether it included the candidate, so any pool size works. A frontier
+    wider than a fixed cap is split into chunks searched depth-first one
+    after another, which bounds memory and leaves the result unchanged.
+
+    ``stats.nodes`` counts the frontier states expanded. With a
+    ``node_budget``, search stops after expanding exactly that many states
+    and the best subset scored so far is returned flagged as possibly
+    suboptimal (and logged); with the default ``None`` the search is
+    exhaustive, hence exact.
     """
     t0 = time.perf_counter()
-    delta, dev, ids, n, p = _prep(prob)
+    d, dv = _deviations(prob)
+    delta, dev, ids = d.tolist(), dv.tolist(), prob.candidate_ids.tolist()
+    n, p = d.shape
     m2 = prob.m2
     inc = _Incumbent()
-    _seed_incumbent(delta, dev, ids, m2, inc)
+    _seed_incumbent(d, delta, dev, ids, m2, inc)
 
-    spos, sneg = _suffix_bounds(delta, n, p)
-    min_dev = _min_suffix(dev, n)
+    spos, sneg = _suffix_bounds(d)
+    min_dev = _min_suffix(dv)
+    slack = _rounding_slack(m2, n, dv)
     limit = float("inf") if node_budget is None else node_budget
-    thr = inc.obj + 1e-9 + 1e-12 * abs(inc.obj)
-    sums = [0.0] * p
-    included: list[int] = []
-    caps: list[float] = []
+    best = inc.obj
+    thr = best + slack + 1e-12 * abs(best)
+    # (trail, positions in the expanded frontier, candidate k, scores) of the
+    # include children that scored within the threshold
+    found = []
     nodes = 0
     budget_hit = False
-    k = 0
-    while True:
-        if nodes >= limit:
+    # a frontier: next candidate k, sums, caps and its trail, which is
+    # (parent index per state, include flag per state, k - 1, parent trail).
+    # A seed scoring 0 is final: only candidates with dev 0 reach 0, and the
+    # seed has offered each of them alone, which beats every larger set of
+    # them on the id tie-break. Exact twins of the treated unit would
+    # otherwise tie on all 2**z subsets.
+    stack = [(0, np.zeros((1, p)), np.full(1, -np.inf), None)] if best > 0.0 else []
+    while stack:
+        k, sums, caps, trail = stack.pop()
+        # prune the states whose every completion scores above the threshold
+        lo = sums + sneg[k]
+        hi = sums + spos[k]
+        np.negative(hi, out=hi)
+        np.maximum(lo, hi, out=lo)
+        eps_lb = np.maximum(lo.max(axis=1), 0.0)
+        a_lb = np.where(caps < 0.0, min_dev[k], caps)
+        keep = np.flatnonzero(a_lb + m2 * eps_lb <= thr)
+        width = keep.size
+        if width < caps.size:
+            sums, caps, trail = sums[keep], caps[keep], _take(trail, keep)
+        if width > _FRONTIER_MAX:
+            # search the first chunk to the end before the next one starts
+            for c in reversed(range(0, width, _FRONTIER_MAX)):
+                part = slice(c, c + _FRONTIER_MAX)
+                stack.append((k, sums[part], caps[part], _take(trail, part)))
+            continue
+        if nodes + width > limit:
             budget_hit = True
+            width = int(limit - nodes)
+            sums, caps = sums[:width], caps[:width]
+        nodes += width
+        if width:
+            in_sums = sums + d[k]
+            in_caps = np.maximum(caps, dv[k])
+            score = in_caps + m2 * np.abs(in_sums).max(axis=1)
+            low = float(score.min())
+            if low < best:
+                best = low
+                thr = best + slack + 1e-12 * abs(best)
+            hit = np.flatnonzero(score <= thr)
+            if hit.size:
+                found.append((trail, hit, k, score[hit]))
+            if k + 1 < n and not budget_hit:
+                r = np.arange(width)
+                stack.append((k + 1, np.concatenate((in_sums, sums)),
+                              np.concatenate((in_caps, caps)),
+                              (np.concatenate((r, r)), np.arange(2 * width) < width, k, trail)))
+        if budget_hit:
             break
-        nodes += 1
-        if k < n:
-            a_lb = caps[-1] if caps else min_dev[k]
-            # the bound at eps_lb = 0; the loop tests only positive maxima
-            if a_lb <= thr:
-                eps_lb = 0.0
-                for s, lo_d, hi_d in zip(sums, sneg[k], spos[k]):
-                    m = s + lo_d
-                    if m <= 0.0:
-                        m = -(s + hi_d)
-                        if m <= 0.0:
-                            continue
-                    # a_lb + m2 * eps_lb only grows with eps_lb, so the first
-                    # feature that passes the threshold decides the prune
-                    if m > eps_lb:
-                        eps_lb = m
-                        if a_lb + m2 * m > thr:
-                            break
-                else:
-                    sums = [s + d for s, d in zip(sums, delta[k])]
-                    included.append(k)
-                    caps.append(dev[k] if not caps or dev[k] > caps[-1] else caps[-1])
-                    k += 1
-                    continue
-        elif included:
-            sel = tuple(included)
-            eps, a = _evaluate(delta, dev, sel)
-            obj = a + m2 * eps
-            if obj <= inc.obj:  # only a possible winner needs its id key
-                inc.offer(sel, eps, a, obj, _id_key(ids, sel))
-                thr = inc.obj + 1e-9 + 1e-12 * abs(inc.obj)
-        # this node is done: resume at the exclude branch of the deepest include
-        if not included:
-            break
-        k = included.pop()
-        caps.pop()
-        # subtract instead of restoring a saved copy: the exclude branch's
-        # bounds, and so the nodes visited, depend on (s + row) - row
-        sums = [s - d for s, d in zip(sums, delta[k])]
-        k += 1
 
+    for trail, hit, k, score in found:
+        for j in hit[score <= thr].tolist():
+            sel = _included(trail, j) + (k,)
+            eps, a = _evaluate(delta, dev, sel)
+            inc.offer(sel, eps, a, a + m2 * eps, _id_key(ids, sel))
     if budget_hit:
         # per-solve noise stays at debug; callers aggregate via stats.suboptimal
         logger.debug(
@@ -449,8 +531,8 @@ def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:
     """
     t0 = time.perf_counter()
     delta, dev, ids, n, p = _prep(prob)
-    spos, sneg = _suffix_bounds(delta, n, p)
-    min_dev = _min_suffix(dev, n)
+    spos, sneg = (b.tolist() for b in _suffix_bounds(np.asarray(delta)))
+    min_dev = _min_suffix(np.asarray(dev)).tolist()
     nodes = 0
 
     def eps_lower(k: int, sums: list[float]) -> float:

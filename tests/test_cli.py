@@ -80,6 +80,27 @@ def test_estimate_writes_artifacts(tmp_path, data_csv):
     assert all("treated_row" in row for row in rows)
 
 
+def test_constant_outcome_estimate_is_certified(tmp_path):
+    # a constant outcome leaves only rounding noise (about 1e-16) in the
+    # feature weights; the solver's pruning margin scales with them, so the
+    # default exhaustive search still ends and certifies every match
+    data = tmp_path / "desk.csv"
+    r = run_cli("gen", "--preset", "hyb20var-desk", "--seed", "7", "--out", str(data))
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in data.read_text().splitlines()]
+    col = rows[0].index("y")
+    for row in rows[1:]:
+        row[col] = "1.0"
+    data.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    out = tmp_path / "run"
+    r = run_cli(
+        "estimate", "--input", str(data), "--treatment", "t", "--outcome", "y", "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    summary = (out / "summary.txt").read_text()
+    assert "matches       100 (budget-limited: 0)" in summary
+
+
 def test_estimate_naive_skips_tree_artifacts(tmp_path, data_csv):
     out = tmp_path / "run"
     r = run_cli(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stratamatch.bench import generate_hyb20var
 from stratamatch.config import PipelineConfig
 from stratamatch.dataset import make_dataset
 from stratamatch.errors import (
@@ -197,6 +198,14 @@ def test_m5c_mf_att_is_mean_of_iatts():
     assert rep.method == "m5c-mf"
     assert rep.att == float(np.mean([r.iatt for r in rep.iatt]))
     assert rep.n_used + len(rep.skipped) == d.n_treated
+
+
+def test_default_matches_are_certified():
+    # the default searches every match to the end; none is budget-limited
+    assert PipelineConfig().solver_node_budget is None
+    rep = estimate_m5c_mf(generate_hyb20var(seed=7, n_treated=100, n_control=4900))
+    assert rep.iatt
+    assert not any(r.suboptimal for r in rep.iatt)
 
 
 def test_m5c_mf_records_are_complete_and_sorted():

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from stratamatch import matching
 from stratamatch.errors import (
     EmptyInput,
     HierarchyBoundWarning,
@@ -166,35 +167,34 @@ def test_large_pool_search_has_no_depth_limit():
 
 
 # (selected_ids, nodes, suboptimal, objective.hex()) of the budgeted search on
-# _pinned_problem(seed), recorded from the recursive search this solver
-# replaced: any change to visit order, pruning or tie-breaks shows here
+# _pinned_problem(seed): any change to expansion order, pruning or tie-breaks
+# shows here. Every entry not flagged suboptimal is the exhaustive optimum.
 PINNED_BUDGETED = [
-    ((388, 18), 1000, True, "0x1.eb036092bbd87p+17"),
-    ((179,), 217, False, "0x1.aff7086a47d8dp+20"),
+    ((230, 372, 259, 388, 67, 18, 156, 398), 1000, True, "0x1.79a1d6bc2f4b7p+17"),
+    ((179,), 108, False, "0x1.aff7086a47d8dp+20"),
     ((241,), 1000, True, "0x1.1612201c82fcap+20"),
-    ((254, 62), 1000, True, "0x1.f6188d81e1505p+18"),
-    ((207,), 549, False, "0x1.b7042cb966fd3p+19"),
-    ((65,), 501, False, "0x1.a491161908401p+19"),
-    ((90, 198), 1000, True, "0x1.c3d41ab3cc84bp+18"),
-    ((223, 236, 279, 6, 274, 100, 362, 231, 29, 93, 353, 11, 184, 336), 1000, True,
-     "0x1.da304a8f2831fp+13"),
-    ((159,), 283, False, "0x1.75f42133077f5p+18"),
-    ((83,), 197, False, "0x1.6a266f1b7637ep+20"),
-    ((303,), 193, False, "0x1.473784f0a8628p+19"),
-    ((333, 282), 967, False, "0x1.e109e151c6dd6p+17"),
-    ((96,), 427, False, "0x1.3d70df503664fp+20"),
-    ((186, 197, 263), 1000, True, "0x1.57c44f4642050p+17"),
-    ((365, 107), 485, False, "0x1.e844379386279p+19"),
-    ((320,), 191, False, "0x1.f07eb5319f81bp+19"),
-    ((147,), 1000, True, "0x1.febf05d48f326p+19"),
-    ((184,), 311, False, "0x1.7cdf2aec58975p+20"),
-    ((46,), 1000, True, "0x1.f18ec031c9cd5p+20"),
+    ((26, 14, 376, 254), 1000, True, "0x1.23f37fae1d52ep+18"),
+    ((207,), 274, False, "0x1.b7042cb966fd3p+19"),
+    ((65,), 250, False, "0x1.a491161908401p+19"),
+    ((90, 103, 231, 379), 1000, True, "0x1.a199ea43209c0p+18"),
+    ((223,), 1000, True, "0x1.0e3063bbe3b78p+14"),
+    ((159,), 141, False, "0x1.75f42133077f5p+18"),
+    ((83,), 98, False, "0x1.6a266f1b7637ep+20"),
+    ((303,), 96, False, "0x1.473784f0a8628p+19"),
+    ((333, 282), 483, False, "0x1.e109e151c6dd6p+17"),
+    ((96,), 213, False, "0x1.3d70df503664fp+20"),
+    ((186, 197, 263), 634, False, "0x1.57c44f4642050p+17"),
+    ((365, 107), 242, False, "0x1.e844379386279p+19"),
+    ((320,), 95, False, "0x1.f07eb5319f81bp+19"),
+    ((147,), 791, False, "0x1.febf05d48f326p+19"),
+    ((184,), 155, False, "0x1.7cdf2aec58975p+20"),
+    ((46,), 784, False, "0x1.f18ec031c9cd5p+20"),
     ((30, 147), 1000, True, "0x1.2a7357ca597d3p+18"),
     # m2 = 1: the cap alone can pass the incumbent
-    ((373,), 223, False, "0x1.81e54cff47428p+1"),
-    ((171,), 41, False, "0x1.4db9582230f3cp-2"),
-    ((216,), 247, False, "0x1.29bf3ff4afb46p+1"),
-    ((190,), 517, False, "0x1.400b18570858ep+0"),
+    ((373,), 111, False, "0x1.81e54cff47428p+1"),
+    ((171,), 20, False, "0x1.4db9582230f3cp-2"),
+    ((216,), 123, False, "0x1.29bf3ff4afb46p+1"),
+    ((190,), 258, False, "0x1.400b18570858ep+0"),
 ]
 
 
@@ -218,6 +218,76 @@ def test_budgeted_search_order_is_pinned(seed):
     sol = solve_match(_pinned_problem(seed), node_budget=1000)
     got = (sol.selected_ids, sol.stats.nodes, sol.stats.suboptimal, sol.objective.hex())
     assert got == PINNED_BUDGETED[seed]
+
+
+def test_search_does_not_depend_on_the_weight_scale():
+    # scaling every weight by a power of two scales every sum and score
+    # exactly, so the pruning margin must scale too: the search then expands
+    # the same states. A fixed absolute margin let nothing prune here.
+    for seed in range(len(PINNED_BUDGETED)):
+        prob = _pinned_problem(seed)
+        tiny = MatchProblem(
+            treated_features=prob.treated_features, candidate_features=prob.candidate_features,
+            weights=prob.weights * 2.0**-60, candidate_ids=prob.candidate_ids, m2=prob.m2,
+        )
+        want = solve_match(prob, node_budget=1000)
+        got = solve_match(tiny, node_budget=1000)
+        assert (got.selected_ids, got.stats.nodes, got.stats.suboptimal) == (
+            want.selected_ids, want.stats.nodes, want.stats.suboptimal)
+        assert got.objective == want.objective * 2.0**-60
+
+
+def test_exact_twins_end_the_search():
+    # every subset of the 20 twins scores 0; the lowest id alone wins the
+    # tie-break, without enumerating the 2**20 tied subsets
+    mu = np.array([0.5, 1.0, 0.0])
+    cands = np.vstack([np.random.default_rng(3).uniform(0, 1, (5, 3)), np.tile(mu, (20, 1))])
+    ids = np.arange(25)[::-1]
+    sol = solve_match(MatchProblem(mu, cands, np.ones(3), candidate_ids=ids))
+    assert sol.selected_ids == (0,)
+    assert sol.objective == 0.0 and not sol.stats.suboptimal
+    assert sol.stats.nodes == 0
+
+
+def test_exhaustive_search_past_64_candidates():
+    # only the last three of 100 candidates cancel (1 + 2 - 3 = 0, a = 3);
+    # every other one lies 10 or more to one side, so any set holding it
+    # scores at least 10. The optimum needs positions past 63, which an
+    # int64 subset bitmask cannot hold, and three members, which the
+    # singleton and pair seeding cannot find
+    prob = _problem(0.0, np.r_[10.0 + np.arange(97.0), 1.0, 2.0, -3.0])
+    sol = solve_match(prob)
+    assert not sol.stats.suboptimal
+    assert sol.selected == (97, 98, 99)
+    assert (sol.epsilon, sol.a, sol.objective) == (0.0, 3.0, 3.0)
+
+
+def _milp_instance(psi, seed):
+    rng = np.random.default_rng(100 * seed + psi)
+    p = int(rng.integers(4, 7))
+    return _problem(rng.uniform(0, 1, p), rng.uniform(0, 1, (psi, p)), rng.uniform(0, 10, p))
+
+
+MILP_PSI = [24, 28, 32, 36, 40]
+
+
+@pytest.mark.parametrize("cap", [2, 16])
+def test_frontier_cap_does_not_change_results(monkeypatch, cap):
+    # a frontier wider than the cap is searched in depth-first chunks: the
+    # states expanded change, the result must not
+    probs = [_pinned_problem(seed) for seed in range(len(PINNED_BUDGETED))]
+    probs += [_milp_instance(psi, seed) for psi in MILP_PSI for seed in range(2)]
+
+    def results():
+        sols = [solve_match(prob) for prob in probs]
+        assert not any(sol.stats.suboptimal for sol in sols)
+        return [(sol.selected_ids, sol.objective.hex(), sol.epsilon.hex(), sol.a.hex())
+                for sol in sols]
+
+    monkeypatch.setattr(matching, "_FRONTIER_MAX", 1 << 62)
+    want = results()
+    monkeypatch.setattr(matching, "_FRONTIER_MAX", cap)
+    assert results() == want
 
 
 def _milp_objective(prob):
@@ -254,12 +324,10 @@ def _milp_objective(prob):
     return res.fun, a + prob.m2 * eps
 
 
-@pytest.mark.parametrize("psi", [24, 28, 32, 36, 40])
+@pytest.mark.parametrize("psi", MILP_PSI)
 def test_milp_oracle_agrees_above_bruteforce_limit(psi):
     for seed in range(2):
-        rng = np.random.default_rng(100 * seed + psi)
-        p = int(rng.integers(4, 7))
-        prob = _problem(rng.uniform(0, 1, p), rng.uniform(0, 1, (psi, p)), rng.uniform(0, 10, p))
+        prob = _milp_instance(psi, seed)
         sol = solve_match(prob)
         assert not sol.stats.suboptimal
         reported, rescored = _milp_objective(prob)
