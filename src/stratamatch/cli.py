@@ -33,35 +33,11 @@ from .bench import (
 )
 from .config import PipelineConfig
 from .dataset import Dataset, load_dataset
-from .errors import (
-    AuditNotFound,
-    ConfigError,
-    EmptyInput,
-    EstimationImpossible,
-    InvalidSample,
-    MalformedInput,
-    NamedColumnAbsent,
-    OracleTooLarge,
-    ParseFailure,
-    PositivityViolation,
-    StrataMatchError,
-)
+from .errors import AuditNotFound, ConfigError, EstimationImpossible, StrataMatchError
 from .estimation import ESTIMATORS, AttReport, fit_pipeline
 from .tree import export_rules, tree_to_dict
 
 logger = logging.getLogger(__name__)
-
-_DATA_ERRORS = (
-    MalformedInput,
-    NamedColumnAbsent,
-    ParseFailure,
-    PositivityViolation,
-    EmptyInput,
-    InvalidSample,
-    AuditNotFound,
-    OracleTooLarge,
-    FileNotFoundError,
-)
 
 # config-file key -> PipelineConfig attribute
 _CFG_KEYS = {
@@ -93,10 +69,11 @@ def parse_config_file(path: str | Path) -> tuple[dict, dict]:
     """
     overrides: dict = {}
     extras: dict = {}
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -308,6 +285,41 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, tuple[int, ...]]]:
+    """``(treated row, matched control rows)`` of each audit record that
+    holds a match; every row id must be an integer row of ``d``."""
+    try:
+        lines = audit.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise AuditNotFound(f"cannot read audit log {audit}: {exc}") from None
+    known = set(d.rows().tolist())
+    matches = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"audit log {audit}, line {lineno}"
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise AuditNotFound(f"{where}: not JSON ({exc})") from None
+        if not isinstance(rec, dict):
+            raise AuditNotFound(f"{where}: not a JSON object")
+        rows = rec.get("matched_rows")
+        if not rows:
+            continue
+        if "treated_row" not in rec or not isinstance(rows, list):
+            raise AuditNotFound(f"{where}: a match needs 'treated_row' and a 'matched_rows' list")
+        for r in (rec["treated_row"], *rows):
+            if isinstance(r, bool) or not isinstance(r, int):
+                raise AuditNotFound(f"{where}: row id {r!r} is not an integer")
+            if r not in known:
+                raise AuditNotFound(f"{where}: row {r} is not in {input_path}")
+        matches.append((rec["treated_row"], tuple(rows)))
+    if not matches:
+        raise AuditNotFound(f"audit log {audit} holds no matched control sets")
+    return matches
+
+
 def cmd_balance(args: argparse.Namespace) -> int:
     if args.dry_run:
         for path in (args.input, args.audit):
@@ -316,29 +328,13 @@ def cmd_balance(args: argparse.Namespace) -> int:
         logger.info("dry run ok")
         return 0
     d = _load(args)
-    audit = Path(args.audit)
-    if not audit.exists():
-        raise AuditNotFound(f"audit log not found: {audit}")
-    matches: list[tuple[int, tuple[int, ...]]] = []
-    for line in audit.read_text().splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        rows = rec.get("matched_rows")
-        if rows:
-            matches.append((int(rec["treated_row"]), tuple(int(r) for r in rows)))
+    matches = _read_matches(Path(args.audit), d, args.input)
     pre = pre_match_report(d, bins=args.bins)
+    post = post_match_report(d, matches, bins=args.bins)
     out = _out_dir(args)
-    text = report_to_text(pre)
-    blob = {"pre": report_to_dict(pre)}
-    if matches:
-        post = post_match_report(d, matches, bins=args.bins)
-        text += "\n" + report_to_text(post)
-        blob["post"] = report_to_dict(post)
-    else:
-        raise AuditNotFound(f"audit log {audit} holds no matched control sets")
+    text = report_to_text(pre) + "\n" + report_to_text(post)
     (out / "balance.txt").write_text(text)
-    _dump_json(blob, out / "balance.json")
+    _dump_json({"pre": report_to_dict(pre), "post": report_to_dict(post)}, out / "balance.json")
     logger.info(
         "balance: pre mean |SMD| %.4f -> post %.4f; artifacts in %s",
         pre.mean_abs_smd, post.mean_abs_smd, out,
@@ -455,14 +451,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return 2
-    except _DATA_ERRORS as exc:
-        logger.error("data error: %s", exc)
-        return 3
     except EstimationImpossible as exc:
         logger.error("estimation impossible: %s", exc)
         return 4
-    except StrataMatchError as exc:
-        logger.error("%s", exc)
+    except (StrataMatchError, FileNotFoundError) as exc:
+        logger.error("data error: %s", exc)
         return 3
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -32,14 +33,14 @@ class PipelineConfig:
         return default_theta(p) if self.theta is None else self.theta
 
     def validate(self) -> None:
-        if self.lambda_ < 0:
-            raise ConfigError("lambda must be non-negative")
+        if not 0 <= self.lambda_ < math.inf:
+            raise ConfigError("lambda must be finite and non-negative")
         if self.theta is not None and self.theta < 0:
             raise ConfigError("theta must be non-negative")
         if self.psi < 1:
             raise ConfigError("psi must be at least 1")
-        if self.m2 <= 0:
-            raise ConfigError("m2 must be positive")
+        if not 0 < self.m2 < math.inf:
+            raise ConfigError("m2 must be finite and positive")
         if self.solver_node_budget is not None and self.solver_node_budget < 1:
             raise ConfigError("solver node budget must be at least 1 (or unset)")
         if self.max_depth < 0:

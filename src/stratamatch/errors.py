@@ -78,7 +78,8 @@ class InvalidSample(StrataMatchError):
 
 
 class AuditNotFound(StrataMatchError):
-    """The per-unit audit log for a completed run could not be read."""
+    """The per-unit audit log for a completed run could not be read, holds a
+    malformed record or no match, or names a row the input lacks."""
 
 
 class HierarchyBoundWarning(UserWarning):

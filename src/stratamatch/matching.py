@@ -13,9 +13,10 @@ lower bound passes the incumbent are pruned. A frontier wider than a fixed
 cap is searched in depth-first chunks, so memory stays bounded for any pool
 size. The search is exhaustive unless a node budget (a cap on the frontier
 states expanded) is given. Set-up (deviations, suffix bounds) and incumbent
-seeding from all singletons and pairs also run in numpy. An independent
-full-enumeration oracle and a two-stage strictly-hierarchical solver are
-provided for cross-checking.
+seeding from all singletons and pairs also run in numpy. The same search,
+scored on ``eps`` alone and ranked on ``(eps, a)``, gives the strictly
+hierarchical solution; an independent full-enumeration oracle is provided
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class MatchProblem:
             raise EmptyInput("match problem contains non-finite values")
         if np.any(w < 0):
             raise EmptyInput("weights must be non-negative")
-        if not self.m2 > 0:
-            raise EmptyInput("m2 must be positive")
+        if not 0 < self.m2 < np.inf:
+            raise EmptyInput("m2 must be finite and positive")
         ids = self.candidate_ids
         if ids is None:
             ids = np.arange(cand.shape[0])
@@ -212,23 +213,39 @@ def _evaluate(delta: list[list[float]], dev: list[float], sel: tuple[int, ...]) 
     return eps, a
 
 
-def _id_key(ids: list[int], sel: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(ids[i] for i in sel))
-
-
 class _Incumbent:
-    __slots__ = ("sel", "eps", "a", "obj", "key")
+    """The best subset offered so far. Each offered subset is scored through
+    :func:`_evaluate` and ranked by ``rank(eps, a, sorted original ids)``;
+    the first of equally ranked subsets is kept."""
 
-    def __init__(self):
+    def __init__(self, rank, delta: list[list[float]], dev: list[float], ids: list[int]):
+        self.rank, self.delta, self.dev, self.ids = rank, delta, dev, ids
         self.sel: tuple[int, ...] | None = None
-        self.eps = 0.0
-        self.a = 0.0
-        self.obj = float("inf")
-        self.key: tuple[int, ...] = ()
+        self.key: tuple | None = None
+        self.eps = self.a = 0.0
 
-    def offer(self, sel, eps, a, obj, key) -> None:
-        if self.sel is None or obj < self.obj or (obj == self.obj and key < self.key):
-            self.sel, self.eps, self.a, self.obj, self.key = sel, eps, a, obj, key
+    def offer(self, sel: tuple[int, ...]) -> None:
+        eps, a = _evaluate(self.delta, self.dev, sel)
+        key = self.rank(eps, a, tuple(sorted(self.ids[i] for i in sel)))
+        if self.key is None or key < self.key:
+            self.sel, self.eps, self.a, self.key = sel, eps, a, key
+
+
+def _by_objective(m2: float):
+    """Rank on ``a + m2 * eps``, then on the sorted original ids."""
+    return lambda eps, a, ids: (a + m2 * eps, ids)
+
+
+def _solution(prob: MatchProblem, inc: _Incumbent, stats: SolverStats) -> MatchSolution:
+    assert inc.sel is not None
+    return MatchSolution(
+        selected=inc.sel,
+        selected_ids=tuple(prob.candidate_ids[list(inc.sel)].tolist()),
+        epsilon=inc.eps,
+        a=inc.a,
+        objective=inc.a + prob.m2 * inc.eps,
+        stats=stats,
+    )
 
 
 def _suffix_bounds(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,46 +267,38 @@ def _min_suffix(dev: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seed_incumbent(
-    d: np.ndarray, delta: list[list[float]], dev: list[float], ids: list[int], m2: float,
-    inc: _Incumbent,
-) -> None:
-    """Offer the best singleton or pair to ``inc``.
+def _seed_incumbent(d: np.ndarray, dv: np.ndarray, wa: float, we: float, offer) -> None:
+    """Pass the best singletons and pairs under the score ``wa*a + we*eps``
+    to ``offer``.
 
     numpy scores every singleton and, one row at a time, every pair
     ``(i, k)`` with ``i < k``, keeping only each row's minimum, so memory
     stays O(n * p). Subsets scoring within a small relative margin of the
-    overall minimum are then re-scored through :func:`_evaluate` and offered
-    in enumeration order (singletons, then pairs by ``i`` and ``k``), so the
-    incumbent and its tie-break are those of offering every subset.
+    overall minimum are then offered in enumeration order (singletons, then
+    pairs by ``i`` and ``k``), so the incumbent and its tie-break are those
+    of offering every subset.
     """
-    dv = np.asarray(dev)
     n = dv.size
 
     def pair_scores(i: int) -> np.ndarray:
         eps = np.abs(d[i + 1:] + d[i]).max(axis=1)
-        return np.maximum(dv[i + 1:], dv[i]) + m2 * eps
+        return wa * np.maximum(dv[i + 1:], dv[i]) + we * eps
 
-    single = dv + m2 * dv
+    single = wa * dv + we * dv
     row_best = np.array([pair_scores(i).min() for i in range(n - 1)] + [np.inf])
     best = float(min(single.min(), row_best.min()))
     # numpy rounds these scores exactly as _evaluate does, so a relative
     # margin suffices; an absolute one would pass every pair of a problem
     # whose weights are tiny
     cut = best + 1e-9 * abs(best)
-
-    def consider(sel: tuple[int, ...]) -> None:
-        eps, a = _evaluate(delta, dev, sel)
-        inc.offer(sel, eps, a, a + m2 * eps, _id_key(ids, sel))
-
     for i in np.flatnonzero(single <= cut).tolist():
-        consider((i,))
+        offer((i,))
     for i in np.flatnonzero(row_best <= cut).tolist():
         for k in (np.flatnonzero(pair_scores(i) <= cut) + i + 1).tolist():
-            consider((i, k))
+            offer((i, k))
 
 
-def _rounding_slack(m2: float, n: int, dev: np.ndarray) -> float:
+def _rounding_slack(we: float, n: int, dev: np.ndarray) -> float:
     """Absolute pruning margin that covers floating-point rounding.
 
     A state's bound compares three computed signed sums per feature with
@@ -300,14 +309,14 @@ def _rounding_slack(m2: float, n: int, dev: np.ndarray) -> float:
     (``u = eps / 2``, Higham's ``gamma_n``), and adding the first two costs
     one more rounding of size ``<= 2 * n * u * D``. A computed ``eps`` lower
     bound therefore exceeds the computed ``eps`` of any completion by less
-    than ``5 * n**2 * u * D = 2.5 * n**2 * eps * D``. Scaling by ``m2`` and
-    adding ``a`` round by a few ``u`` relative to the objective, which the
-    threshold's relative term ``1e-12 * |obj|`` covers. ``3 * m2 * n**2 *
-    eps * D`` is therefore safe. It is proportional to the weights, so a
-    problem whose weights are multiplied by a power of two is searched
-    through exactly the same states.
+    than ``5 * n**2 * u * D = 2.5 * n**2 * eps * D``. Scaling by the ``eps``
+    weight ``we`` and adding the weighted cap round by a few ``u`` relative
+    to the score, which the threshold's relative term ``1e-12 * |score|``
+    covers. ``3 * we * n**2 * eps * D`` is therefore safe. It is
+    proportional to the weights, so a problem whose weights are multiplied
+    by a power of two is searched through exactly the same states.
     """
-    return 3.0 * m2 * n * n * _EPS * float(dev.max())
+    return 3.0 * we * n * n * _EPS * float(dev.max())
 
 
 def _take(trail, index):
@@ -329,18 +338,24 @@ def _included(trail, j: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolution:
-    """Exact minimizer of ``a + m2 * eps`` over non-empty candidate subsets.
+def _search(
+    prob: MatchProblem, wa: float, we: float, rank, node_budget: int | None,
+) -> tuple[_Incumbent, int, bool]:
+    """Level-synchronous branch-and-bound on the score ``wa*a + we*eps``.
 
-    Level-synchronous branch-and-bound over include/exclude decisions in
-    candidate order. The frontier of partial subsets that decided
-    candidates ``0..k-1`` is held as arrays: each state's running signed
-    sums (one row per state, added in ascending position order exactly as
-    :func:`_evaluate` adds them) and its running cap (``-inf`` while nothing
-    is included). Deciding candidate ``k`` forms every state's include and
-    exclude child with one concatenation. Each include child is also a
-    complete subset (the undecided candidates left out); all of them are
-    scored at once and the best score lowers the pruning threshold.
+    Returns the incumbent under ``rank``, the frontier states expanded and
+    whether ``node_budget`` stopped the search. ``rank`` orders subsets by
+    the score first.
+
+    Include/exclude decisions are made in candidate order. The frontier of
+    partial subsets that decided candidates ``0..k-1`` is held as arrays:
+    each state's running signed sums (one row per state, added in ascending
+    position order exactly as :func:`_evaluate` adds them) and its running
+    cap (``-inf`` while nothing is included). Deciding candidate ``k`` forms
+    every state's include and exclude child with one concatenation. Each
+    include child is also a complete subset (the undecided candidates left
+    out); all of them are scored at once and the best score lowers the
+    pruning threshold.
 
     A state is pruned when its lower bound passes the threshold: the cap can
     only grow from the included candidates' largest deviation (or from the
@@ -350,33 +365,23 @@ def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolu
     the best singleton or pair of a numpy screen, and its margin covers the
     rounding of the bound (see :func:`_rounding_slack`). Subsets scoring
     within the margin of the best are re-scored through :func:`_evaluate`
-    at the end, so objective ties resolve to the lexicographically smallest
-    selected original-index set.
+    and offered under ``rank`` at the end.
 
     A state records only its parent's index in the previous frontier and
     whether it included the candidate, so any pool size works. A frontier
     wider than a fixed cap is split into chunks searched depth-first one
     after another, which bounds memory and leaves the result unchanged.
-
-    ``stats.nodes`` counts the frontier states expanded. With a
-    ``node_budget``, search stops after expanding exactly that many states
-    and the best subset scored so far is returned flagged as possibly
-    suboptimal (and logged); with the default ``None`` the search is
-    exhaustive, hence exact.
     """
-    t0 = time.perf_counter()
     d, dv = _deviations(prob)
-    delta, dev, ids = d.tolist(), dv.tolist(), prob.candidate_ids.tolist()
     n, p = d.shape
-    m2 = prob.m2
-    inc = _Incumbent()
-    _seed_incumbent(d, delta, dev, ids, m2, inc)
+    inc = _Incumbent(rank, d.tolist(), dv.tolist(), prob.candidate_ids.tolist())
+    _seed_incumbent(d, dv, wa, we, inc.offer)
 
     spos, sneg = _suffix_bounds(d)
     min_dev = _min_suffix(dv)
-    slack = _rounding_slack(m2, n, dv)
+    slack = _rounding_slack(we, n, dv)
     limit = float("inf") if node_budget is None else node_budget
-    best = inc.obj
+    best = wa * inc.a + we * inc.eps
     thr = best + slack + 1e-12 * abs(best)
     # (trail, positions in the expanded frontier, candidate k, scores) of the
     # include children that scored within the threshold
@@ -385,11 +390,13 @@ def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolu
     budget_hit = False
     # a frontier: next candidate k, sums, caps and its trail, which is
     # (parent index per state, include flag per state, k - 1, parent trail).
-    # A seed scoring 0 is final: only candidates with dev 0 reach 0, and the
-    # seed has offered each of them alone, which beats every larger set of
-    # them on the id tie-break. Exact twins of the treated unit would
-    # otherwise tie on all 2**z subsets.
-    stack = [(0, np.zeros((1, p)), np.full(1, -np.inf), None)] if best > 0.0 else []
+    # A seed with a = 0 is final: only candidates with dev 0 reach it, every
+    # set of them scores 0 on both eps and a, and the seed has offered each
+    # of them alone, which beats every larger set of them on the id
+    # tie-break. Exact twins of the treated unit would otherwise tie on all
+    # 2**z subsets. An eps = 0 seed with a > 0 is not final when a does not
+    # enter the score.
+    stack = [(0, np.zeros((1, p)), np.full(1, -np.inf), None)] if inc.a > 0.0 else []
     while stack:
         k, sums, caps, trail = stack.pop()
         # prune the states whose every completion scores above the threshold
@@ -399,7 +406,7 @@ def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolu
         np.maximum(lo, hi, out=lo)
         eps_lb = np.maximum(lo.max(axis=1), 0.0)
         a_lb = np.where(caps < 0.0, min_dev[k], caps)
-        keep = np.flatnonzero(a_lb + m2 * eps_lb <= thr)
+        keep = np.flatnonzero(wa * a_lb + we * eps_lb <= thr)
         width = keep.size
         if width < caps.size:
             sums, caps, trail = sums[keep], caps[keep], _take(trail, keep)
@@ -417,7 +424,7 @@ def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolu
         if width:
             in_sums = sums + d[k]
             in_caps = np.maximum(caps, dv[k])
-            score = in_caps + m2 * np.abs(in_sums).max(axis=1)
+            score = wa * in_caps + we * np.abs(in_sums).max(axis=1)
             low = float(score.min())
             if low < best:
                 best = low
@@ -435,16 +442,29 @@ def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolu
 
     for trail, hit, k, score in found:
         for j in hit[score <= thr].tolist():
-            sel = _included(trail, j) + (k,)
-            eps, a = _evaluate(delta, dev, sel)
-            inc.offer(sel, eps, a, a + m2 * eps, _id_key(ids, sel))
+            inc.offer(_included(trail, j) + (k,))
+    return inc, nodes, budget_hit
+
+
+def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolution:
+    """Exact minimizer of ``a + m2 * eps`` over non-empty candidate subsets.
+
+    Runs the branch-and-bound of :func:`_search` on that score; objective
+    ties resolve to the lexicographically smallest selected original-index
+    set. ``stats.nodes`` counts the frontier states expanded. With a
+    ``node_budget``, search stops after expanding exactly that many states
+    and the best subset scored so far is returned flagged as possibly
+    suboptimal (and logged); with the default ``None`` the search is
+    exhaustive, hence exact.
+    """
+    t0 = time.perf_counter()
+    inc, nodes, budget_hit = _search(prob, 1.0, prob.m2, _by_objective(prob.m2), node_budget)
     if budget_hit:
         # per-solve noise stays at debug; callers aggregate via stats.suboptimal
         logger.debug(
             "match solver stopped at node budget %d; returning best incumbent (possibly suboptimal)",
             node_budget,
         )
-    assert inc.sel is not None
     stats = SolverStats(
         method="subset-bb",
         nodes=nodes,
@@ -452,14 +472,7 @@ def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolu
         suboptimal=budget_hit,
         node_budget=node_budget,
     )
-    return MatchSolution(
-        selected=inc.sel,
-        selected_ids=tuple(ids[i] for i in inc.sel),
-        epsilon=inc.eps,
-        a=inc.a,
-        objective=inc.obj,
-        stats=stats,
-    )
+    return _solution(prob, inc, stats)
 
 
 def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
@@ -501,125 +514,30 @@ def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
             best_v = v
 
     margin = 1e-9 * (1.0 + abs(best_v))
-    inc = _Incumbent()
+    inc = _Incumbent(_by_objective(m2), delta, dev, ids)
     for start in range(1, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
         vals = screen(masks)
         for mask in masks[vals <= best_v + margin]:
-            sel = tuple(i for i in range(n) if (int(mask) >> i) & 1)
-            eps, a = _evaluate(delta, dev, sel)
-            inc.offer(sel, eps, a, a + m2 * eps, _id_key(ids, sel))
-    assert inc.sel is not None
+            inc.offer(tuple(i for i in range(n) if (int(mask) >> i) & 1))
     stats = SolverStats(method="bruteforce", nodes=total - 1, time_s=time.perf_counter() - t0)
-    return MatchSolution(
-        selected=inc.sel,
-        selected_ids=tuple(ids[i] for i in inc.sel),
-        epsilon=inc.eps,
-        a=inc.a,
-        objective=inc.obj,
-        stats=stats,
-    )
+    return _solution(prob, inc, stats)
 
 
 def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:
-    """Two-stage strictly hierarchical solve: minimize ``eps`` first, then
-    minimize ``a`` among subsets attaining that exact ``eps``.
+    """Strictly hierarchical solve: the smallest ``eps`` first, then the
+    smallest ``a`` among subsets attaining that exact ``eps``, then the
+    lexicographically smallest selected original-index set.
+
+    Runs the exhaustive search of :func:`solve_match` on the score ``eps``
+    alone, so ``a`` prunes nothing; the subsets within the pruning margin of
+    the best ``eps`` are re-scored through :func:`_evaluate` and ranked on
+    ``(eps, a, ids)``. ``stats.nodes`` counts the frontier states expanded.
 
     This is the reference semantics the big-M objective of
     :func:`solve_match` approximates; with ``m2`` above
     :func:`hierarchy_m2_bound` the two agree on ``eps``.
     """
     t0 = time.perf_counter()
-    delta, dev, ids, n, p = _prep(prob)
-    spos, sneg = (b.tolist() for b in _suffix_bounds(np.asarray(delta)))
-    min_dev = _min_suffix(np.asarray(dev)).tolist()
-    nodes = 0
-
-    def eps_lower(k: int, sums: list[float]) -> float:
-        out = 0.0
-        sp = spos[k]
-        sn = sneg[k]
-        for j in range(p):
-            lo = sums[j] + sn[j]
-            hi = sums[j] + sp[j]
-            if lo > 0.0:
-                m = lo
-            elif hi < 0.0:
-                m = -hi
-            else:
-                m = 0.0
-            if m > out:
-                out = m
-        return out
-
-    # stage 1: minimum achievable eps
-    best_eps = float("inf")
-    for i in range(n):
-        e, _ = _evaluate(delta, dev, (i,))
-        if e < best_eps:
-            best_eps = e
-    sums = [0.0] * p
-    included: list[int] = []
-
-    def rec_eps(k: int) -> None:
-        nonlocal best_eps, nodes
-        nodes += 1
-        if k == n:
-            if included:
-                e, _ = _evaluate(delta, dev, tuple(included))
-                if e < best_eps:
-                    best_eps = e
-            return
-        if eps_lower(k, sums) > best_eps + 1e-9 + 1e-12 * best_eps:
-            return
-        row = delta[k]
-        for j in range(p):
-            sums[j] += row[j]
-        included.append(k)
-        rec_eps(k + 1)
-        included.pop()
-        for j in range(p):
-            sums[j] -= row[j]
-        rec_eps(k + 1)
-
-    rec_eps(0)
-
-    # stage 2: minimum a among eps-optimal subsets (exact eps equality)
-    inc = _Incumbent()
-
-    def rec_a(k: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if k == n:
-            if included:
-                sel = tuple(included)
-                eps, a = _evaluate(delta, dev, sel)
-                if eps == best_eps:
-                    inc.offer(sel, eps, a, a, _id_key(ids, sel))
-            return
-        if eps_lower(k, sums) > best_eps + 1e-9 + 1e-12 * best_eps:
-            return
-        a_lb = max(dev[i] for i in included) if included else min_dev[k]
-        if a_lb > inc.obj + 1e-9 + 1e-12 * abs(inc.obj):
-            return
-        row = delta[k]
-        for j in range(p):
-            sums[j] += row[j]
-        included.append(k)
-        rec_a(k + 1)
-        included.pop()
-        for j in range(p):
-            sums[j] -= row[j]
-        rec_a(k + 1)
-
-    rec_a(0)
-    assert inc.sel is not None
-    stats = SolverStats(method="lexicographic", nodes=nodes, time_s=time.perf_counter() - t0)
-    return MatchSolution(
-        selected=inc.sel,
-        selected_ids=tuple(ids[i] for i in inc.sel),
-        epsilon=inc.eps,
-        a=inc.a,
-        objective=inc.a + prob.m2 * inc.eps,
-        stats=stats,
-    )
+    inc, nodes, _ = _search(prob, 0.0, 1.0, lambda eps, a, ids: (eps, a, ids), None)
+    return _solution(prob, inc, SolverStats("lexicographic", nodes, time.perf_counter() - t0))

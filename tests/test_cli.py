@@ -236,12 +236,14 @@ def test_estimate_unknown_method_exit_2(tmp_path, data_csv):
 
 
 def test_estimate_bad_flag_value_exit_2(tmp_path, data_csv):
-    for flag, value in (("--psi", "0"), ("--node-budget", "banana")):
+    for flag, value in (("--psi", "0"), ("--node-budget", "banana"), ("--m2", "inf"),
+                        ("--m2", "nan"), ("--lambda", "nan"), ("--lambda", "inf")):
         r = run_cli(
             "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
             flag, value, "--out", str(tmp_path / "x"),
         )
-        assert r.returncode == 2, (flag, value)
+        assert r.returncode == 2, (flag, value, r.stderr)
+        assert "Traceback" not in r.stderr
 
 
 def test_dry_run_validates_without_writing(tmp_path, data_csv):
@@ -292,6 +294,24 @@ def test_config_file_bad_value_exit_2(tmp_path, data_csv):
         "--config", str(cfg), "--out", str(tmp_path / "x"),
     )
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("content", [None, b"psi = 5 # caf\xe9\n"])
+def test_config_file_unreadable_exit_2(tmp_path, data_csv, content):
+    # a directory, then a file that is not UTF-8
+    cfg = tmp_path / "run.cfg"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    r = run_cli(
+        "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+        "--config", str(cfg), "--out", str(tmp_path / "x"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    (line,) = [ln for ln in r.stderr.splitlines() if ln.startswith("ERROR")]
+    assert "configuration error" in line and str(cfg) in line
 
 
 @pytest.mark.parametrize("method", ["m5c-mf", "m5c-m", "strategies"])
@@ -358,6 +378,28 @@ def test_balance_missing_audit_exit_3(tmp_path, data_csv):
         "--audit", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "bal"),
     )
     assert r.returncode == 3
+
+
+_MATCH = '{"treated_row": 0, "matched_rows": [1, 2]}'
+
+
+@pytest.mark.parametrize("lines, parts", [
+    ([_MATCH, "not json"], ["line 2"]),
+    ([_MATCH, '{"treated_row": 0, "matched_rows": [999999]}'], ["line 2", "999999"]),
+    ([_MATCH, '{"treated_row": 999999, "matched_rows": [1]}'], ["line 2", "999999"]),
+    ([_MATCH, '{"matched_rows": [1]}'], ["line 2", "treated_row"]),
+    ([_MATCH, '{"treated_row": 0, "matched_rows": ["x"]}'], ["line 2", "'x'"]),
+    (['{"treated_row": 0, "skipped": "no candidates"}'], ["no matched control sets"]),
+])
+def test_balance_bad_audit_exit_3(tmp_path, data_csv, lines, parts):
+    audit = tmp_path / "audit.jsonl"
+    audit.write_text("\n".join(lines) + "\n")
+    r = run_cli(
+        "balance", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+        "--audit", str(audit), "--out", str(tmp_path / "bal"),
+    )
+    _assert_one_line_data_error(r, str(audit), *parts)
+    assert not (tmp_path / "bal").exists()
 
 
 def test_tree_export(tmp_path, data_csv):

@@ -166,6 +166,16 @@ def test_large_pool_search_has_no_depth_limit():
     assert sol.objective == a + prob.m2 * eps
 
 
+def test_lexicographic_search_has_no_depth_limit():
+    # 1498 candidates lie on one side of the treated unit; only the last two
+    # cancel. The lexicographic search runs to the end without a budget, and
+    # its recursive form raised RecursionError here
+    cands = np.r_[np.linspace(0.9, 1.0, 1498), 0.5 + 2.0**-4, 0.5 - 2.0**-4]
+    sol = solve_match_lexicographic(_problem(0.5, cands))
+    assert sol.selected == (1498, 1499)
+    assert (sol.epsilon, sol.a) == (0.0, 2.0**-4)
+
+
 # (selected_ids, nodes, suboptimal, objective.hex()) of the budgeted search on
 # _pinned_problem(seed): any change to expansion order, pruning or tie-breaks
 # shows here. Every entry not flagged suboptimal is the exhaustive optimum.
@@ -223,18 +233,25 @@ def test_budgeted_search_order_is_pinned(seed):
 def test_search_does_not_depend_on_the_weight_scale():
     # scaling every weight by a power of two scales every sum and score
     # exactly, so the pruning margin must scale too: the search then expands
-    # the same states. A fixed absolute margin let nothing prune here.
+    # the same states. A fixed absolute margin let nothing prune here. The
+    # lexicographic search runs exhaustively, on the first 14 candidates
+    def scaled(prob, n, scale):
+        return MatchProblem(
+            treated_features=prob.treated_features, candidate_features=prob.candidate_features[:n],
+            weights=prob.weights * scale, candidate_ids=prob.candidate_ids[:n], m2=prob.m2,
+        )
+
     for seed in range(len(PINNED_BUDGETED)):
         prob = _pinned_problem(seed)
-        tiny = MatchProblem(
-            treated_features=prob.treated_features, candidate_features=prob.candidate_features,
-            weights=prob.weights * 2.0**-60, candidate_ids=prob.candidate_ids, m2=prob.m2,
-        )
         want = solve_match(prob, node_budget=1000)
-        got = solve_match(tiny, node_budget=1000)
+        got = solve_match(scaled(prob, 20, 2.0**-60), node_budget=1000)
         assert (got.selected_ids, got.stats.nodes, got.stats.suboptimal) == (
             want.selected_ids, want.stats.nodes, want.stats.suboptimal)
         assert got.objective == want.objective * 2.0**-60
+        want = solve_match_lexicographic(scaled(prob, 14, 1.0))
+        got = solve_match_lexicographic(scaled(prob, 14, 2.0**-60))
+        assert (got.selected_ids, got.stats.nodes) == (want.selected_ids, want.stats.nodes)
+        assert (got.epsilon, got.a) == (want.epsilon * 2.0**-60, want.a * 2.0**-60)
 
 
 def test_exact_twins_end_the_search():
@@ -274,13 +291,14 @@ MILP_PSI = [24, 28, 32, 36, 40]
 @pytest.mark.parametrize("cap", [2, 16])
 def test_frontier_cap_does_not_change_results(monkeypatch, cap):
     # a frontier wider than the cap is searched in depth-first chunks: the
-    # states expanded change, the result must not
-    probs = [_pinned_problem(seed) for seed in range(len(PINNED_BUDGETED))]
-    probs += [_milp_instance(psi, seed) for psi in MILP_PSI for seed in range(2)]
+    # states expanded change, the result must not, in either search order
+    pinned = [_pinned_problem(seed) for seed in range(len(PINNED_BUDGETED))]
+    probs = pinned + [_milp_instance(psi, seed) for psi in MILP_PSI for seed in range(2)]
 
     def results():
         sols = [solve_match(prob) for prob in probs]
         assert not any(sol.stats.suboptimal for sol in sols)
+        sols += [solve_match_lexicographic(prob) for prob in pinned]
         return [(sol.selected_ids, sol.objective.hex(), sol.epsilon.hex(), sol.a.hex())
                 for sol in sols]
 
@@ -344,6 +362,9 @@ def test_bruteforce_size_guard():
 def test_problem_validation():
     with pytest.raises(NoCandidates):
         _problem([1.0], np.zeros((0, 1)))
+    for m2 in (0.0, np.inf, np.nan):
+        with pytest.raises(EmptyInput):
+            _problem([1.0], [[2.0]], m2=m2)
     with pytest.raises(EmptyInput):
         MatchProblem(
             treated_features=np.array([1.0, 2.0]),

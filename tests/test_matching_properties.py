@@ -1,9 +1,11 @@
-"""Property checks of the subset solver against the full-enumeration oracle.
+"""Property checks of the subset solvers against full-enumeration oracles.
 
 Coordinates are drawn mostly from a dyadic grid so that deviations tie and
 cancel exactly, candidates repeat, and weights include zeros: the inputs
 where tie-breaking and the pruning tolerance matter most.
 """
+
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +13,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stratamatch.matching import MatchProblem, solve_match, solve_match_bruteforce  # noqa: E402
+from stratamatch.matching import (  # noqa: E402
+    MatchProblem,
+    _evaluate,
+    _prep,
+    solve_match,
+    solve_match_bruteforce,
+    solve_match_lexicographic,
+)
 
 GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 CHECKS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -56,3 +65,21 @@ def test_budgeted_solver_returns_a_valid_incumbent(prob, budget):
     assert got.selected and list(got.selected) == sorted(set(got.selected))
     assert got.objective == got.a + prob.m2 * got.epsilon
     assert got.objective >= solve_match_bruteforce(prob).objective
+
+
+def _lexicographic_enumeration(prob):
+    """The subset minimizing ``(eps, a, sorted original ids)``, over every
+    non-empty subset scored through the solvers' shared evaluation."""
+    delta, dev, ids, n, _ = _prep(prob)
+    subsets = (sel for size in range(1, n + 1) for sel in combinations(range(n), size))
+    return min((*_evaluate(delta, dev, sel), tuple(sorted(ids[i] for i in sel)), sel)
+               for sel in subsets)
+
+
+@CHECKS
+@given(problems())
+def test_lexicographic_solver_equals_enumeration(prob):
+    got = solve_match_lexicographic(prob)
+    eps, a, _, sel = _lexicographic_enumeration(prob)
+    assert (got.selected, got.epsilon, got.a) == (sel, eps, a)
+    assert got.objective == a + prob.m2 * eps
