@@ -186,6 +186,22 @@ def _is_number(cell: str) -> bool:
     return math.isfinite(v)
 
 
+def _numeric_column(cells: list[str]) -> bool:
+    """Whether every cell, stripped, is a finite number.
+
+    One numpy conversion, which accepts exactly Python's ``float`` grammar,
+    decides a column of plain numbers. The cells are tested one by one only
+    when it fails or gives a non-finite value: ``str.strip`` removes the
+    ASCII separators ``\\x1c-\\x1f``, which ``float`` refuses.
+    """
+    try:
+        if np.isfinite(np.array(cells, dtype=np.float64)).all():
+            return True
+    except ValueError:
+        pass
+    return all(_is_number(cell.strip()) for cell in cells)
+
+
 def _first_bad_cell(
     header: list[str],
     rows: list[list[str]],
@@ -219,16 +235,12 @@ def encode_categoricals(
 
     Columns named in ``skip`` are left untouched. Indicator columns are named
     ``"<col>=<level>"`` with levels in sorted order; no level is dropped.
+    Without a text column, ``header`` and ``rows`` are returned as they are.
     """
-    cat_cols = []
-    for j, name in enumerate(header):
-        if name in skip:
-            continue
-        col = [row[j].strip() for row in rows]
-        if any(not _is_number(c) for c in col):
-            cat_cols.append(j)
+    cat_cols = [j for j, name in enumerate(header)
+                if name not in skip and not _numeric_column([row[j] for row in rows])]
     if not cat_cols:
-        return list(header), [list(r) for r in rows]
+        return header, rows
 
     new_header: list[str] = []
     plan: list[tuple[int, list[str] | None]] = []

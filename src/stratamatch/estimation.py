@@ -30,7 +30,7 @@ from .errors import (
     NoCandidates,
     StrategyRequiresBinary,
 )
-from .matching import MatchProblem, select_candidates, solve_match
+from .matching import candidate_pool, select_candidates, solve_match
 from .regression import feature_weights
 from .tree import TreeModel, assign_leaf, build_tree
 
@@ -229,9 +229,10 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     """Match-form estimator: tree leaves stratify, one exact subset solve per
     treated unit picks its controls.
 
-    For each treated unit, the unit is routed to its leaf, the ``psi``
-    nearest leaf controls by weighted distance become candidates, and the
-    selected subset's mean outcome serves as the counterfactual. Units with
+    Each leaf's controls are prepared once as a candidate pool. For each
+    treated unit, the unit is routed to its leaf, the ``psi`` nearest pool
+    controls by weighted distance become candidates, and the selected
+    subset's mean outcome serves as the counterfactual. Units with
     no usable candidates are skipped and reported; if all units are skipped,
     estimation fails.
 
@@ -242,31 +243,33 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     fit = fit_pipeline(d, cfg)
     control, treated = fit.control, fit.treated
     pos_of_row = {int(r): i for i, r in enumerate(control.rows())}
+    by_leaf: dict[int, list[int]] = {}
+    for k, leaf_id in enumerate(fit.leaf_ids):
+        by_leaf.setdefault(leaf_id, []).append(k)
     records: list[IattRecord] = []
     skipped: list[SkipRecord] = []
-    for k, leaf_id in enumerate(fit.leaf_ids):
-        row = int(treated.rows()[k])
+    for leaf_id, units in by_leaf.items():
         try:
-            prob = select_candidates(
-                control, fit.tree.node(leaf_id).control_indices, treated.x[k], fit.weights,
-                cfg.psi, cfg.m2,
-            )
+            pool = candidate_pool(control, fit.tree.node(leaf_id).control_indices, fit.weights)
         except NoCandidates:
-            skipped.append(SkipRecord(treated_row=row, reason="no_candidates"))
+            skipped.extend(SkipRecord(treated_row=int(treated.rows()[k]), reason="no_candidates")
+                           for k in units)
             continue
-        sol = solve_match(prob, node_budget=cfg.solver_node_budget)
-        ys = control.y[[pos_of_row[r] for r in sol.selected_ids]]
-        records.append(IattRecord(
-            treated_row=row,
-            leaf=leaf_id,
-            iatt=float(treated.y[k] - np.mean(ys)),
-            matched_rows=tuple(int(r) for r in sol.selected_ids),
-            epsilon=sol.epsilon,
-            a=sol.a,
-            objective=sol.objective,
-            nodes=sol.stats.nodes,
-            suboptimal=sol.stats.suboptimal,
-        ))
+        for k in units:
+            prob = select_candidates(pool, treated.x[k], cfg.psi, cfg.m2)
+            sol = solve_match(prob, node_budget=cfg.solver_node_budget)
+            ys = control.y[[pos_of_row[r] for r in sol.selected_ids]]
+            records.append(IattRecord(
+                treated_row=int(treated.rows()[k]),
+                leaf=leaf_id,
+                iatt=float(treated.y[k] - np.mean(ys)),
+                matched_rows=tuple(int(r) for r in sol.selected_ids),
+                epsilon=sol.epsilon,
+                a=sol.a,
+                objective=sol.objective,
+                nodes=sol.stats.nodes,
+                suboptimal=sol.stats.suboptimal,
+            ))
 
     n_sub = sum(1 for r in records if r.suboptimal)
     if n_sub:

@@ -119,10 +119,14 @@ def feature_weights(d: Dataset) -> np.ndarray:
 
     Regresses the outcome on the normalized features of all units, treated
     and control together, and returns the absolute values of the slope
-    coefficients (intercept excluded). Degenerate all-zero weights are the
-    caller's concern; see the matcher's unit-weight fallback.
+    coefficients (intercept excluded). A constant outcome explains nothing,
+    so its weights are exact zeros, not the least-squares rounding noise.
+    Degenerate all-zero weights are the caller's concern; see the matcher's
+    unit-weight fallback.
     """
-    fit = ols_fit(d.x, d.y)
-    w = np.abs(fit.coefficients)
+    if d.n and np.all(d.y == d.y[0]):
+        w = np.zeros(d.p)
+    else:
+        w = np.abs(ols_fit(d.x, d.y).coefficients)
     w.setflags(write=False)
     return w

@@ -26,6 +26,23 @@ def control_only(x: np.ndarray, y: np.ndarray) -> Dataset:
     )
 
 
+def full_scan_shortlist(control: Dataset, leaf_indices, treated, weights, psi: int):
+    """The candidate ids and features of the ``psi`` nearest leaf controls,
+    from the weighted distance of every leaf row: the shortlist formula
+    without the partial-distance screen of ``select_candidates``."""
+    w = np.asarray(weights, dtype=np.float64)
+    if np.all(w == 0):
+        w = np.ones_like(w)
+    leaf_indices = np.asarray(leaf_indices)
+    diff = control.x[leaf_indices] - treated
+    dist = np.sqrt(np.sum(w * diff * diff, axis=1))
+    k = min(max(1, int(psi)), dist.size)
+    near = np.flatnonzero(dist <= dist[np.argpartition(dist, k - 1)[k - 1]])
+    order = near[np.argsort(dist[near], kind="stable")[:k]]
+    chosen = leaf_indices[order]
+    return control.rows()[chosen], control.x[chosen]
+
+
 def toy_dataset(seed: int = 0, n_treated: int = 8, n_control: int = 60, p: int = 3) -> Dataset:
     """Small mixed dataset with a piecewise-linear outcome and effect 1.0."""
     rng = np.random.default_rng(seed)

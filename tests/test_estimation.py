@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from stratamatch.estimation import (
     estimate_m5c_mf,
     estimate_naive,
     estimate_strategies,
+    fit_pipeline,
     naive_diff_in_means,
     robust_att_1to1,
     robust_att_1tok,
@@ -206,6 +209,19 @@ def test_default_matches_are_certified():
     rep = estimate_m5c_mf(generate_hyb20var(seed=7, n_treated=100, n_control=4900))
     assert rep.iatt
     assert not any(r.suboptimal for r in rep.iatt)
+
+
+def test_constant_outcome_weights_are_zero_and_fall_back_once_per_pool(caplog):
+    # least squares would leave rounding noise (about 1e-16) in these weights
+    d = generate_hyb20var(seed=7, n_treated=100, n_control=4900)
+    d = make_dataset(d.t, d.x, np.ones(d.n), d.feature_names)
+    fit = fit_pipeline(d, PipelineConfig())
+    assert fit.weights.tobytes() == np.zeros(d.p).tobytes()
+    with caplog.at_level(logging.WARNING, logger="stratamatch.matching"):
+        rep = estimate_m5c_mf(d, PipelineConfig())
+    fallbacks = [r for r in caplog.records if "falling back to unit weights" in r.message]
+    assert len(fallbacks) == len(set(fit.leaf_ids)) < len(rep.iatt)
+    assert rep.att == 0.0
 
 
 def test_m5c_mf_records_are_complete_and_sorted():

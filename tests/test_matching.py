@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from stratamatch import matching
+from stratamatch.bench import generate_hyb20var
+from stratamatch.config import PipelineConfig
+from stratamatch.estimation import fit_pipeline
 from stratamatch.errors import (
     EmptyInput,
     HierarchyBoundWarning,
@@ -14,6 +17,7 @@ from stratamatch.matching import (
     MatchProblem,
     _evaluate,
     _prep,
+    candidate_pool,
     hierarchy_m2_bound,
     select_candidates,
     solve_match,
@@ -21,7 +25,7 @@ from stratamatch.matching import (
     solve_match_lexicographic,
 )
 
-from conftest import control_only
+from conftest import control_only, full_scan_shortlist
 
 
 def _problem(treated, candidates, weights=None, **kw):
@@ -174,6 +178,40 @@ def test_lexicographic_search_has_no_depth_limit():
     sol = solve_match_lexicographic(_problem(0.5, cands))
     assert sol.selected == (1498, 1499)
     assert (sol.epsilon, sol.a) == (0.0, 2.0**-4)
+
+
+def _seed_offers_one_row_at_a_time(d, dv, wa, we, offer):
+    """The seed screen scoring the pairs ``(i, k)`` one row ``i`` at a time:
+    the reference for the blocked screen's offers and their order."""
+    n = dv.size
+
+    def pair_scores(i):
+        eps = np.abs(d[i + 1:] + d[i]).max(axis=1)
+        return wa * np.maximum(dv[i + 1:], dv[i]) + we * eps
+
+    single = wa * dv + we * dv
+    row_best = np.array([pair_scores(i).min() for i in range(n - 1)] + [np.inf])
+    best = float(min(single.min(), row_best.min()))
+    cut = best + 1e-9 * abs(best)
+    for i in np.flatnonzero(single <= cut).tolist():
+        offer((i,))
+    for i in np.flatnonzero(row_best <= cut).tolist():
+        for k in (np.flatnonzero(pair_scores(i) <= cut) + i + 1).tolist():
+            offer((i, k))
+
+
+@pytest.mark.parametrize("wa, we", [(1.0, 1e6), (1.0, 1.0), (0.0, 1.0)])
+def test_blocked_seed_screen_offers_as_one_row_at_a_time(wa, we):
+    rng = np.random.default_rng(3)
+    n, p = 300, 2
+    assert matching._PAIR_BLOCK // (n * p) < (n - 1) // 2  # three blocks or more
+    dyadic = rng.integers(-4, 5, size=(n, p)) / 8.0
+    for d in (dyadic, rng.uniform(-1, 1, (n, p)), np.abs(dyadic) + 0.125):
+        dv = np.abs(d).max(axis=1)
+        got, want = [], []
+        matching._seed_incumbent(d, dv, wa, we, got.append)
+        _seed_offers_one_row_at_a_time(d, dv, wa, we, want.append)
+        assert got == want
 
 
 # (selected_ids, nodes, suboptimal, objective.hex()) of the budgeted search on
@@ -399,7 +437,7 @@ def test_select_candidates_nearest_by_weighted_distance():
     control = _pool()
     treated = np.array([0.5, 0.5])
     w = np.array([1.0, 1.0])
-    prob = select_candidates(control, np.arange(control.n), treated, w, psi=5, m2=1e6)
+    prob = select_candidates(candidate_pool(control, np.arange(control.n), w), treated, psi=5, m2=1e6)
     assert prob.candidate_features.shape == (5, 2)
     d_all = np.sqrt((w * (control.x - treated) ** 2).sum(axis=1))
     chosen = sorted(prob.candidate_ids)
@@ -410,7 +448,7 @@ def test_select_candidates_nearest_by_weighted_distance():
 def test_select_candidates_psi_larger_than_pool():
     control = _pool(n=3)
     prob = select_candidates(
-        control, np.arange(3), np.array([0.5, 0.5]), np.ones(2), psi=20, m2=1e6
+        candidate_pool(control, np.arange(3), np.ones(2)), np.array([0.5, 0.5]), psi=20, m2=1e6
     )
     assert prob.candidate_features.shape[0] == 3
 
@@ -419,7 +457,7 @@ def test_select_candidates_empty_pool():
     control = _pool()
     with pytest.raises(NoCandidates):
         select_candidates(
-            control, np.array([], dtype=int), np.array([0.5, 0.5]), np.ones(2),
+            candidate_pool(control, np.array([], dtype=int), np.ones(2)), np.array([0.5, 0.5]),
             psi=5, m2=1e6,
         )
 
@@ -428,7 +466,7 @@ def test_select_candidates_zero_weights_fall_back(caplog):
     control = _pool()
     with caplog.at_level(logging.WARNING):
         prob = select_candidates(
-            control, np.arange(control.n), np.array([0.5, 0.5]), np.zeros(2),
+            candidate_pool(control, np.arange(control.n), np.zeros(2)), np.array([0.5, 0.5]),
             psi=5, m2=1e6,
         )
     assert any("weight" in r.message.lower() for r in caplog.records)
@@ -438,7 +476,8 @@ def test_select_candidates_zero_weights_fall_back(caplog):
 def test_matched_ids_map_to_rows():
     control = _pool()
     prob = select_candidates(
-        control, np.arange(control.n), np.array([0.5, 0.5]), np.ones(2), psi=6, m2=1e6
+        candidate_pool(control, np.arange(control.n), np.ones(2)), np.array([0.5, 0.5]),
+        psi=6, m2=1e6,
     )
     sol = solve_match(prob)
     assert set(sol.selected_ids).issubset(set(int(r) for r in control.rows()))
@@ -447,7 +486,7 @@ def test_matched_ids_map_to_rows():
 def test_select_candidates_psi_one_keeps_exact_twin():
     control = control_only(np.array([[0.5], [0.9]]), np.array([1.0, 2.0]))
     prob = select_candidates(
-        control, np.arange(2), np.array([0.5]), np.ones(1), psi=1, m2=1e6
+        candidate_pool(control, np.arange(2), np.ones(1)), np.array([0.5]), psi=1, m2=1e6
     )
     assert tuple(prob.candidate_ids) == (0,)
 
@@ -458,8 +497,23 @@ def test_select_candidates_ties_at_cutoff_keep_lower_positions_in_order():
     x = np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0], [2.0]])
     control = control_only(x, np.zeros(len(x)))
     for psi, want in ((3, (1, 4, 0)), (5, (1, 4, 0, 2, 3)), (7, (1, 4, 0, 2, 3, 5, 6))):
-        prob = select_candidates(control, np.arange(len(x)), np.array([0.0]), np.ones(1), psi=psi)
+        pool = candidate_pool(control, np.arange(len(x)), np.ones(1))
+        prob = select_candidates(pool, np.array([0.0]), psi=psi)
         assert tuple(prob.candidate_ids) == want
+
+
+@pytest.mark.parametrize("psi", [1, 20, 40])
+def test_shortlist_equals_full_scan_on_desk_data(psi):
+    d = generate_hyb20var(seed=7, n_treated=100, n_control=4900)
+    fit = fit_pipeline(d, PipelineConfig())
+    for leaf_id in sorted(set(fit.leaf_ids)):
+        leaf = fit.tree.node(leaf_id).control_indices
+        pool = candidate_pool(fit.control, leaf, fit.weights)
+        for k in np.flatnonzero(np.array(fit.leaf_ids) == leaf_id):
+            got = select_candidates(pool, fit.treated.x[k], psi=psi)
+            ids, feats = full_scan_shortlist(fit.control, leaf, fit.treated.x[k], fit.weights, psi)
+            assert got.candidate_ids.tolist() == ids.tolist()
+            assert got.candidate_features.tobytes() == feats.tobytes()
 
 
 def test_select_candidates_zero_weight_drops_a_feature():
@@ -468,10 +522,8 @@ def test_select_candidates_zero_weight_drops_a_feature():
         np.array([[0.1, 9.0], [0.3, 0.0]]), np.array([1.0, 2.0])
     )
     prob = select_candidates(
-        control,
-        np.arange(2),
+        candidate_pool(control, np.arange(2), np.array([4.0, 0.0])),
         np.array([0.0, 0.0]),
-        np.array([4.0, 0.0]),
         psi=1,
         m2=1e6,
     )

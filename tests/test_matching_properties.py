@@ -1,4 +1,5 @@
-"""Property checks of the subset solvers against full-enumeration oracles.
+"""Property checks of the subset solvers against full-enumeration oracles,
+and of the candidate shortlist against a full scan of the leaf.
 
 Coordinates are drawn mostly from a dyadic grid so that deviations tie and
 cancel exactly, candidates repeat, and weights include zeros: the inputs
@@ -13,10 +14,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from conftest import control_only, full_scan_shortlist  # noqa: E402
+
 from stratamatch.matching import (  # noqa: E402
     MatchProblem,
     _evaluate,
     _prep,
+    candidate_pool,
+    select_candidates,
     solve_match,
     solve_match_bruteforce,
     solve_match_lexicographic,
@@ -83,3 +88,39 @@ def test_lexicographic_solver_equals_enumeration(prob):
     eps, a, _, sel = _lexicographic_enumeration(prob)
     assert (got.selected, got.epsilon, got.a) == (sel, eps, a)
     assert got.objective == a + prob.m2 * eps
+
+
+@st.composite
+def leaves(draw):
+    """A control set, a leaf of it, a treated unit, weights and ``psi``.
+
+    Up to 8 features, so the screen (the 5 heaviest) often leaves some out.
+    Coordinates come from the dyadic grid, from [0, 1], or from a grid
+    value moved by one ulp, so distances tie or nearly tie after the sqrt.
+    """
+    p = draw(st.integers(1, 8))
+    nudged = st.builds(lambda g, up: float(np.nextafter(g, 2.0 if up else -1.0)),
+                       st.sampled_from(GRID), st.booleans())
+    coord = st.one_of(st.sampled_from(GRID), st.floats(0.0, 1.0), nudged)
+    vec = st.lists(coord, min_size=p, max_size=p)
+    distinct = draw(st.lists(vec, min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=60))
+    x = np.array([distinct[i] for i in picks])
+    leaf = draw(st.lists(st.integers(0, len(picks) - 1), min_size=1, max_size=len(picks),
+                         unique=True))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 50.0]),
+                                     min_size=p, max_size=p)))
+    scale = draw(st.sampled_from([1.0, 2.0**-60]))
+    psi = draw(st.one_of(st.just(1), st.integers(1, len(leaf) + 3)))
+    return control_only(x, np.zeros(len(picks))), np.array(leaf), np.array(draw(vec)), \
+        weights * scale, psi
+
+
+@CHECKS
+@given(leaves())
+def test_shortlist_equals_full_scan(case):
+    control, leaf, treated, weights, psi = case
+    got = select_candidates(candidate_pool(control, leaf, weights), treated, psi=psi)
+    ids, feats = full_scan_shortlist(control, leaf, treated, weights, psi)
+    assert got.candidate_ids.tolist() == ids.tolist()
+    assert got.candidate_features.tobytes() == feats.tobytes()
