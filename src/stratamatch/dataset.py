@@ -202,6 +202,16 @@ def _numeric_column(cells: list[str]) -> bool:
     return all(_is_number(cell.strip()) for cell in cells)
 
 
+def _finite_table(rows: list[list[str]]) -> np.ndarray | None:
+    """The rows as one float array, or ``None`` if a cell does not convert
+    or converts to a non-finite value."""
+    try:
+        table = np.array(rows, dtype=np.float64)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None
+
+
 def _first_bad_cell(
     header: list[str],
     rows: list[list[str]],
@@ -279,7 +289,9 @@ def load_dataset(
     feature. Cells must parse as finite numbers, with Python's ``float``
     grammar after surrounding whitespace is stripped; missing values are
     rejected rather than imputed. With ``encode=True``, non-numeric feature
-    columns are first expanded into one indicator column per level.
+    columns are first expanded into one indicator column per level; a table
+    whose every cell converts to a finite number has none, and is parsed
+    only once.
 
     The file is read in one csv pass, which skips blank and delimiter-only
     lines, and the kept rows are converted to floats in one numpy call. The
@@ -313,8 +325,13 @@ def load_dataset(
     for required in (treatment_col, outcome_col):
         if required not in header:
             raise NamedColumnAbsent(required, tuple(header))
+    table = None
     if encode:
-        header, rows = encode_categoricals(header, rows, skip=(treatment_col, outcome_col))
+        # one conversion of the whole table shows that no column is text; the
+        # per-column detection runs only when it fails or is not finite
+        table = _finite_table(rows)
+        if table is None:
+            header, rows = encode_categoricals(header, rows, skip=(treatment_col, outcome_col))
 
     t_idx = header.index(treatment_col)
     y_idx = header.index(outcome_col)
@@ -325,13 +342,14 @@ def load_dataset(
 
     # features before the outcome: the order in which bad cells are named
     numeric = feat_idx + [y_idx]
-    try:
-        table = np.array(rows, dtype=np.float64)
-    except ValueError:
-        _first_bad_cell(header, rows, lines, numeric, t_idx)
-        # str.strip also removes the ASCII separators \x1c-\x1f, which float()
-        # keeps; cells padded with them parse once stripped
-        table = np.array([[cell.strip() for cell in row] for row in rows], dtype=np.float64)
+    if table is None:
+        try:
+            table = np.array(rows, dtype=np.float64)
+        except ValueError:
+            _first_bad_cell(header, rows, lines, numeric, t_idx)
+            # str.strip also removes the ASCII separators \x1c-\x1f, which
+            # float() keeps; cells padded with them parse once stripped
+            table = np.array([[cell.strip() for cell in row] for row in rows], dtype=np.float64)
     t = table[:, t_idx]
     if not (np.isfinite(table).all() and ((t == 0.0) | (t == 1.0)).all()):
         _first_bad_cell(header, rows, lines, numeric, t_idx)

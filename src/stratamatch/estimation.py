@@ -230,8 +230,9 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     treated unit picks its controls.
 
     Each leaf's controls are prepared once as a candidate pool. For each
-    treated unit, the unit is routed to its leaf, the ``psi`` nearest pool
-    controls by weighted distance become candidates, and the selected
+    treated unit, the unit is routed to its leaf and the ``psi`` nearest pool
+    controls by weighted distance become candidates. Every unit's match
+    problem then goes to one :func:`solve_match` call, and each selected
     subset's mean outcome serves as the counterfactual. Units with
     no usable candidates are skipped and reported; if all units are skipped,
     estimation fails.
@@ -246,8 +247,9 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     by_leaf: dict[int, list[int]] = {}
     for k, leaf_id in enumerate(fit.leaf_ids):
         by_leaf.setdefault(leaf_id, []).append(k)
-    records: list[IattRecord] = []
     skipped: list[SkipRecord] = []
+    matched: list[tuple[int, int]] = []  # (leaf, treated position) per problem
+    problems = []
     for leaf_id, units in by_leaf.items():
         try:
             pool = candidate_pool(control, fit.tree.node(leaf_id).control_indices, fit.weights)
@@ -256,20 +258,22 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
                            for k in units)
             continue
         for k in units:
-            prob = select_candidates(pool, treated.x[k], cfg.psi, cfg.m2)
-            sol = solve_match(prob, node_budget=cfg.solver_node_budget)
-            ys = control.y[[pos_of_row[r] for r in sol.selected_ids]]
-            records.append(IattRecord(
-                treated_row=int(treated.rows()[k]),
-                leaf=leaf_id,
-                iatt=float(treated.y[k] - np.mean(ys)),
-                matched_rows=tuple(int(r) for r in sol.selected_ids),
-                epsilon=sol.epsilon,
-                a=sol.a,
-                objective=sol.objective,
-                nodes=sol.stats.nodes,
-                suboptimal=sol.stats.suboptimal,
-            ))
+            matched.append((leaf_id, k))
+            problems.append(select_candidates(pool, treated.x[k], cfg.psi, cfg.m2))
+    records: list[IattRecord] = []
+    for (leaf_id, k), sol in zip(matched, solve_match(problems, node_budget=cfg.solver_node_budget)):
+        ys = control.y[[pos_of_row[r] for r in sol.selected_ids]]
+        records.append(IattRecord(
+            treated_row=int(treated.rows()[k]),
+            leaf=leaf_id,
+            iatt=float(treated.y[k] - np.mean(ys)),
+            matched_rows=tuple(int(r) for r in sol.selected_ids),
+            epsilon=sol.epsilon,
+            a=sol.a,
+            objective=sol.objective,
+            nodes=sol.stats.nodes,
+            suboptimal=sol.stats.suboptimal,
+        ))
 
     n_sub = sum(1 for r in records if r.suboptimal)
     if n_sub:

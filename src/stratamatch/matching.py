@@ -1,4 +1,4 @@
-"""Exact balanced control selection for a single treated unit.
+"""Exact balanced control selection for treated units, one subset each.
 
 Each leaf's controls are prepared once as a candidate pool: the rows, their
 ids, the distance weights and a feature-major copy of the heaviest-weight
@@ -14,28 +14,34 @@ signed deviations from the treated unit (so opposite-side deviations
 cancel), and ``a`` caps every selected candidate's single largest weighted
 absolute deviation. The optimum is found by a level-synchronous
 (breadth-first) branch-and-bound over include/exclude decisions: the frontier
-of partial subsets is held as numpy arrays and decided one candidate at a
-time, every include child is scored as a complete subset, and states whose
-lower bound passes the incumbent are pruned. A frontier wider than a fixed
-cap is searched in depth-first chunks, so memory stays bounded for any pool
-size. The search is exhaustive unless a node budget (a cap on the frontier
-states expanded) is given. Set-up (deviations, suffix bounds) and incumbent
-seeding from all singletons and pairs, scored a block of rows at a time,
-also run in numpy. The same search, scored on ``eps`` alone and ranked on
-``(eps, a)``, gives the strictly hierarchical solution; an independent
-full-enumeration oracle is provided for cross-checking.
+of partial subsets is held as feature-major numpy arrays and decided one
+candidate at a time, largest total deviation first, every include child is
+scored as a complete subset, and states whose lower bound passes the
+incumbent are pruned. Up to ``_BATCH`` problems share one frontier, so the
+per-step call overhead is paid once for all of them; each problem still
+sees exactly the states, thresholds and budget it would see alone. A
+problem's frontier wider than a fixed cap is searched in depth-first chunks,
+so memory stays bounded for any pool size. The search is exhaustive unless
+a node budget (a cap on each problem's frontier states expanded) is given.
+Set-up (deviations, suffix bounds) and incumbent seeding from all singletons
+and pairs, scored a block of rows at a time, also run in numpy. Found
+subsets are re-scored in ascending candidate order, so the decision order
+changes no reported bit. The same search, scored on ``eps`` alone and
+ranked on ``(eps, a)``, gives the strictly hierarchical solution; an
+independent full-enumeration oracle is provided for cross-checking.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyInput, NoCandidates, OracleTooLarge
+from .errors import ConfigError, EmptyInput, NoCandidates, OracleTooLarge
 
 logger = logging.getLogger(__name__)
 
@@ -45,9 +51,13 @@ DEFAULT_NODE_BUDGET: int | None = None
 DELTA_PRECISION = 1e-9
 
 _ORACLE_MAX = 20
-# widest frontier solve_match expands in one step; a wider one is split into
-# chunks searched depth-first, which bounds memory but not the pool size
+# most states of one problem that _search expands in one step; a problem's
+# wider frontier is split into chunks searched depth-first, which bounds
+# memory but not the pool size
 _FRONTIER_MAX = 1 << 10
+# problems one run of _search solves together (16 ran faster than 50 or 200),
+# so a frontier holds at most 2 * _BATCH * _FRONTIER_MAX states
+_BATCH = 16
 # most floats the seed screen's pair block holds, as (rows, n, p)
 _PAIR_BLOCK = 1 << 16
 _EPS = 2.0**-52  # float64 machine epsilon
@@ -113,6 +123,11 @@ class MatchProblem:
 
 @dataclass(frozen=True)
 class SolverStats:
+    """How a solve ran. ``nodes`` counts the problem's own frontier states
+    expanded. ``time_s`` is the wall time of the solver run that produced the
+    solution: for :func:`solve_match` given a list, that of the whole group
+    of up to ``_BATCH`` problems solved together."""
+
     method: str
     nodes: int
     time_s: float
@@ -329,22 +344,18 @@ def _solution(prob: MatchProblem, inc: _Incumbent, stats: SolverStats) -> MatchS
 
 
 def _suffix_bounds(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature sums of the positive and of the negative deviations of
-    candidates ``k..n-1`` (row ``k``), accumulated from the last candidate
-    backwards; row ``n`` is zero."""
-    n, p = d.shape
-    spos = np.zeros((n + 1, p))
-    sneg = np.zeros((n + 1, p))
+    """Per-feature sums of the positive and of the negative deviations of rows
+    ``k..`` (row ``k``) of each problem in ``d`` (problems x rows x features),
+    accumulated from the last row backwards.
+
+    ``d`` is zero padded past each problem's last candidate, so the row after
+    it is zero, and the padding adds exact zeros: each suffix sum rounds like
+    a loop over that problem's candidates alone.
+    """
     # add.accumulate is sequential, so each suffix sum rounds like a loop
-    spos[:n] = np.add.accumulate(np.where(d > 0, d, 0.0)[::-1], axis=0)[::-1]
-    sneg[:n] = np.add.accumulate(np.where(d < 0, d, 0.0)[::-1], axis=0)[::-1]
+    spos = np.add.accumulate(np.where(d > 0, d, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    sneg = np.add.accumulate(np.where(d < 0, d, 0.0)[:, ::-1], axis=1)[:, ::-1]
     return spos, sneg
-
-
-def _min_suffix(dev: np.ndarray) -> np.ndarray:
-    out = np.full(dev.size + 1, np.inf)
-    out[:-1] = np.minimum.accumulate(dev[::-1])[::-1]
-    return out
 
 
 def _seed_incumbent(d: np.ndarray, dv: np.ndarray, wa: float, we: float, offer) -> None:
@@ -388,18 +399,28 @@ def _seed_incumbent(d: np.ndarray, dv: np.ndarray, wa: float, we: float, offer) 
 def _rounding_slack(we: float, n: int, dev: np.ndarray) -> float:
     """Absolute pruning margin that covers floating-point rounding.
 
-    A state's bound compares three computed signed sums per feature with
-    exact arithmetic: the state's prefix sum, the undecided candidates'
-    suffix total, and the completed subset's sum that :func:`_evaluate`
-    forms. Each adds at most ``n`` terms of size at most ``D = max(dev)``,
-    so each is within ``gamma_n * n * D ~ n**2 * u * D`` of its exact value
-    (``u = eps / 2``, Higham's ``gamma_n``), and adding the first two costs
-    one more rounding of size ``<= 2 * n * u * D``. A computed ``eps`` lower
-    bound therefore exceeds the computed ``eps`` of any completion by less
-    than ``5 * n**2 * u * D = 2.5 * n**2 * eps * D``. Scaling by the ``eps``
-    weight ``we`` and adding the weighted cap round by a few ``u`` relative
-    to the score, which the threshold's relative term ``1e-12 * |score|``
-    covers. ``3 * we * n**2 * eps * D`` is therefore safe. It is
+    Every signed sum the search or :func:`_evaluate` computes adds at most
+    ``n`` terms of size at most ``D = max(dev)``, in some order, so it is
+    within ``gamma_n * n * D ~ n**2 * u * D`` of its exact value (``u = eps /
+    2``, Higham's ``gamma_n``). That holds for the search's prefix sums,
+    added in decision order, for the suffix totals, and for the sums
+    :func:`_evaluate` adds in ascending position order; the two computed
+    sums of one subset therefore differ by at most ``n**2 * eps * D``.
+
+    Caps are exact, so a subset's computed score ``wa*a + we*eps`` is within
+    ``T = we * n**2 * u * D`` of its exact score. Let ``S`` be the smallest
+    exact score over all subsets. Every computed score, hence the best one,
+    is at least ``S - T``. The optimum under :func:`_evaluate` scores at
+    most ``S + T`` there, so its exact score is at most ``S + 2T`` and its
+    score in the search at most ``S + 3T``, within ``4T`` of the best: the
+    found filter keeps it. A state on its path has a computed bound of at
+    most its exact bound, itself at most ``S + 2T``, plus the prefix and
+    suffix errors (``2T``) and one more rounding of size ``<= 2 * we * n *
+    u * D`` for adding them. That exceeds the best by at most ``(2.5 *
+    n**2 + n) * we * eps * D <= 3 * we * n**2 * eps * D`` for ``n >= 2``
+    (one candidate's sums are exact). Forming the score rounds by a few
+    ``u`` relative to it, which the threshold's relative term ``1e-12 *
+    |score|`` covers. ``3 * we * n**2 * eps * D`` is therefore safe. It is
     proportional to the weights, so a problem whose weights are multiplied
     by a power of two is searched through exactly the same states.
     """
@@ -407,159 +428,260 @@ def _rounding_slack(we: float, n: int, dev: np.ndarray) -> float:
 
 
 def _take(trail, index):
-    """The trail of the frontier states picked by ``index``. The root
-    frontier, whose trail is ``None``, holds one state and is never cut."""
+    """The trail of the frontier states picked by ``index``. A root frontier
+    has no trail (``None``)."""
+    if trail is None:
+        return None
     parent, flag, k, up = trail
     return parent[index], flag[index], k, up
 
 
-def _included(trail, j: int) -> tuple[int, ...]:
-    """Positions included by state ``j`` of the frontier with this trail,
-    ascending."""
+def _included(trail, j: int, g: int) -> list[int]:
+    """Decision positions that state ``j`` of the frontier with this trail
+    included, from the last decision back; ``g`` is the state's problem."""
     out = []
     while trail is not None:
         parent, flag, k, trail = trail
         if flag[j]:
-            out.append(k)
+            out.append(int(k[g]))
         j = parent[j]
-    return tuple(reversed(out))
+    return out
+
+
+def _pick(sums: np.ndarray, caps: np.ndarray, g: np.ndarray, trail, index: np.ndarray):
+    """The frontier states picked by ``index``: sums, caps, problems, trail."""
+    return np.take(sums, index, axis=1), caps[index], g[index], _take(trail, index)
+
+
+def _rank_in_problem(g: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Each state's position among the frontier states of its own problem
+    ``g``, in frontier order; ``width`` counts the states per problem."""
+    order = np.argsort(g, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(g.size) - np.repeat(np.cumsum(width) - width, width)
+    return rank
 
 
 def _search(
-    prob: MatchProblem, wa: float, we: float, rank, node_budget: int | None,
-) -> tuple[_Incumbent, int, bool]:
-    """Level-synchronous branch-and-bound on the score ``wa*a + we*eps``.
+    probs: list[MatchProblem], wa: float, we: list[float], ranks: list, node_budget: int | None,
+) -> list[tuple[_Incumbent, int, bool]]:
+    """Level-synchronous branch-and-bound on the score ``wa*a + we*eps``, for
+    several problems at once.
 
-    Returns the incumbent under ``rank``, the frontier states expanded and
-    whether ``node_budget`` stopped the search. ``rank`` orders subsets by
-    the score first.
+    Returns, per problem, the incumbent under its ``rank``, the frontier
+    states expanded and whether ``node_budget`` stopped its search. ``we``
+    and ``rank`` are given per problem; each ``rank`` orders subsets by the
+    score first.
 
-    Include/exclude decisions are made in candidate order. The frontier of
-    partial subsets that decided candidates ``0..k-1`` is held as arrays:
-    each state's running signed sums (one row per state, added in ascending
-    position order exactly as :func:`_evaluate` adds them) and its running
-    cap (``-inf`` while nothing is included). Deciding candidate ``k`` forms
-    every state's include and exclude child with one concatenation. Each
-    include child is also a complete subset (the undecided candidates left
-    out); all of them are scored at once and the best score lowers the
-    pruning threshold.
+    Each problem decides its candidates in descending order of the sum of
+    their absolute weighted deviations (stable, so ties keep the lower
+    position): the candidates that move the sums most are decided first,
+    which tightens the suffix bounds early. The frontier of partial subsets
+    is held as arrays: each state's problem, its running signed sums
+    (feature-major, one column per state, added in decision order) and its
+    running cap (``-inf`` while nothing is included). Deciding the next
+    candidate of every state's problem forms all include and exclude
+    children with one concatenation. Each include child is also a complete
+    subset (the undecided candidates left out); all of them are scored at
+    once, and each problem's best score lowers its own pruning threshold.
+    Bounds, deviations, thresholds and slacks are gathered per state from
+    zero-padded per-problem tables, so problems with different candidate
+    counts or feature counts share a frontier.
 
-    A state is pruned when its lower bound passes the threshold: the cap can
-    only grow from the included candidates' largest deviation (or from the
-    smallest undecided one while nothing is included), and each feature's
-    final signed sum is confined to the interval spanned by the undecided
-    candidates' positive and negative deviations. The threshold starts from
-    the best singleton or pair of a numpy screen, and its margin covers the
-    rounding of the bound (see :func:`_rounding_slack`). Subsets scoring
-    within the margin of the best are re-scored through :func:`_evaluate`
-    and offered under ``rank`` at the end.
+    A state is pruned when its lower bound passes its problem's threshold:
+    the cap can only grow from the included candidates' largest deviation
+    (or from the smallest undecided one while nothing is included), and
+    each feature's final signed sum is confined to the interval spanned by
+    the undecided candidates' positive and negative deviations. The
+    threshold starts from the best singleton or pair of a numpy screen, and
+    its margin covers the rounding of the bound and of the decision order
+    (see :func:`_rounding_slack`). Subsets scoring within the margin of the
+    best are mapped back to their candidate positions, sorted, re-scored
+    through :func:`_evaluate` and offered under ``rank`` at the end, so the
+    reported ``eps`` and ``a`` add in ascending position order whatever the
+    decision order.
 
     A state records only its parent's index in the previous frontier and
-    whether it included the candidate, so any pool size works. A frontier
-    wider than a fixed cap is split into chunks searched depth-first one
-    after another, which bounds memory and leaves the result unchanged.
+    whether it included the candidate, so any pool size works. A problem
+    whose frontier is wider than ``_FRONTIER_MAX`` has it split into chunks
+    searched depth-first one after another, and frontier ``i`` holds chunk
+    ``i`` of every such problem. Each problem therefore sees exactly the
+    states, thresholds and node budget it would see alone: its states keep
+    their order within every frontier, a frontier holds at most one of its
+    chunks, and the chunks are popped in the order a search of that problem
+    alone pops them. The node budget is per problem, and truncates that
+    problem's states in frontier order.
     """
-    d, dv = _deviations(prob)
-    n, p = d.shape
-    inc = _Incumbent(rank, d.tolist(), dv.tolist(), prob.candidate_ids.tolist())
-    _seed_incumbent(d, dv, wa, we, inc.offer)
+    G = len(probs)
+    n = np.array([prob.n_candidates for prob in probs])
+    N = int(n.max()) + 1
+    P = max(prob.p for prob in probs)
+    we = np.asarray(we, dtype=np.float64)
+    # each problem's deviations in decision order, zero padded to N x P, and
+    # its deviation caps, padded with inf
+    dpad = np.zeros((G, N, P))
+    dvpad = np.full((G, N), np.inf)
+    slack = np.empty(G)
+    best = np.empty(G)
+    incs, orders = [], []
+    for g, prob in enumerate(probs):
+        d, dv = _deviations(prob)
+        inc = _Incumbent(ranks[g], d.tolist(), dv.tolist(), prob.candidate_ids.tolist())
+        _seed_incumbent(d, dv, wa, float(we[g]), inc.offer)
+        order = np.argsort(-np.abs(d).sum(axis=1), kind="stable")
+        dpad[g, :d.shape[0], :d.shape[1]] = d[order]
+        dvpad[g, :dv.size] = dv[order]
+        slack[g] = _rounding_slack(we[g], dv.size, dv)
+        best[g] = wa * inc.a + we[g] * inc.eps
+        incs.append(inc)
+        orders.append(order)
 
-    spos, sneg = _suffix_bounds(d)
-    min_dev = _min_suffix(dv)
-    slack = _rounding_slack(we, n, dv)
-    limit = float("inf") if node_budget is None else node_budget
-    best = wa * inc.a + we * inc.eps
-    thr = best + slack + 1e-12 * abs(best)
-    # (trail, positions in the expanded frontier, candidate k, scores) of the
-    # include children that scored within the threshold
+    def columns(a: np.ndarray) -> np.ndarray:
+        # feature-major: column g * N + k holds row k of problem g
+        return np.ascontiguousarray(a.reshape(G * N, P).T)
+
+    spos, sneg = (columns(s) for s in _suffix_bounds(dpad))
+    dcols = columns(dpad)
+    dev = dvpad.reshape(-1)
+    min_dev = np.minimum.accumulate(dvpad[:, ::-1], axis=1)[:, ::-1].reshape(-1)
+    base = np.arange(G) * N
+    thr = best + slack + 1e-12 * np.abs(best)
+    limit = np.iinfo(np.int64).max if node_budget is None else node_budget
+    nodes = np.zeros(G, dtype=np.int64)
+    stopped = np.zeros(G, dtype=bool)
+    # (trail, positions in the expanded frontier, their problems, k, scores)
+    # of the include children that scored within their threshold
     found = []
-    nodes = 0
-    budget_hit = False
-    # a frontier: next candidate k, sums, caps and its trail, which is
-    # (parent index per state, include flag per state, k - 1, parent trail).
+    # a frontier: next candidate k per problem, sums (features x states),
+    # caps, the problem g of each state, and its trail, which is (parent index
+    # per state, include flag per state, the parent frontier's k, parent
+    # trail).
     # A seed with a = 0 is final: only candidates with dev 0 reach it, every
     # set of them scores 0 on both eps and a, and the seed has offered each
     # of them alone, which beats every larger set of them on the id
     # tie-break. Exact twins of the treated unit would otherwise tie on all
     # 2**z subsets. An eps = 0 seed with a > 0 is not final when a does not
     # enter the score.
-    stack = [(0, np.zeros((1, p)), np.full(1, -np.inf), None)] if inc.a > 0.0 else []
+    roots = np.array([g for g, inc in enumerate(incs) if inc.a > 0.0], dtype=np.int64)
+    stack = []
+    if roots.size:
+        stack.append((np.zeros(G, dtype=np.int64), np.zeros((P, roots.size)),
+                      np.full(roots.size, -np.inf), roots, None))
     while stack:
-        k, sums, caps, trail = stack.pop()
+        k, sums, caps, g, trail = stack.pop()
         # prune the states whose every completion scores above the threshold
-        lo = sums + sneg[k]
-        hi = sums + spos[k]
+        col = (base + k)[g]
+        lo = sums + np.take(sneg, col, axis=1)
+        hi = sums + np.take(spos, col, axis=1)
         np.negative(hi, out=hi)
         np.maximum(lo, hi, out=lo)
-        eps_lb = np.maximum(lo.max(axis=1), 0.0)
-        a_lb = np.where(caps < 0.0, min_dev[k], caps)
-        keep = np.flatnonzero(wa * a_lb + we * eps_lb <= thr)
-        width = keep.size
-        if width < caps.size:
-            sums, caps, trail = sums[keep], caps[keep], _take(trail, keep)
-        if width > _FRONTIER_MAX:
-            # search the first chunk to the end before the next one starts
-            for c in reversed(range(0, width, _FRONTIER_MAX)):
-                part = slice(c, c + _FRONTIER_MAX)
-                stack.append((k, sums[part], caps[part], _take(trail, part)))
+        eps_lb = np.maximum(lo.max(axis=0), 0.0)
+        a_lb = np.where(caps < 0.0, min_dev[col], caps)
+        keep = wa * a_lb + we[g] * eps_lb <= thr[g]
+        if not keep.all():
+            sums, caps, g, trail = _pick(sums, caps, g, trail, np.flatnonzero(keep))
+        if not g.size:
             continue
-        if nodes + width > limit:
-            budget_hit = True
-            width = int(limit - nodes)
-            sums, caps = sums[:width], caps[:width]
+        width = np.bincount(g, minlength=G)
+        room = limit - nodes
+        # without a budget, a frontier of at most _FRONTIER_MAX states needs
+        # neither check
+        if (g.size > _FRONTIER_MAX or node_budget is not None) and (
+                width.max() > _FRONTIER_MAX or (width > room).any()):
+            rank = _rank_in_problem(g, width)
+            if width.max() > _FRONTIER_MAX:
+                # expand each problem's first chunk now and search it to the
+                # end before its next chunk starts
+                chunk = rank // _FRONTIER_MAX
+                for c in range(int(chunk.max()), 0, -1):
+                    stack.append((k, *_pick(sums, caps, g, trail, np.flatnonzero(chunk == c))))
+                width = np.minimum(width, _FRONTIER_MAX)
+            # a stopped problem has no room left, so none of its states that
+            # wait in other chunks is expanded
+            stopped |= width > room
+            width = np.minimum(width, room)
+            sums, caps, g, trail = _pick(sums, caps, g, trail, np.flatnonzero(rank < width[g]))
         nodes += width
-        if width:
-            in_sums = sums + d[k]
-            in_caps = np.maximum(caps, dv[k])
-            score = wa * in_caps + we * np.abs(in_sums).max(axis=1)
-            low = float(score.min())
-            if low < best:
-                best = low
-                thr = best + slack + 1e-12 * abs(best)
-            hit = np.flatnonzero(score <= thr)
-            if hit.size:
-                found.append((trail, hit, k, score[hit]))
-            if k + 1 < n and not budget_hit:
-                r = np.arange(width)
-                stack.append((k + 1, np.concatenate((in_sums, sums)),
-                              np.concatenate((in_caps, caps)),
-                              (np.concatenate((r, r)), np.arange(2 * width) < width, k, trail)))
-        if budget_hit:
-            break
+        if not g.size:
+            continue
+        col = (base + k)[g]
+        in_sums = sums + np.take(dcols, col, axis=1)
+        in_caps = np.maximum(caps, dev[col])
+        score = wa * in_caps + we[g] * np.abs(in_sums).max(axis=0)
+        if (score < best[g]).any():
+            np.minimum.at(best, g, score)
+            thr = best + slack + 1e-12 * np.abs(best)
+        hit = np.flatnonzero(score <= thr[g])
+        if hit.size:
+            found.append((trail, hit, g[hit], k, score[hit]))
+        # only problems with undecided candidates, and not stopped, go on
+        more = ((k + 1 < n) & ~stopped)[g]
+        if not more.all():
+            keep = np.flatnonzero(more)
+            in_sums, in_caps = np.take(in_sums, keep, axis=1), in_caps[keep]
+            sums, caps, g, trail = _pick(sums, caps, g, trail, keep)
+        if g.size:
+            r = np.arange(g.size)
+            stack.append((k + 1, np.concatenate((in_sums, sums), axis=1),
+                          np.concatenate((in_caps, caps)), np.concatenate((g, g)),
+                          (np.concatenate((r, r)), np.arange(2 * g.size) < g.size, k, trail)))
 
-    for trail, hit, k, score in found:
-        for j in hit[score <= thr].tolist():
-            inc.offer(_included(trail, j) + (k,))
-    return inc, nodes, budget_hit
+    for trail, hit, gh, k, score in found:
+        ok = score <= thr[gh]
+        for j, g in zip(hit[ok].tolist(), gh[ok].tolist()):
+            picked = orders[g][_included(trail, j, g) + [int(k[g])]]
+            incs[g].offer(tuple(sorted(picked.tolist())))
+    return [(inc, int(c), bool(s)) for inc, c, s in zip(incs, nodes, stopped)]
 
 
-def solve_match(prob: MatchProblem, node_budget: int | None = None) -> MatchSolution:
+def solve_match(
+    problems: MatchProblem | Sequence[MatchProblem], node_budget: int | None = None,
+) -> MatchSolution | list[MatchSolution]:
     """Exact minimizer of ``a + m2 * eps`` over non-empty candidate subsets.
 
-    Runs the branch-and-bound of :func:`_search` on that score; objective
-    ties resolve to the lexicographically smallest selected original-index
-    set. ``stats.nodes`` counts the frontier states expanded. With a
-    ``node_budget``, search stops after expanding exactly that many states
-    and the best subset scored so far is returned flagged as possibly
-    suboptimal (and logged); with the default ``None`` the search is
-    exhaustive, hence exact.
+    Takes one :class:`MatchProblem` and returns its :class:`MatchSolution`,
+    or a sequence of problems and returns their solutions as a list in the
+    same order. Consecutive groups of at most ``_BATCH`` problems share one
+    run of the branch-and-bound of :func:`_search`, which saves per-step
+    call overhead; each problem's result, ``stats.nodes`` included, equals
+    that of solving it alone.
+
+    Objective ties resolve to the lexicographically smallest selected
+    original-index set. ``stats.nodes`` counts the problem's frontier states
+    expanded. With a ``node_budget``, each problem's search stops after
+    expanding exactly that many of its states, and the best subset scored
+    so far is returned flagged as possibly suboptimal (and logged); with
+    the default ``None`` the search is exhaustive, hence exact.
+
+    Raises:
+        TypeError: if an item of the sequence is not a :class:`MatchProblem`.
+        ConfigError: if ``node_budget`` is negative.
     """
-    t0 = time.perf_counter()
-    inc, nodes, budget_hit = _search(prob, 1.0, prob.m2, _by_objective(prob.m2), node_budget)
-    if budget_hit:
-        # per-solve noise stays at debug; callers aggregate via stats.suboptimal
-        logger.debug(
-            "match solver stopped at node budget %d; returning best incumbent (possibly suboptimal)",
-            node_budget,
-        )
-    stats = SolverStats(
-        method="subset-bb",
-        nodes=nodes,
-        time_s=time.perf_counter() - t0,
-        suboptimal=budget_hit,
-        node_budget=node_budget,
-    )
-    return _solution(prob, inc, stats)
+    if node_budget is not None and node_budget < 0:
+        raise ConfigError(f"node_budget must be None or at least 0 (got {node_budget})")
+    if isinstance(problems, MatchProblem):
+        return solve_match([problems], node_budget)[0]
+    probs = list(problems)
+    for prob in probs:
+        if not isinstance(prob, MatchProblem):
+            raise TypeError(f"solve_match takes MatchProblem instances, not {type(prob).__name__}")
+    out = []
+    for start in range(0, len(probs), _BATCH):
+        group = probs[start:start + _BATCH]
+        t0 = time.perf_counter()
+        results = _search(group, 1.0, [prob.m2 for prob in group],
+                          [_by_objective(prob.m2) for prob in group], node_budget)
+        elapsed = time.perf_counter() - t0
+        for prob, (inc, nodes, budget_hit) in zip(group, results):
+            if budget_hit:
+                # per-solve noise stays at debug; callers aggregate via stats.suboptimal
+                logger.debug(
+                    "match solver stopped at node budget %d; returning best incumbent "
+                    "(possibly suboptimal)", node_budget,
+                )
+            stats = SolverStats("subset-bb", nodes, elapsed, budget_hit, node_budget)
+            out.append(_solution(prob, inc, stats))
+    return out
 
 
 def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
@@ -626,5 +748,5 @@ def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:
     :func:`hierarchy_m2_bound` the two agree on ``eps``.
     """
     t0 = time.perf_counter()
-    inc, nodes, _ = _search(prob, 0.0, 1.0, lambda eps, a, ids: (eps, a, ids), None)
+    [(inc, nodes, _)] = _search([prob], 0.0, [1.0], [lambda eps, a, ids: (eps, a, ids)], None)
     return _solution(prob, inc, SolverStats("lexicographic", nodes, time.perf_counter() - t0))

@@ -43,6 +43,12 @@ def full_scan_shortlist(control: Dataset, leaf_indices, treated, weights, psi: i
     return control.rows()[chosen], control.x[chosen]
 
 
+def solution_bits(sol):
+    """Everything a solve reports but its time, with floats as bits."""
+    return (sol.selected, sol.selected_ids, sol.epsilon.hex(), sol.a.hex(), sol.objective.hex(),
+            sol.stats.nodes, sol.stats.suboptimal)
+
+
 def toy_dataset(seed: int = 0, n_treated: int = 8, n_control: int = 60, p: int = 3) -> Dataset:
     """Small mixed dataset with a piecewise-linear outcome and effect 1.0."""
     rng = np.random.default_rng(seed)

@@ -211,6 +211,21 @@ def test_load_dataset_success_path_does_no_per_cell_work(tmp_path, monkeypatch):
     np.testing.assert_array_equal(d.x, [[1, 2], [3, 4], [5, 6]])
 
 
+def test_load_dataset_encode_without_text_columns_skips_column_detection(tmp_path, monkeypatch):
+    # the whole-table conversion shows every column numeric, so no column is
+    # tested on its own and the table is the one the plain load builds
+    def _refuse(cells):
+        raise AssertionError("per-column detection on an all-numeric table")
+
+    p = _write(tmp_path, "t,y,a,b\n0,1.5,1,2\n\n1,2.5,3,4\n0,0.5,5,6\n")
+    want = load_dataset(p, treatment_col="t", outcome_col="y", encode=False)
+    monkeypatch.setattr(dataset, "_numeric_column", _refuse)
+    got = load_dataset(p, treatment_col="t", outcome_col="y", encode=True)
+    assert got.feature_names == want.feature_names
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    np.testing.assert_array_equal(got.t, want.t)
+
+
 def test_load_dataset_rejects_repeated_column(tmp_path):
     p = _write(tmp_path, "t,y, y\n0,1,2\n1,3,4\n")
     with pytest.raises(MalformedInput, match="'y'"):

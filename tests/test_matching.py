@@ -8,6 +8,7 @@ from stratamatch.bench import generate_hyb20var
 from stratamatch.config import PipelineConfig
 from stratamatch.estimation import fit_pipeline
 from stratamatch.errors import (
+    ConfigError,
     EmptyInput,
     HierarchyBoundWarning,
     NoCandidates,
@@ -25,7 +26,7 @@ from stratamatch.matching import (
     solve_match_lexicographic,
 )
 
-from conftest import control_only, full_scan_shortlist
+from conftest import control_only, full_scan_shortlist, solution_bits
 
 
 def _problem(treated, candidates, weights=None, **kw):
@@ -218,31 +219,31 @@ def test_blocked_seed_screen_offers_as_one_row_at_a_time(wa, we):
 # _pinned_problem(seed): any change to expansion order, pruning or tie-breaks
 # shows here. Every entry not flagged suboptimal is the exhaustive optimum.
 PINNED_BUDGETED = [
-    ((230, 372, 259, 388, 67, 18, 156, 398), 1000, True, "0x1.79a1d6bc2f4b7p+17"),
-    ((179,), 108, False, "0x1.aff7086a47d8dp+20"),
-    ((241,), 1000, True, "0x1.1612201c82fcap+20"),
-    ((26, 14, 376, 254), 1000, True, "0x1.23f37fae1d52ep+18"),
-    ((207,), 274, False, "0x1.b7042cb966fd3p+19"),
-    ((65,), 250, False, "0x1.a491161908401p+19"),
-    ((90, 103, 231, 379), 1000, True, "0x1.a199ea43209c0p+18"),
-    ((223,), 1000, True, "0x1.0e3063bbe3b78p+14"),
-    ((159,), 141, False, "0x1.75f42133077f5p+18"),
-    ((83,), 98, False, "0x1.6a266f1b7637ep+20"),
-    ((303,), 96, False, "0x1.473784f0a8628p+19"),
-    ((333, 282), 483, False, "0x1.e109e151c6dd6p+17"),
-    ((96,), 213, False, "0x1.3d70df503664fp+20"),
-    ((186, 197, 263), 634, False, "0x1.57c44f4642050p+17"),
-    ((365, 107), 242, False, "0x1.e844379386279p+19"),
-    ((320,), 95, False, "0x1.f07eb5319f81bp+19"),
-    ((147,), 791, False, "0x1.febf05d48f326p+19"),
-    ((184,), 155, False, "0x1.7cdf2aec58975p+20"),
-    ((46,), 784, False, "0x1.f18ec031c9cd5p+20"),
-    ((30, 147), 1000, True, "0x1.2a7357ca597d3p+18"),
+    ((388, 18), 1000, True, "0x1.eb036092bbd87p+17"),
+    ((179,), 27, False, "0x1.aff7086a47d8dp+20"),
+    ((241,), 648, False, "0x1.1612201c82fcap+20"),
+    ((254, 40, 185, 174), 1000, True, "0x1.e5e7d94dc82e1p+18"),
+    ((207,), 108, False, "0x1.b7042cb966fd3p+19"),
+    ((65,), 58, False, "0x1.a491161908401p+19"),
+    ((90, 198), 1000, True, "0x1.c3d41ab3cc84bp+18"),
+    ((231, 93, 63, 353, 11, 184, 336), 1000, True, "0x1.1ea2a17ced5d4p+13"),
+    ((159,), 58, False, "0x1.75f42133077f5p+18"),
+    ((83,), 127, False, "0x1.6a266f1b7637ep+20"),
+    ((303,), 54, False, "0x1.473784f0a8628p+19"),
+    ((333, 282), 407, False, "0x1.e109e151c6dd6p+17"),
+    ((96,), 69, False, "0x1.3d70df503664fp+20"),
+    ((186, 197, 263), 169, False, "0x1.57c44f4642050p+17"),
+    ((365, 107), 105, False, "0x1.e844379386279p+19"),
+    ((320,), 52, False, "0x1.f07eb5319f81bp+19"),
+    ((147,), 588, False, "0x1.febf05d48f326p+19"),
+    ((184,), 46, False, "0x1.7cdf2aec58975p+20"),
+    ((46,), 457, False, "0x1.f18ec031c9cd5p+20"),
+    ((30, 44, 395, 147, 108), 1000, True, "0x1.0829c905485a8p+18"),
     # m2 = 1: the cap alone can pass the incumbent
-    ((373,), 111, False, "0x1.81e54cff47428p+1"),
+    ((373,), 74, False, "0x1.81e54cff47428p+1"),
     ((171,), 20, False, "0x1.4db9582230f3cp-2"),
-    ((216,), 123, False, "0x1.29bf3ff4afb46p+1"),
-    ((190,), 258, False, "0x1.400b18570858ep+0"),
+    ((216,), 24, False, "0x1.29bf3ff4afb46p+1"),
+    ((190,), 25, False, "0x1.400b18570858ep+0"),
 ]
 
 
@@ -263,9 +264,14 @@ def _pinned_problem(seed):
 
 @pytest.mark.parametrize("seed", range(len(PINNED_BUDGETED)))
 def test_budgeted_search_order_is_pinned(seed):
-    sol = solve_match(_pinned_problem(seed), node_budget=1000)
+    prob = _pinned_problem(seed)
+    sol = solve_match(prob, node_budget=1000)
     got = (sol.selected_ids, sol.stats.nodes, sol.stats.suboptimal, sol.objective.hex())
     assert got == PINNED_BUDGETED[seed]
+    if not sol.stats.suboptimal:
+        # a certified entry is the exhaustive optimum, whatever the search order
+        full = solve_match(prob)
+        assert (sol.selected_ids, sol.objective.hex()) == (full.selected_ids, full.objective.hex())
 
 
 def test_search_does_not_depend_on_the_weight_scale():
@@ -333,17 +339,65 @@ def test_frontier_cap_does_not_change_results(monkeypatch, cap):
     pinned = [_pinned_problem(seed) for seed in range(len(PINNED_BUDGETED))]
     probs = pinned + [_milp_instance(psi, seed) for psi in MILP_PSI for seed in range(2)]
 
-    def results():
-        sols = [solve_match(prob) for prob in probs]
+    def results(batched):
+        sols = solve_match(probs) if batched else [solve_match(prob) for prob in probs]
         assert not any(sol.stats.suboptimal for sol in sols)
         sols += [solve_match_lexicographic(prob) for prob in pinned]
         return [(sol.selected_ids, sol.objective.hex(), sol.epsilon.hex(), sol.a.hex())
                 for sol in sols]
 
     monkeypatch.setattr(matching, "_FRONTIER_MAX", 1 << 62)
-    want = results()
+    want = results(False)
     monkeypatch.setattr(matching, "_FRONTIER_MAX", cap)
-    assert results() == want
+    assert results(False) == want
+    # one list: chunk i of every problem shares frontier i
+    assert results(True) == want
+    # a budget stops each problem after exactly its own count of states,
+    # also when chunks of it still wait
+    budgeted = [solution_bits(sol) for sol in solve_match(probs, node_budget=300)]
+    assert budgeted == [solution_bits(solve_match(prob, node_budget=300)) for prob in probs]
+    assert all(out[5] == 300 for out in budgeted if out[6])
+
+
+def test_solve_match_takes_a_list():
+    assert solve_match([]) == []
+    with pytest.raises(TypeError):
+        solve_match([_problem(**WORKED), "not a problem"])
+    with pytest.raises(ConfigError):
+        solve_match(_problem(**WORKED), node_budget=-1)
+    rng = np.random.default_rng(5)
+    twin = np.array([0.5, 0.25])
+    probs = [
+        _problem(**WORKED),
+        # an exact twin ends its search at the seed, with no state expanded
+        _problem(twin, np.vstack([rng.uniform(0, 1, (6, 2)), twin]), [1.0, 3.0]),
+        _milp_instance(24, 0),
+        _pinned_problem(0),  # 1000 states do not certify it
+        _problem(rng.uniform(0, 1, 7), rng.uniform(0, 1, (3, 7)), m2=1.0),
+    ]
+    probs = probs * 4  # more than one group of _BATCH problems
+    assert len(probs) > matching._BATCH
+    for budget in (None, 1000):
+        sols = solve_match(probs, node_budget=budget)
+        assert [solution_bits(sol) for sol in sols] == [
+            solution_bits(solve_match(prob, node_budget=budget)) for prob in probs]
+        assert sols[1].stats.nodes == 0
+        assert sols[3].stats.suboptimal == (budget is not None)
+        # a group's problems share its wall time
+        assert len({sol.stats.time_s for sol in sols[:matching._BATCH]}) == 1
+
+
+def test_batched_solve_equals_unit_solves_on_desk_data():
+    d = generate_hyb20var(seed=7, n_treated=100, n_control=4900)
+    fit = fit_pipeline(d, PipelineConfig())
+    probs = []
+    for leaf_id in sorted(set(fit.leaf_ids)):
+        pool = candidate_pool(fit.control, fit.tree.node(leaf_id).control_indices, fit.weights)
+        probs += [select_candidates(pool, fit.treated.x[k])
+                  for k in np.flatnonzero(np.array(fit.leaf_ids) == leaf_id)]
+    assert len(probs) == 100
+    got = [solution_bits(sol) for sol in solve_match(probs)]
+    assert got == [solution_bits(solve_match(prob)) for prob in probs]
 
 
 def _milp_objective(prob):

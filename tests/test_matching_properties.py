@@ -14,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import control_only, full_scan_shortlist  # noqa: E402
+from conftest import control_only, full_scan_shortlist, solution_bits  # noqa: E402
 
 from stratamatch.matching import (  # noqa: E402
     MatchProblem,
@@ -70,6 +70,16 @@ def test_budgeted_solver_returns_a_valid_incumbent(prob, budget):
     assert got.selected and list(got.selected) == sorted(set(got.selected))
     assert got.objective == got.a + prob.m2 * got.epsilon
     assert got.objective >= solve_match_bruteforce(prob).objective
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(problems(), max_size=20), st.one_of(st.none(), st.integers(0, 40)))
+def test_batched_solve_equals_solving_each_problem_alone(probs, budget):
+    # up to 20 problems span two groups of the batched core; they differ in
+    # candidate count, feature count and m2, and may hold exact twins
+    got = solve_match(probs, node_budget=budget)
+    assert [solution_bits(sol) for sol in got] == [
+        solution_bits(solve_match(prob, node_budget=budget)) for prob in probs]
 
 
 def _lexicographic_enumeration(prob):
