@@ -5,12 +5,14 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyInput,
     MalformedInput,
     NamedColumnAbsent,
@@ -22,9 +24,9 @@ logger = logging.getLogger(__name__)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-contiguous array. Callers pass arrays that
+    nothing else holds, so a contiguous one is frozen in place, not copied."""
     out = np.ascontiguousarray(a)
-    if out is a:
-        out = a.copy()
     out.setflags(write=False)
     return out
 
@@ -81,16 +83,36 @@ def make_dataset(
     """Validate raw arrays and assemble an immutable :class:`Dataset`.
 
     Checks shape agreement, finiteness, a strictly binary treatment vector,
-    and the presence of at least one treated and one control unit.
+    and the presence of at least one treated and one control unit. The
+    arrays are copied, so the caller's stay writable and unshared.
 
     Raises:
         EmptyInput: if there are no rows or no feature columns.
         ParseFailure: if any entry is missing or non-finite.
         PositivityViolation: if either treatment group is empty.
     """
-    t = np.asarray(t, dtype=np.int64)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    if row_ids is not None:
+        row_ids = np.array(row_ids, dtype=np.int64)
+    return _checked_dataset(
+        np.array(t, dtype=np.int64),
+        np.array(x, dtype=np.float64),
+        np.array(y, dtype=np.float64),
+        feature_names,
+        scaling,
+        row_ids,
+    )
+
+
+def _checked_dataset(
+    t: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    feature_names: tuple[str, ...] | list[str],
+    scaling: tuple[tuple[float, float], ...] | None = None,
+    row_ids: np.ndarray | None = None,
+) -> Dataset:
+    """:func:`make_dataset` on int64 and float64 arrays that the caller hands
+    over: they are frozen in place rather than copied."""
     if x.ndim != 2:
         raise EmptyInput("feature matrix must be two-dimensional")
     n, p = x.shape
@@ -118,7 +140,7 @@ def make_dataset(
         y=_frozen(y),
         feature_names=tuple(feature_names),
         scaling=scaling,
-        row_ids=_frozen(np.asarray(row_ids, dtype=np.int64)),
+        row_ids=_frozen(row_ids),
     )
 
 
@@ -133,14 +155,23 @@ def _undecodable_line(path: str | Path) -> int:
     return 0
 
 
-def _read_table(
-    path: str | Path, delimiter: str
-) -> tuple[list[str], list[list[str]], list[int]]:
-    """Read the header and the data rows, with the file line each row ends on.
+# Kept rows per float conversion: the loader never holds more than this many
+# rows as strings, except under ``encode=True``.
+_CHUNK_ROWS = 2048
+
+_Chunk = tuple[list[list[str]], list[int]]
+
+
+def _read_table(path: str | Path, delimiter: str) -> Iterator[list[str] | _Chunk]:
+    """Read the table in one csv pass: yield the header, then the data rows in
+    chunks of at most ``_CHUNK_ROWS``, each as ``(rows, lines)`` with the
+    physical file line on which each row ends.
 
     Blank and delimiter-only rows are skipped, before the header too, and a
-    UTF-8 byte-order mark is dropped. Every kept row must have as many cells
-    as the header.
+    UTF-8 byte-order mark is dropped. Header names are stripped and must not
+    repeat. Every kept row must have as many cells as the header; a row that
+    does not raises before the chunk holding it is yielded. A file without
+    data rows raises :class:`EmptyInput` once the reader reaches its end.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -153,9 +184,11 @@ def _read_table(
             if len(set(header)) < len(header):
                 repeated = next(h for h in header if header.count(h) > 1)
                 raise MalformedInput(f"{path}: column {repeated!r} appears more than once")
+            yield header
             width = len(header)
             rows: list[list[str]] = []
             lines: list[int] = []
+            empty = True
             for row in kept:
                 if len(row) != width:
                     raise ParseFailure(
@@ -163,6 +196,13 @@ def _read_table(
                     )
                 rows.append(row)
                 lines.append(reader.line_num)
+                if len(rows) == _CHUNK_ROWS:
+                    yield rows, lines
+                    rows, lines, empty = [], [], False
+            if rows:
+                yield rows, lines
+            elif empty:
+                raise EmptyInput(f"{path}: no data rows")
     except csv.Error as exc:
         raise MalformedInput(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
@@ -173,9 +213,19 @@ def _read_table(
         raise
     except OSError as exc:
         raise MalformedInput(f"{path}: cannot read: {exc.strerror}") from None
-    if not rows:
-        raise EmptyInput(f"{path}: no data rows")
-    return header, rows, lines
+
+
+def _drain(chunks: Iterator[_Chunk]) -> None:
+    """Read the rest of the file, so that a width, csv or decode error further
+    on is raised."""
+    for _ in chunks:
+        pass
+
+
+def _in_chunks(rows: list[list[str]], lines: list[int]) -> Iterator[_Chunk]:
+    """Rows already held in memory, in chunks as :func:`_read_table` yields them."""
+    for i in range(0, len(rows), _CHUNK_ROWS):
+        yield rows[i:i + _CHUNK_ROWS], lines[i:i + _CHUNK_ROWS]
 
 
 def _is_number(cell: str) -> bool:
@@ -184,6 +234,13 @@ def _is_number(cell: str) -> bool:
     except ValueError:
         return False
     return math.isfinite(v)
+
+
+def _float_rows(rows: list[list[str]]) -> np.ndarray:
+    """Rows of cells as one float array, with Python's ``float`` grammar.
+
+    Raises ``ValueError`` if a cell does not convert."""
+    return np.array(rows, dtype=np.float64)
 
 
 def _numeric_column(cells: list[str]) -> bool:
@@ -200,16 +257,6 @@ def _numeric_column(cells: list[str]) -> bool:
     except ValueError:
         pass
     return all(_is_number(cell.strip()) for cell in cells)
-
-
-def _finite_table(rows: list[list[str]]) -> np.ndarray | None:
-    """The rows as one float array, or ``None`` if a cell does not convert
-    or converts to a non-finite value."""
-    try:
-        table = np.array(rows, dtype=np.float64)
-    except ValueError:
-        return None
-    return table if np.isfinite(table).all() else None
 
 
 def _first_bad_cell(
@@ -232,8 +279,83 @@ def _first_bad_cell(
             if not _is_number(cell):
                 raise ParseFailure(line_no, header[j], cell)
         cell = row[t_idx].strip()
-        if not _is_number(cell) or float(cell) not in (0.0, 1.0):
+        if not _is_number(cell):
             raise ParseFailure(line_no, header[t_idx], cell)
+        if float(cell) not in (0.0, 1.0):
+            raise ParseFailure(line_no, header[t_idx], cell, f"treatment {cell!r} is not 0 or 1")
+
+
+def _chunk_table(
+    header: list[str],
+    rows: list[list[str]],
+    lines: list[int],
+    numeric: list[int],
+    t_idx: int,
+) -> np.ndarray:
+    """One chunk of rows as floats, each cell finite and each treatment 0 or 1.
+
+    One numpy conversion and two whole-array checks do the work; the cells
+    are scanned one by one only when a step fails, to name the first bad
+    cell.
+    """
+    try:
+        table = _float_rows(rows)
+    except ValueError:
+        _first_bad_cell(header, rows, lines, numeric, t_idx)
+        # str.strip also removes the ASCII separators \x1c-\x1f, which
+        # float() keeps; cells padded with them parse once stripped
+        table = _float_rows([[cell.strip() for cell in row] for row in rows])
+    t = table[:, t_idx]
+    if not (np.isfinite(table).all() and ((t == 0.0) | (t == 1.0)).all()):
+        _first_bad_cell(header, rows, lines, numeric, t_idx)
+    return table
+
+
+def _grow(a: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """A new buffer of ``rows`` rows holding the first ``n`` rows of ``a``."""
+    out = np.empty((rows,) + a.shape[1:])
+    out[:n] = a[:n]
+    return out
+
+
+def _convert(
+    header: list[str],
+    chunks: Iterator[_Chunk],
+    treatment_col: str,
+    outcome_col: str,
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The feature names, and the treatment, feature and outcome arrays of
+    every chunk.
+
+    Each chunk's columns are copied into buffers that double when full, so
+    at no time is a second whole-table array held. A cell error drains
+    ``chunks`` before it is raised, so an error of the reader anywhere in
+    the file takes precedence. Earlier chunks passed every check, so the
+    first bad cell of the failing chunk is the first in the file.
+    """
+    t_idx = header.index(treatment_col)
+    y_idx = header.index(outcome_col)
+    feat_idx = [j for j in range(len(header)) if j not in (t_idx, y_idx)]
+    # features before the outcome: the order in which bad cells are named
+    numeric = feat_idx + [y_idx]
+    t, x, y = np.empty(0), np.empty((0, len(feat_idx))), np.empty(0)
+    n = 0
+    for rows, lines in chunks:
+        try:
+            table = _chunk_table(header, rows, lines, numeric, t_idx)
+        except ParseFailure:
+            _drain(chunks)
+            raise
+        m = len(rows)
+        if n + m > len(t):
+            t, x, y = (_grow(a, n, 2 * (n + m)) for a in (t, x, y))
+        t[n:n + m] = table[:, t_idx]
+        x[n:n + m] = table[:, feat_idx]
+        y[n:n + m] = table[:, y_idx]
+        n += m
+    for a in (t, x, y):
+        a.resize((n,) + a.shape[1:], refcheck=False)  # in place: no view of a exists
+    return tuple(header[j] for j in feat_idx), t, x, y
 
 
 def encode_categoricals(
@@ -294,23 +416,36 @@ def load_dataset(
     only once.
 
     The file is read in one csv pass, which skips blank and delimiter-only
-    lines, and the kept rows are converted to floats in one numpy call. The
-    finiteness and 0/1 treatment checks then run on whole arrays. Only when
-    one of these steps fails are the cells scanned one by one, to name the
-    first bad cell. Errors give the physical file line (1-based, the header
-    is line 1) on which the offending row ends.
+    lines. The kept rows are converted in chunks of at most ``_CHUNK_ROWS``
+    rows, one numpy call each, straight into the treatment, feature and
+    outcome arrays, so no string cell outlives its chunk (``encode=True``
+    holds every row, since a text column's levels need them all). The
+    finiteness and 0/1 treatment checks run on each chunk's array. Only when
+    one of these steps fails are the cells of that chunk scanned one by one,
+    to name the first bad cell. Errors give the physical file line (1-based,
+    the header is line 1) on which the offending row ends.
+
+    When a file has several faults, the reader's errors come first: an
+    unreadable, non-UTF-8 or csv-refused file, no data rows, or a row of the
+    wrong width anywhere in the file is reported before a missing column, a
+    table without features or a bad cell. Among bad cells the first in file
+    order is named; within a row the features come first, then the outcome,
+    then the treatment.
 
     Args:
         path: file to read.
         treatment_col: name of the 0/1 treatment column.
-        outcome_col: name of the numeric outcome column.
+        outcome_col: name of the numeric outcome column; it must differ from
+            ``treatment_col``.
         delimiter: cell separator, comma by default (pass "\\t" for tab).
         encode: one-hot encode non-numeric feature columns before validation.
 
-    Every error below is a data error on the command line (exit 3), with a
-    one-line message.
+    Every error below except :class:`ConfigError` is a data error on the
+    command line (exit 3), with a one-line message.
 
     Raises:
+        ConfigError: the treatment and outcome name the same column (exit 2);
+            raised before the file is opened.
         FileNotFoundError: the file does not exist.
         MalformedInput: the file cannot be read (a directory, no permission),
             is not UTF-8, holds a record the csv reader refuses (a cell over
@@ -321,41 +456,36 @@ def load_dataset(
             not parse as a finite number, or a treatment is not 0 or 1.
         PositivityViolation: either treatment group is empty.
     """
-    header, rows, lines = _read_table(path, delimiter)
+    if treatment_col == outcome_col:
+        raise ConfigError(f"treatment and outcome both name column {treatment_col!r}")
+    chunks = _read_table(path, delimiter)
+    header = next(chunks)
     for required in (treatment_col, outcome_col):
         if required not in header:
+            _drain(chunks)
             raise NamedColumnAbsent(required, tuple(header))
-    table = None
-    if encode:
-        # one conversion of the whole table shows that no column is text; the
-        # per-column detection runs only when it fails or is not finite
-        table = _finite_table(rows)
-        if table is None:
-            header, rows = encode_categoricals(header, rows, skip=(treatment_col, outcome_col))
-
-    t_idx = header.index(treatment_col)
-    y_idx = header.index(outcome_col)
-    feat_idx = [j for j in range(len(header)) if j not in (t_idx, y_idx)]
-    feature_names = tuple(header[j] for j in feat_idx)
-    if not feature_names:
+    if all(name in (treatment_col, outcome_col) for name in header):
+        _drain(chunks)
         raise EmptyInput("input has no feature columns")
 
-    # features before the outcome: the order in which bad cells are named
-    numeric = feat_idx + [y_idx]
-    if table is None:
+    if not encode:
+        names, t, x, y = _convert(header, chunks, treatment_col, outcome_col)
+    else:
+        rows: list[list[str]] = []
+        lines: list[int] = []
+        for part_rows, part_lines in chunks:
+            rows += part_rows
+            lines += part_lines
+        # one conversion shows that no column is text; the per-column
+        # detection runs only when it fails
         try:
-            table = np.array(rows, dtype=np.float64)
-        except ValueError:
-            _first_bad_cell(header, rows, lines, numeric, t_idx)
-            # str.strip also removes the ASCII separators \x1c-\x1f, which
-            # float() keeps; cells padded with them parse once stripped
-            table = np.array([[cell.strip() for cell in row] for row in rows], dtype=np.float64)
-    t = table[:, t_idx]
-    if not (np.isfinite(table).all() and ((t == 0.0) | (t == 1.0)).all()):
-        _first_bad_cell(header, rows, lines, numeric, t_idx)
-    del rows, lines
+            names, t, x, y = _convert(header, _in_chunks(rows, lines), treatment_col, outcome_col)
+        except ParseFailure:
+            header, rows = encode_categoricals(header, rows, skip=(treatment_col, outcome_col))
+            names, t, x, y = _convert(header, _in_chunks(rows, lines), treatment_col, outcome_col)
+        del rows, lines
 
-    d = make_dataset(t.astype(np.int64), table[:, feat_idx], table[:, y_idx], feature_names)
+    d = _checked_dataset(t.astype(np.int64), x, y, names)
     logger.info(
         "loaded %s: n=%d (treated=%d, control=%d), p=%d",
         path, d.n, d.n_treated, d.n_control, d.p,

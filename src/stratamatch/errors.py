@@ -29,16 +29,19 @@ class MalformedInput(StrataMatchError):
 
 
 class ParseFailure(StrataMatchError):
-    """A cell could not be parsed as a finite number.
+    """A cell could not be parsed as a finite number, or holds a value its
+    column does not allow.
 
     Carries the 1-based file line and the column name of the offending cell.
+    ``reason`` replaces the default "cannot parse" text of the message.
     """
 
-    def __init__(self, row: int, col: str, value: str = ""):
+    def __init__(self, row: int, col: str, value: str = "", reason: str = ""):
         self.row = row
         self.col = col
         self.value = value
-        super().__init__(f"line {row}, column {col!r}: cannot parse {value!r} as a finite number")
+        reason = reason or f"cannot parse {value!r} as a finite number"
+        super().__init__(f"line {row}, column {col!r}: {reason}")
 
 
 class PositivityViolation(StrataMatchError):

@@ -169,6 +169,20 @@ def test_estimate_repeated_column_exit_3(tmp_path):
     _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "dup.csv", "'y'")
 
 
+@pytest.mark.parametrize("command", ["estimate", "balance", "tree"])
+def test_treatment_and_outcome_naming_one_column_exit_2(tmp_path, data_csv, command):
+    argv = [command, "--input", str(data_csv), "--treatment", "t", "--outcome", "t",
+            "--out", str(tmp_path / "x")]
+    if command == "balance":
+        argv += ["--audit", str(tmp_path / "audit.jsonl")]
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    (line,) = [ln for ln in r.stderr.splitlines() if ln.startswith("ERROR")]
+    assert "configuration error" in line and "'t'" in line
+    assert not (tmp_path / "x").exists()
+
+
 _PIPELINE_FLAGS = {"--config", "--lambda", "--theta", "--psi", "--m2", "--node-budget", "--max-depth"}
 _SETTING_FLAGS = {
     "estimate": _PIPELINE_FLAGS,

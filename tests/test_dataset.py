@@ -10,6 +10,7 @@ from stratamatch.dataset import (
     split_by_treatment,
 )
 from stratamatch.errors import (
+    ConfigError,
     EmptyInput,
     MalformedInput,
     NamedColumnAbsent,
@@ -31,6 +32,14 @@ def test_make_dataset_basic_shape():
     assert d.n_treated == 1 and d.n_control == 3
     assert d.feature_names == ("a", "b")
     assert not d.x.flags.writeable and not d.y.flags.writeable
+
+
+def test_make_dataset_copies_its_inputs():
+    t, x, y = np.array([0, 1]), np.array([[1.0], [2.0]]), np.zeros(2)
+    d = make_dataset(t, x, y, ("a",))
+    x[0, 0] = 9.0
+    assert x.flags.writeable and d.x[0, 0] == 1.0
+    assert not np.shares_memory(d.t, t) and not np.shares_memory(d.y, y)
 
 
 def test_make_dataset_rejects_bad_treatment():
@@ -224,6 +233,81 @@ def test_load_dataset_encode_without_text_columns_skips_column_detection(tmp_pat
     assert got.feature_names == want.feature_names
     assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
     np.testing.assert_array_equal(got.t, want.t)
+
+
+def test_load_dataset_converts_at_most_one_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
+    # the success path never builds a float array of more than _CHUNK_ROWS
+    # rows, so no whole-table array exists next to the final ones
+    seen = []
+    convert = dataset._float_rows
+
+    def _record(rows):
+        seen.append(len(rows))
+        return convert(rows)
+
+    monkeypatch.setattr(dataset, "_float_rows", _record)
+    n = 2 * dataset._CHUNK_ROWS + 1
+    p = _write(tmp_path, "t,y,a\n" + "".join(f"{i % 2},{i},{-i}\n" for i in range(n)))
+    d = load_dataset(p, treatment_col="t", outcome_col="y")
+    assert seen == [dataset._CHUNK_ROWS, dataset._CHUNK_ROWS, 1]
+    np.testing.assert_array_equal(d.y, np.arange(n))
+    np.testing.assert_array_equal(d.x[:, 0], -np.arange(n))
+    np.testing.assert_array_equal(d.t, np.arange(n) % 2)
+
+
+@pytest.fixture
+def chunks_of_two(monkeypatch):
+    monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2)
+
+
+@pytest.mark.parametrize("last, error", [
+    ("1,2\n", ParseFailure),
+    ("1,2," + "1" * 200_000 + "\n", MalformedInput),
+])
+def test_load_dataset_reader_error_in_a_later_chunk_wins(tmp_path, chunks_of_two, last, error):
+    # the bad cell is in the first chunk, the width or csv error in the third
+    p = _write(tmp_path, "t,y,a\n0,1,oops\n1,2,3\n0,1,2\n1,2,3\n" + last)
+    with pytest.raises(error) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    if error is ParseFailure:
+        assert (ei.value.row, ei.value.col) == (6, "<row>")
+    else:
+        assert "line 6" in str(ei.value)
+
+
+def test_load_dataset_width_error_wins_over_a_missing_column(tmp_path, chunks_of_two):
+    p = _write(tmp_path, "t,a,b\n0,1,2\n1,2,3\n0,1,2\n1,2\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col) == (5, "<row>")
+
+
+def test_load_dataset_names_the_first_bad_cell_across_chunks(tmp_path, chunks_of_two):
+    p = _write(tmp_path, "t,y,a\n0,1,nan\n1,2,3\n0,1,2\n1,2,3\n0,1,oops\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert (ei.value.row, ei.value.col, ei.value.value) == (2, "a", "nan")
+
+
+def test_load_dataset_separator_padding_in_a_later_chunk_loads(tmp_path, chunks_of_two):
+    p = _write(tmp_path, "t,y,a\n0,1,2\n1,2,3\n0,1,\x1c4\x1c\n1,2,5\n0,3,6\n")
+    d = load_dataset(p, treatment_col="t", outcome_col="y")
+    np.testing.assert_array_equal(d.x[:, 0], [2, 3, 4, 5, 6])
+    np.testing.assert_array_equal(d.y, [1, 2, 1, 2, 3])
+
+
+def test_load_dataset_rejects_one_column_as_treatment_and_outcome(tmp_path):
+    # a configuration error, raised before the file is opened
+    with pytest.raises(ConfigError, match="'t'"):
+        load_dataset(tmp_path / "absent.csv", treatment_col="t", outcome_col="t")
+
+
+def test_load_dataset_treatment_other_than_0_or_1_is_not_called_unparsable(tmp_path):
+    p = _write(tmp_path, "t,y,a\n1,0,2\n0,3,4\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="y", outcome_col="t")
+    assert (ei.value.row, ei.value.col, ei.value.value) == (3, "y", "3")
+    assert "0 or 1" in str(ei.value) and "cannot parse" not in str(ei.value)
 
 
 def test_load_dataset_rejects_repeated_column(tmp_path):

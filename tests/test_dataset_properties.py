@@ -4,7 +4,11 @@ Tables mix padded, quoted, multi-line and exponent-form cells with blank and
 delimiter-only lines, and shuffle the treatment and outcome columns among the
 features. A valid table must load bit for bit as ``float()`` reads each cell;
 a table with one defect must fail at that defect's physical line and column.
+Both properties also run with chunks of one to three rows, so that chunk
+boundaries fall between most rows.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from stratamatch import cli  # noqa: E402
+from stratamatch import cli, dataset  # noqa: E402
 from stratamatch.dataset import load_dataset  # noqa: E402
 from stratamatch.errors import ParseFailure  # noqa: E402
 
@@ -90,9 +94,7 @@ def _write(workdir, text):
     return path
 
 
-@CHECKS
-@given(tables())
-def test_valid_table_matches_per_cell_float(workdir, table):
+def _check_valid_table(workdir, table):
     delim, header, cells, records = table
     text, _ = _layout(delim, records)
     d = load_dataset(_write(workdir, text), "t", "y", delimiter=delim)
@@ -102,6 +104,21 @@ def test_valid_table_matches_per_cell_float(workdir, table):
     assert d.x.tobytes() == np.ascontiguousarray(ref[:, feats]).tobytes()
     assert d.y.tobytes() == np.ascontiguousarray(ref[:, header.index("y")]).tobytes()
     assert d.t.tolist() == [int(v) for v in ref[:, header.index("t")]]
+
+
+@CHECKS
+@given(tables())
+def test_valid_table_matches_per_cell_float(workdir, table):
+    _check_valid_table(workdir, table)
+
+
+# chunks of one to three rows put chunk boundaries between most rows
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+@CHECKS
+@given(table=tables())
+def test_valid_table_matches_per_cell_float_in_small_chunks(workdir, chunk_rows, table):
+    with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+        _check_valid_table(workdir, table)
 
 
 DEFECTS = {
@@ -134,13 +151,25 @@ def defective_tables(draw):
     return text, delim, ends[i], col
 
 
-@CHECKS
-@given(defective_tables())
-def test_one_defect_is_reported_at_its_line_and_column(workdir, case):
+def _check_defect(workdir, case):
     text, delim, line, col = case
     with pytest.raises(ParseFailure) as ei:
         load_dataset(_write(workdir, text), "t", "y", delimiter=delim)
     assert (ei.value.row, ei.value.col) == (line, col)
+
+
+@CHECKS
+@given(defective_tables())
+def test_one_defect_is_reported_at_its_line_and_column(workdir, case):
+    _check_defect(workdir, case)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+@CHECKS
+@given(case=defective_tables())
+def test_one_defect_is_reported_at_its_line_and_column_in_small_chunks(workdir, chunk_rows, case):
+    with mock.patch.object(dataset, "_CHUNK_ROWS", chunk_rows):
+        _check_defect(workdir, case)
 
 
 @CLI_CHECKS
