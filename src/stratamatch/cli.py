@@ -32,7 +32,7 @@ from .bench import (
     write_records_csv,
 )
 from .config import PipelineConfig
-from .dataset import Dataset, load_dataset
+from .dataset import Dataset, check_distinct_columns, load_dataset
 from .errors import AuditNotFound, ConfigError, EstimationImpossible, StrataMatchError
 from .estimation import ESTIMATORS, AttReport, fit_pipeline
 from .tree import export_rules, tree_to_dict
@@ -45,14 +45,13 @@ _CFG_KEYS = {
     "theta": "theta",
     "psi": "psi",
     "m2": "m2",
-    "node_budget": "solver_node_budget",
     "max_depth": "max_depth",
 }
 
 
 def _parse_value(attr: str, raw: str):
     raw = raw.strip()
-    if attr in ("theta", "solver_node_budget") and raw.lower() == "none":
+    if attr == "theta" and raw.lower() == "none":
         return None
     try:
         if attr in ("lambda_", "m2"):
@@ -83,6 +82,11 @@ def parse_config_file(path: str | Path) -> tuple[dict, dict]:
         key = key.strip().lower().replace("-", "_")
         if key == "method":
             extras["method"] = raw.strip()
+            continue
+        if key == "node_budget":  # older config files' key, 'none' only: delete with ROADMAP item 4
+            if raw.strip().lower() != "none":
+                raise ConfigError(f"{path}:{lineno}: key {key!r} was removed; every match search "
+                                  "is exhaustive (only 'none' is accepted)")
             continue
         if key not in _CFG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
@@ -120,11 +124,10 @@ def _add_pipeline_flags(sp: argparse.ArgumentParser, matching: bool = True) -> N
     g.add_argument("--max-depth", dest="max_depth", default=s, help="tree depth cap")
     if not matching:
         return
-    g.add_argument("--psi", default=s, help="candidate pool size per treated unit")
+    g.add_argument("--psi", default=s,
+                   help="candidate pool size per treated unit; the exact match search "
+                        "grows as 2**psi")
     g.add_argument("--m2", default=s, help="deviation-sum priority multiplier")
-    g.add_argument("--node-budget", dest="solver_node_budget", default=s,
-                   help="opt-in cap on the states each match search expands; a capped "
-                        "match is flagged (default 'none': exhaustive, certified)")
 
 
 def _seed(raw: str) -> int:
@@ -162,6 +165,18 @@ def _load(args: argparse.Namespace) -> Dataset:
         delimiter="\t" if args.tab else ",",
         encode=args.encode_categoricals,
     )
+
+
+def _dry_run(args: argparse.Namespace, *paths: str, detail: str = "") -> int:
+    """Check what a run would read, without reading it: the column check
+    :func:`load_dataset` runs before it opens the file, then that every path
+    exists."""
+    check_distinct_columns(args.treatment, args.outcome)
+    for path in paths:
+        if not Path(path).exists():
+            raise FileNotFoundError(path)
+    logger.info("dry run ok%s", detail)
+    return 0
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -214,8 +229,7 @@ def _summary_text(report: AttReport, method: str, d: Dataset) -> str:
     matched = [r for r in report.iatt if r.matched_rows]
     if matched:
         eps = [r.epsilon for r in matched if r.epsilon is not None]
-        sub = sum(1 for r in matched if r.suboptimal)
-        lines.append(f"matches       {len(matched)} (budget-limited: {sub})")
+        lines.append(f"matches       {len(matched)}")
         lines.append(f"epsilon       mean={sum(eps) / len(eps)!r} max={max(eps)!r}")
     if report.strata:
         lines.append(f"strata        {len(report.strata)}")
@@ -228,10 +242,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if method not in ESTIMATORS:
         raise ConfigError(f"unknown method {method!r} (choose from {', '.join(sorted(ESTIMATORS))})")
     if args.dry_run:
-        if not Path(args.input).exists():
-            raise FileNotFoundError(args.input)
-        logger.info("dry run ok: method=%s config=%s", method, cfg.as_dict())
-        return 0
+        return _dry_run(args, args.input, detail=f": method={method} config={cfg.as_dict()}")
     t0 = time.perf_counter()
     d = _load(args)
     report = ESTIMATORS[method](d, cfg)
@@ -322,11 +333,7 @@ def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, t
 
 def cmd_balance(args: argparse.Namespace) -> int:
     if args.dry_run:
-        for path in (args.input, args.audit):
-            if not Path(path).exists():
-                raise FileNotFoundError(path)
-        logger.info("dry run ok")
-        return 0
+        return _dry_run(args, args.input, args.audit)
     d = _load(args)
     matches = _read_matches(Path(args.audit), d, args.input)
     pre = pre_match_report(d, bins=args.bins)
@@ -345,10 +352,7 @@ def cmd_balance(args: argparse.Namespace) -> int:
 def cmd_tree(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
     if args.dry_run:
-        if not Path(args.input).exists():
-            raise FileNotFoundError(args.input)
-        logger.info("dry run ok")
-        return 0
+        return _dry_run(args, args.input)
     d = _load(args)
     fit = fit_pipeline(d, cfg)
     out = _out_dir(args)

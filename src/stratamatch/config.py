@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .matching import DEFAULT_M2, DEFAULT_NODE_BUDGET, DEFAULT_PSI
+from .matching import DEFAULT_M2, DEFAULT_PSI
 from .tree import DEFAULT_LAMBDA, DEFAULT_MAX_DEPTH, default_theta
 
 
@@ -16,17 +16,15 @@ class PipelineConfig:
     default.
 
     ``theta=None`` means the size guard follows the feature count as
-    ``max(30, 2p)``. ``solver_node_budget=None``, the default, runs every
-    per-unit match search to the end, so every match is a certified optimum.
-    A number is an opt-in guard: a search stops after expanding that many
-    states and its match is flagged as possibly suboptimal.
+    ``max(30, 2p)``. Every per-unit match search runs to the end, so every
+    match is a certified optimum; ``psi``, the candidates per treated unit,
+    is what bounds a search, to at most ``2**psi`` subsets.
     """
 
     lambda_: float = DEFAULT_LAMBDA
     theta: int | None = None
     psi: int = DEFAULT_PSI
     m2: float = DEFAULT_M2
-    solver_node_budget: int | None = DEFAULT_NODE_BUDGET
     max_depth: int = DEFAULT_MAX_DEPTH
 
     def theta_for(self, p: int) -> int:
@@ -41,8 +39,6 @@ class PipelineConfig:
             raise ConfigError("psi must be at least 1")
         if not 0 < self.m2 < math.inf:
             raise ConfigError("m2 must be finite and positive")
-        if self.solver_node_budget is not None and self.solver_node_budget < 1:
-            raise ConfigError("solver node budget must be at least 1 (or unset)")
         if self.max_depth < 0:
             raise ConfigError("max depth must be non-negative")
 

@@ -124,10 +124,10 @@ def _checked_dataset(
         raise EmptyInput("feature name count does not match feature columns")
     if not np.all(np.isfinite(x)):
         i, j = np.argwhere(~np.isfinite(x))[0]
-        raise ParseFailure(int(i), str(feature_names[j]), "non-finite")
+        raise ParseFailure(None, str(feature_names[j]), reason=f"row index {i} is not finite")
     if not np.all(np.isfinite(y)):
-        i = int(np.argwhere(~np.isfinite(y))[0])
-        raise ParseFailure(i, "outcome", "non-finite")
+        i = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise ParseFailure(None, "outcome", reason=f"row index {i} is not finite")
     if not np.all((t == 0) | (t == 1)):
         raise PositivityViolation("treatment vector contains values other than 0 and 1")
     if not np.any(t == 1) or not np.any(t == 0):
@@ -191,9 +191,8 @@ def _read_table(path: str | Path, delimiter: str) -> Iterator[list[str] | _Chunk
             empty = True
             for row in kept:
                 if len(row) != width:
-                    raise ParseFailure(
-                        reader.line_num, "<row>", f"{len(row)} cells, expected {width}"
-                    )
+                    raise ParseFailure(reader.line_num, "<row>",
+                                       reason=f"row has {len(row)} cells, expected {width}")
                 rows.append(row)
                 lines.append(reader.line_num)
                 if len(rows) == _CHUNK_ROWS:
@@ -398,6 +397,13 @@ def encode_categoricals(
     return new_header, new_rows
 
 
+def check_distinct_columns(treatment_col: str, outcome_col: str) -> None:
+    """Raise :class:`ConfigError` when the treatment and outcome name the same
+    column."""
+    if treatment_col == outcome_col:
+        raise ConfigError(f"treatment and outcome both name column {treatment_col!r}")
+
+
 def load_dataset(
     path: str | Path,
     treatment_col: str,
@@ -456,8 +462,7 @@ def load_dataset(
             not parse as a finite number, or a treatment is not 0 or 1.
         PositivityViolation: either treatment group is empty.
     """
-    if treatment_col == outcome_col:
-        raise ConfigError(f"treatment and outcome both name column {treatment_col!r}")
+    check_distinct_columns(treatment_col, outcome_col)
     chunks = _read_table(path, delimiter)
     header = next(chunks)
     for required in (treatment_col, outcome_col):

@@ -32,16 +32,18 @@ class ParseFailure(StrataMatchError):
     """A cell could not be parsed as a finite number, or holds a value its
     column does not allow.
 
-    Carries the 1-based file line and the column name of the offending cell.
+    Carries the 1-based file line and the column name of the offending cell;
+    ``row`` is ``None`` for in-memory input, which has no file line.
     ``reason`` replaces the default "cannot parse" text of the message.
     """
 
-    def __init__(self, row: int, col: str, value: str = "", reason: str = ""):
+    def __init__(self, row: int | None, col: str, value: str = "", reason: str = ""):
         self.row = row
         self.col = col
         self.value = value
         reason = reason or f"cannot parse {value!r} as a finite number"
-        super().__init__(f"line {row}, column {col!r}: {reason}")
+        where = f"column {col!r}" if row is None else f"line {row}, column {col!r}"
+        super().__init__(f"{where}: {reason}")
 
 
 class PositivityViolation(StrataMatchError):

@@ -138,7 +138,6 @@ class IattRecord:
     a: float | None = None
     objective: float | None = None
     nodes: int | None = None
-    suboptimal: bool = False
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
             matched.append((leaf_id, k))
             problems.append(select_candidates(pool, treated.x[k], cfg.psi, cfg.m2))
     records: list[IattRecord] = []
-    for (leaf_id, k), sol in zip(matched, solve_match(problems, node_budget=cfg.solver_node_budget)):
+    for (leaf_id, k), sol in zip(matched, solve_match(problems)):
         ys = control.y[[pos_of_row[r] for r in sol.selected_ids]]
         records.append(IattRecord(
             treated_row=int(treated.rows()[k]),
@@ -272,15 +271,7 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
             a=sol.a,
             objective=sol.objective,
             nodes=sol.stats.nodes,
-            suboptimal=sol.stats.suboptimal,
         ))
-
-    n_sub = sum(1 for r in records if r.suboptimal)
-    if n_sub:
-        logger.warning(
-            "match solver hit its node budget on %d of %d units; those matches are "
-            "best incumbents, not certified optima", n_sub, len(records),
-        )
     return _finish("m5c-mf", records, skipped, treated.n, tree=fit.tree)
 
 

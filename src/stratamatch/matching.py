@@ -19,10 +19,11 @@ candidate at a time, largest total deviation first, every include child is
 scored as a complete subset, and states whose lower bound passes the
 incumbent are pruned. Up to ``_BATCH`` problems share one frontier, so the
 per-step call overhead is paid once for all of them; each problem still
-sees exactly the states, thresholds and budget it would see alone. A
-problem's frontier wider than a fixed cap is searched in depth-first chunks,
-so memory stays bounded for any pool size. The search is exhaustive unless
-a node budget (a cap on each problem's frontier states expanded) is given.
+sees exactly the states and thresholds it would see alone. A problem's
+frontier wider than a fixed cap is searched in depth-first chunks, so memory
+stays bounded for any pool size. The search always runs to the end, so every
+solution is a certified optimum; ``psi`` candidates bound a problem's work
+by its ``2**psi`` subsets.
 Set-up (deviations, suffix bounds) and incumbent seeding from all singletons
 and pairs, scored a block of rows at a time, also run in numpy. Found
 subsets are re-scored in ascending candidate order, so the decision order
@@ -36,18 +37,17 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, EmptyInput, NoCandidates, OracleTooLarge
+from .errors import EmptyInput, NoCandidates, OracleTooLarge
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_M2 = 1e6
 DEFAULT_PSI = 20
-DEFAULT_NODE_BUDGET: int | None = None
 DELTA_PRECISION = 1e-9
 
 _ORACLE_MAX = 20
@@ -131,8 +131,6 @@ class SolverStats:
     method: str
     nodes: int
     time_s: float
-    suboptimal: bool = False
-    node_budget: int | None = None
 
 
 @dataclass(frozen=True)
@@ -463,15 +461,16 @@ def _rank_in_problem(g: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 
 def _search(
-    probs: list[MatchProblem], wa: float, we: list[float], ranks: list, node_budget: int | None,
-) -> list[tuple[_Incumbent, int, bool]]:
+    probs: list[MatchProblem], wa: float, we: list[float], ranks: list
+) -> list[tuple[_Incumbent, int]]:
     """Level-synchronous branch-and-bound on the score ``wa*a + we*eps``, for
     several problems at once.
 
-    Returns, per problem, the incumbent under its ``rank``, the frontier
-    states expanded and whether ``node_budget`` stopped its search. ``we``
-    and ``rank`` are given per problem; each ``rank`` orders subsets by the
-    score first.
+    Returns, per problem, the incumbent under its ``rank`` and the frontier
+    states expanded. ``we`` and ``rank`` are given per problem; each
+    ``rank`` orders subsets by the score first. The search is exhaustive:
+    it ends only when every state is expanded or pruned, so the incumbent is
+    the optimum under ``rank``.
 
     Each problem decides its candidates in descending order of the sum of
     their absolute weighted deviations (stable, so ties keep the lower
@@ -506,11 +505,10 @@ def _search(
     whose frontier is wider than ``_FRONTIER_MAX`` has it split into chunks
     searched depth-first one after another, and frontier ``i`` holds chunk
     ``i`` of every such problem. Each problem therefore sees exactly the
-    states, thresholds and node budget it would see alone: its states keep
-    their order within every frontier, a frontier holds at most one of its
-    chunks, and the chunks are popped in the order a search of that problem
-    alone pops them. The node budget is per problem, and truncates that
-    problem's states in frontier order.
+    states and thresholds it would see alone: its states keep their order
+    within every frontier, a frontier holds at most one of its chunks, and
+    the chunks are popped in the order a search of that problem alone pops
+    them.
     """
     G = len(probs)
     n = np.array([prob.n_candidates for prob in probs])
@@ -546,9 +544,7 @@ def _search(
     min_dev = np.minimum.accumulate(dvpad[:, ::-1], axis=1)[:, ::-1].reshape(-1)
     base = np.arange(G) * N
     thr = best + slack + 1e-12 * np.abs(best)
-    limit = np.iinfo(np.int64).max if node_budget is None else node_budget
     nodes = np.zeros(G, dtype=np.int64)
-    stopped = np.zeros(G, dtype=bool)
     # (trail, positions in the expanded frontier, their problems, k, scores)
     # of the include children that scored within their threshold
     found = []
@@ -583,27 +579,15 @@ def _search(
         if not g.size:
             continue
         width = np.bincount(g, minlength=G)
-        room = limit - nodes
-        # without a budget, a frontier of at most _FRONTIER_MAX states needs
-        # neither check
-        if (g.size > _FRONTIER_MAX or node_budget is not None) and (
-                width.max() > _FRONTIER_MAX or (width > room).any()):
-            rank = _rank_in_problem(g, width)
-            if width.max() > _FRONTIER_MAX:
-                # expand each problem's first chunk now and search it to the
-                # end before its next chunk starts
-                chunk = rank // _FRONTIER_MAX
-                for c in range(int(chunk.max()), 0, -1):
-                    stack.append((k, *_pick(sums, caps, g, trail, np.flatnonzero(chunk == c))))
-                width = np.minimum(width, _FRONTIER_MAX)
-            # a stopped problem has no room left, so none of its states that
-            # wait in other chunks is expanded
-            stopped |= width > room
-            width = np.minimum(width, room)
-            sums, caps, g, trail = _pick(sums, caps, g, trail, np.flatnonzero(rank < width[g]))
+        if g.size > _FRONTIER_MAX and width.max() > _FRONTIER_MAX:
+            # expand each problem's first chunk now and search it to the end
+            # before its next chunk starts
+            chunk = _rank_in_problem(g, width) // _FRONTIER_MAX
+            for c in range(int(chunk.max()), 0, -1):
+                stack.append((k, *_pick(sums, caps, g, trail, np.flatnonzero(chunk == c))))
+            sums, caps, g, trail = _pick(sums, caps, g, trail, np.flatnonzero(chunk == 0))
+            width = np.minimum(width, _FRONTIER_MAX)
         nodes += width
-        if not g.size:
-            continue
         col = (base + k)[g]
         in_sums = sums + np.take(dcols, col, axis=1)
         in_caps = np.maximum(caps, dev[col])
@@ -614,8 +598,8 @@ def _search(
         hit = np.flatnonzero(score <= thr[g])
         if hit.size:
             found.append((trail, hit, g[hit], k, score[hit]))
-        # only problems with undecided candidates, and not stopped, go on
-        more = ((k + 1 < n) & ~stopped)[g]
+        # only problems with undecided candidates go on
+        more = (k + 1 < n)[g]
         if not more.all():
             keep = np.flatnonzero(more)
             in_sums, in_caps = np.take(in_sums, keep, axis=1), in_caps[keep]
@@ -631,11 +615,11 @@ def _search(
         for j, g in zip(hit[ok].tolist(), gh[ok].tolist()):
             picked = orders[g][_included(trail, j, g) + [int(k[g])]]
             incs[g].offer(tuple(sorted(picked.tolist())))
-    return [(inc, int(c), bool(s)) for inc, c, s in zip(incs, nodes, stopped)]
+    return list(zip(incs, nodes.tolist()))
 
 
 def solve_match(
-    problems: MatchProblem | Sequence[MatchProblem], node_budget: int | None = None,
+    problems: MatchProblem | Sequence[MatchProblem],
 ) -> MatchSolution | list[MatchSolution]:
     """Exact minimizer of ``a + m2 * eps`` over non-empty candidate subsets.
 
@@ -647,20 +631,15 @@ def solve_match(
     that of solving it alone.
 
     Objective ties resolve to the lexicographically smallest selected
-    original-index set. ``stats.nodes`` counts the problem's frontier states
-    expanded. With a ``node_budget``, each problem's search stops after
-    expanding exactly that many of its states, and the best subset scored
-    so far is returned flagged as possibly suboptimal (and logged); with
-    the default ``None`` the search is exhaustive, hence exact.
+    original-index set. The search is exhaustive, so every solution is a
+    certified optimum; ``stats.nodes`` counts the problem's frontier states
+    expanded, at most the ``2**n`` subsets of its ``n`` candidates.
 
     Raises:
         TypeError: if an item of the sequence is not a :class:`MatchProblem`.
-        ConfigError: if ``node_budget`` is negative.
     """
-    if node_budget is not None and node_budget < 0:
-        raise ConfigError(f"node_budget must be None or at least 0 (got {node_budget})")
     if isinstance(problems, MatchProblem):
-        return solve_match([problems], node_budget)[0]
+        return solve_match([problems])[0]
     probs = list(problems)
     for prob in probs:
         if not isinstance(prob, MatchProblem):
@@ -670,17 +649,10 @@ def solve_match(
         group = probs[start:start + _BATCH]
         t0 = time.perf_counter()
         results = _search(group, 1.0, [prob.m2 for prob in group],
-                          [_by_objective(prob.m2) for prob in group], node_budget)
+                          [_by_objective(prob.m2) for prob in group])
         elapsed = time.perf_counter() - t0
-        for prob, (inc, nodes, budget_hit) in zip(group, results):
-            if budget_hit:
-                # per-solve noise stays at debug; callers aggregate via stats.suboptimal
-                logger.debug(
-                    "match solver stopped at node budget %d; returning best incumbent "
-                    "(possibly suboptimal)", node_budget,
-                )
-            stats = SolverStats("subset-bb", nodes, elapsed, budget_hit, node_budget)
-            out.append(_solution(prob, inc, stats))
+        for prob, (inc, nodes) in zip(group, results):
+            out.append(_solution(prob, inc, SolverStats("subset-bb", nodes, elapsed)))
     return out
 
 
@@ -748,5 +720,5 @@ def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:
     :func:`hierarchy_m2_bound` the two agree on ``eps``.
     """
     t0 = time.perf_counter()
-    [(inc, nodes, _)] = _search([prob], 0.0, [1.0], [lambda eps, a, ids: (eps, a, ids)], None)
+    [(inc, nodes)] = _search([prob], 0.0, [1.0], [lambda eps, a, ids: (eps, a, ids)])
     return _solution(prob, inc, SolverStats("lexicographic", nodes, time.perf_counter() - t0))

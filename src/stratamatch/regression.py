@@ -76,9 +76,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     centered = y - y.mean()
     sst = float(centered @ centered)
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
-    r2a = None
-    if n > p + 1:
-        r2a = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
+    r2a = adjusted_r2(r2, n, p) if n > p + 1 else None
     coef = np.asarray(beta[1:], dtype=np.float64)
     coef.setflags(write=False)
     return LinearFit(

@@ -98,7 +98,7 @@ def test_constant_outcome_estimate_is_certified(tmp_path):
     )
     assert r.returncode == 0, r.stderr
     summary = (out / "summary.txt").read_text()
-    assert "matches       100 (budget-limited: 0)" in summary
+    assert "\nmatches       100\n" in summary
 
 
 def test_estimate_naive_skips_tree_artifacts(tmp_path, data_csv):
@@ -169,10 +169,9 @@ def test_estimate_repeated_column_exit_3(tmp_path):
     _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "dup.csv", "'y'")
 
 
-@pytest.mark.parametrize("command", ["estimate", "balance", "tree"])
-def test_treatment_and_outcome_naming_one_column_exit_2(tmp_path, data_csv, command):
+def _assert_one_column_exit_2(tmp_path, data_csv, command, *extra):
     argv = [command, "--input", str(data_csv), "--treatment", "t", "--outcome", "t",
-            "--out", str(tmp_path / "x")]
+            "--out", str(tmp_path / "x"), *extra]
     if command == "balance":
         argv += ["--audit", str(tmp_path / "audit.jsonl")]
     r = run_cli(*argv)
@@ -183,7 +182,18 @@ def test_treatment_and_outcome_naming_one_column_exit_2(tmp_path, data_csv, comm
     assert not (tmp_path / "x").exists()
 
 
-_PIPELINE_FLAGS = {"--config", "--lambda", "--theta", "--psi", "--m2", "--node-budget", "--max-depth"}
+@pytest.mark.parametrize("command", ["estimate", "balance", "tree"])
+def test_treatment_and_outcome_naming_one_column_exit_2(tmp_path, data_csv, command):
+    _assert_one_column_exit_2(tmp_path, data_csv, command)
+
+
+@pytest.mark.parametrize("command", ["estimate", "balance", "tree"])
+def test_dry_run_treatment_and_outcome_naming_one_column_exit_2(tmp_path, data_csv, command):
+    # a dry run checks the columns as the real run does, before the paths
+    _assert_one_column_exit_2(tmp_path, data_csv, command, "--dry-run")
+
+
+_PIPELINE_FLAGS = {"--config", "--lambda", "--theta", "--psi", "--m2", "--max-depth"}
 _SETTING_FLAGS = {
     "estimate": _PIPELINE_FLAGS,
     "bench": _PIPELINE_FLAGS | {"--seed"},
@@ -203,10 +213,10 @@ def test_each_subcommand_takes_only_the_settings_it_reads():
     for name, parser in sub.choices.items():
         flags = {flag for action in parser._actions for flag in action.option_strings}
         assert flags & settings == _SETTING_FLAGS[name], name
-    assert sum(map(len, _SETTING_FLAGS.values())) == 21
+    assert sum(map(len, _SETTING_FLAGS.values())) == 19
     attrs = {f.name for f in fields(PipelineConfig)}
     assert attrs == set(cli._CFG_KEYS.values())
-    assert attrs == {"lambda_", "theta", "psi", "m2", "solver_node_budget", "max_depth"}
+    assert attrs == {"lambda_", "theta", "psi", "m2", "max_depth"}
 
 
 @pytest.mark.parametrize(
@@ -250,7 +260,7 @@ def test_estimate_unknown_method_exit_2(tmp_path, data_csv):
 
 
 def test_estimate_bad_flag_value_exit_2(tmp_path, data_csv):
-    for flag, value in (("--psi", "0"), ("--node-budget", "banana"), ("--m2", "inf"),
+    for flag, value in (("--psi", "0"), ("--psi", "banana"), ("--m2", "inf"),
                         ("--m2", "nan"), ("--lambda", "nan"), ("--lambda", "inf")):
         r = run_cli(
             "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
@@ -272,16 +282,15 @@ def test_dry_run_validates_without_writing(tmp_path, data_csv):
 
 def test_config_file_applies_and_flags_win(tmp_path, data_csv):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# pipeline settings\npsi = 5\nmax_depth = 3\nnode_budget = 50\nmethod = m5c-mf\n")
+    cfg.write_text("# pipeline settings\npsi = 5\nmax_depth = 3\nmethod = m5c-mf\n")
     out = tmp_path / "run"
     r = run_cli(
         "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
-        "--config", str(cfg), "--psi", "7", "--node-budget", "none", "--out", str(out),
+        "--config", str(cfg), "--psi", "7", "--out", str(out),
     )
     assert r.returncode == 0, r.stderr
     payload = json.loads((out / "report.json").read_text())["payload"]
     assert payload["config"]["psi"] == 7
-    assert payload["config"]["solver_node_budget"] is None
     assert payload["config"]["max_depth"] == 3
     assert payload["method"] == "m5c-mf"
 
@@ -298,6 +307,44 @@ def test_config_file_unknown_key_exit_2(tmp_path, data_csv, key):
     )
     assert r.returncode == 2
     assert "unknown key" in r.stderr
+
+
+def test_node_budget_flag_is_usage_error(tmp_path, data_csv):
+    from stratamatch import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+                  "--node-budget", "5", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_file_node_budget_none_is_accepted(tmp_path, data_csv):
+    # older config files name the removed budget; 'none' changes nothing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("node_budget = none\n")
+    out = tmp_path / "run"
+    r = run_cli(
+        "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+        "--config", str(cfg), "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    config = json.loads((out / "report.json").read_text())["payload"]["config"]
+    assert set(config) == {"lambda_", "theta", "psi", "m2", "max_depth", "method"}
+
+
+def test_config_file_node_budget_number_exit_2(tmp_path, data_csv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("node_budget = 50\n")
+    r = run_cli(
+        "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+        "--config", str(cfg), "--out", str(tmp_path / "x"),
+    )
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    (line,) = [ln for ln in r.stderr.splitlines() if ln.startswith("ERROR")]
+    assert "'node_budget' was removed" in line and "exhaustive" in line
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_bad_value_exit_2(tmp_path, data_csv):

@@ -57,6 +57,17 @@ def test_make_dataset_rejects_nonfinite():
         make_dataset(np.array([0, 1]), np.array([[np.nan], [1.0]]), np.zeros(2), ("a",))
 
 
+@pytest.mark.parametrize("outcome", [False, True])
+def test_make_dataset_names_a_row_index_not_a_file_line(outcome):
+    x, y = np.array([[1.0], [1.0]]), np.zeros(2)
+    (y if outcome else x)[1] = np.nan
+    with pytest.raises(ParseFailure) as ei:
+        make_dataset(np.array([0, 1]), x, y, ("a",))
+    col = "outcome" if outcome else "a"
+    assert str(ei.value) == f"column {col!r}: row index 1 is not finite"
+    assert (ei.value.row, ei.value.col) == (None, col)
+
+
 def test_make_dataset_rejects_empty():
     with pytest.raises(EmptyInput):
         make_dataset(np.array([]), np.zeros((0, 1)), np.array([]), ("a",))
@@ -174,6 +185,13 @@ def test_load_dataset_wrong_cell_count_reports_physical_line(tmp_path):
     with pytest.raises(ParseFailure) as ei:
         load_dataset(p, treatment_col="t", outcome_col="y")
     assert (ei.value.row, ei.value.col) == (5, "<row>")
+
+
+def test_load_dataset_wrong_cell_count_says_so(tmp_path):
+    p = _write(tmp_path, "t,y,a\n0,1,2\n1,2\n")
+    with pytest.raises(ParseFailure) as ei:
+        load_dataset(p, treatment_col="t", outcome_col="y")
+    assert str(ei.value) == "line 3, column '<row>': row has 2 cells, expected 3"
 
 
 def test_load_dataset_line_is_where_a_multiline_row_ends(tmp_path):

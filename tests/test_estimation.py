@@ -25,6 +25,7 @@ from stratamatch.estimation import (
     robust_att_1tok,
     robust_att_ktok,
 )
+from stratamatch.matching import candidate_pool, select_candidates, solve_match_bruteforce
 
 from conftest import toy_dataset
 
@@ -204,11 +205,19 @@ def test_m5c_mf_att_is_mean_of_iatts():
 
 
 def test_default_matches_are_certified():
-    # the default searches every match to the end; none is budget-limited
-    assert PipelineConfig().solver_node_budget is None
-    rep = estimate_m5c_mf(generate_hyb20var(seed=7, n_treated=100, n_control=4900))
-    assert rep.iatt
-    assert not any(r.suboptimal for r in rep.iatt)
+    # every match search runs to the end, so each unit's match is the optimum
+    # of full enumeration over its candidates; psi = 14 keeps that cheap
+    cfg = PipelineConfig(psi=14)
+    d = generate_hyb20var(seed=7, n_treated=100, n_control=4900)
+    rep = estimate_m5c_mf(d, cfg)
+    fit = fit_pipeline(d, cfg)
+    position = {int(r): k for k, r in enumerate(fit.treated.rows())}
+    assert len(rep.iatt) == 100
+    for r in rep.iatt:
+        pool = candidate_pool(fit.control, fit.tree.node(r.leaf).control_indices, fit.weights)
+        prob = select_candidates(pool, fit.treated.x[position[r.treated_row]], cfg.psi, cfg.m2)
+        want = solve_match_bruteforce(prob)
+        assert (r.matched_rows, r.objective) == (want.selected_ids, want.objective)
 
 
 def test_constant_outcome_weights_are_zero_and_fall_back_once_per_pool(caplog):

@@ -8,7 +8,6 @@ from stratamatch.bench import generate_hyb20var
 from stratamatch.config import PipelineConfig
 from stratamatch.estimation import fit_pipeline
 from stratamatch.errors import (
-    ConfigError,
     EmptyInput,
     HierarchyBoundWarning,
     NoCandidates,
@@ -146,35 +145,36 @@ def test_permutation_invariance_of_selected_ids():
     assert sol.objective == pytest.approx(base.objective, rel=1e-12)
 
 
-def test_node_budget_flags_suboptimal():
-    rng = np.random.default_rng(13)
-    prob = _problem(rng.uniform(0, 1, 4), rng.uniform(0, 1, (18, 4)), rng.uniform(0, 10, 4))
-    full = solve_match(prob)
-    assert not full.stats.suboptimal
-    capped = solve_match(prob, node_budget=3)
-    assert capped.stats.suboptimal
-    assert capped.stats.nodes <= 3
-    # the incumbent is still a valid (possibly worse) solution
-    assert capped.objective >= full.objective
-
-
 def test_large_pool_search_has_no_depth_limit():
-    # 1500 candidates put the search 1500 levels deep; a recursive search
-    # raised RecursionError here
-    rng = np.random.default_rng(0)
-    prob = _problem(np.full(5, 0.5), rng.uniform(0, 1, (1500, 5)))
-    sol = solve_match(prob, node_budget=5000)
-    assert sol.stats.suboptimal
-    assert sol.stats.nodes == 5000
+    # 1498 candidates lie on one side of the treated unit; only the last two
+    # cancel. The search goes 1500 levels deep and still ends exhaustively; a
+    # recursive search raised RecursionError here
+    cands = np.r_[np.linspace(0.9, 1.0, 1498), 0.5 + 2.0**-4, 0.5 - 2.0**-4]
+    prob = _problem(0.5, cands)
+    sol = solve_match(prob)
+    assert sol.selected == (1498, 1499)
+    assert (sol.epsilon, sol.a, sol.objective) == (0.0, 2.0**-4, 2.0**-4)
     eps, a = _evaluate(*_prep(prob)[:2], sol.selected)
     assert (sol.epsilon, sol.a) == (eps, a)
-    assert sol.objective == a + prob.m2 * eps
+
+
+@pytest.mark.parametrize("k", [4, 6, 8])
+def test_psi_bounds_the_search_on_ties(k):
+    # the treated unit at 1 and k candidates each at 0 and at 2: every
+    # balanced subset ties on eps = 0 and a = 1, so pruning helps little. The
+    # search still ends exhaustively, on the oracle's optimum, within the
+    # 2**(2k + 1) states a tree over 2k candidates can hold
+    prob = _problem(1.0, np.r_[np.zeros(k), np.full(k, 2.0)])
+    sol = solve_match(prob)
+    want = solve_match_bruteforce(prob)
+    assert solution_bits(sol)[:5] == solution_bits(want)[:5]
+    assert sol.stats.nodes < 2 ** (2 * k + 1)
 
 
 def test_lexicographic_search_has_no_depth_limit():
     # 1498 candidates lie on one side of the treated unit; only the last two
-    # cancel. The lexicographic search runs to the end without a budget, and
-    # its recursive form raised RecursionError here
+    # cancel. The lexicographic search runs to the end, and its recursive
+    # form raised RecursionError here
     cands = np.r_[np.linspace(0.9, 1.0, 1498), 0.5 + 2.0**-4, 0.5 - 2.0**-4]
     sol = solve_match_lexicographic(_problem(0.5, cands))
     assert sol.selected == (1498, 1499)
@@ -215,35 +215,35 @@ def test_blocked_seed_screen_offers_as_one_row_at_a_time(wa, we):
         assert got == want
 
 
-# (selected_ids, nodes, suboptimal, objective.hex()) of the budgeted search on
+# (selected_ids, nodes, objective.hex()) of the exhaustive search on
 # _pinned_problem(seed): any change to expansion order, pruning or tie-breaks
-# shows here. Every entry not flagged suboptimal is the exhaustive optimum.
-PINNED_BUDGETED = [
-    ((388, 18), 1000, True, "0x1.eb036092bbd87p+17"),
-    ((179,), 27, False, "0x1.aff7086a47d8dp+20"),
-    ((241,), 648, False, "0x1.1612201c82fcap+20"),
-    ((254, 40, 185, 174), 1000, True, "0x1.e5e7d94dc82e1p+18"),
-    ((207,), 108, False, "0x1.b7042cb966fd3p+19"),
-    ((65,), 58, False, "0x1.a491161908401p+19"),
-    ((90, 198), 1000, True, "0x1.c3d41ab3cc84bp+18"),
-    ((231, 93, 63, 353, 11, 184, 336), 1000, True, "0x1.1ea2a17ced5d4p+13"),
-    ((159,), 58, False, "0x1.75f42133077f5p+18"),
-    ((83,), 127, False, "0x1.6a266f1b7637ep+20"),
-    ((303,), 54, False, "0x1.473784f0a8628p+19"),
-    ((333, 282), 407, False, "0x1.e109e151c6dd6p+17"),
-    ((96,), 69, False, "0x1.3d70df503664fp+20"),
-    ((186, 197, 263), 169, False, "0x1.57c44f4642050p+17"),
-    ((365, 107), 105, False, "0x1.e844379386279p+19"),
-    ((320,), 52, False, "0x1.f07eb5319f81bp+19"),
-    ((147,), 588, False, "0x1.febf05d48f326p+19"),
-    ((184,), 46, False, "0x1.7cdf2aec58975p+20"),
-    ((46,), 457, False, "0x1.f18ec031c9cd5p+20"),
-    ((30, 44, 395, 147, 108), 1000, True, "0x1.0829c905485a8p+18"),
+# shows here.
+PINNED_EXHAUSTIVE = [
+    ((230, 372, 35, 67, 156, 398, 341, 50, 291), 7812, "0x1.b167b2ede3a39p+15"),
+    ((179,), 27, "0x1.aff7086a47d8dp+20"),
+    ((241,), 648, "0x1.1612201c82fcap+20"),
+    ((26, 14, 376, 254), 2166, "0x1.23f37fae1d52ep+18"),
+    ((207,), 108, "0x1.b7042cb966fd3p+19"),
+    ((65,), 58, "0x1.a491161908401p+19"),
+    ((90, 36, 361), 2162, "0x1.40b550a02b5fbp+18"),
+    ((223, 236, 362, 201, 11, 184, 336), 4705, "0x1.69274ee6c40c1p+10"),
+    ((159,), 58, "0x1.75f42133077f5p+18"),
+    ((83,), 127, "0x1.6a266f1b7637ep+20"),
+    ((303,), 54, "0x1.473784f0a8628p+19"),
+    ((333, 282), 407, "0x1.e109e151c6dd6p+17"),
+    ((96,), 69, "0x1.3d70df503664fp+20"),
+    ((186, 197, 263), 169, "0x1.57c44f4642050p+17"),
+    ((365, 107), 105, "0x1.e844379386279p+19"),
+    ((320,), 52, "0x1.f07eb5319f81bp+19"),
+    ((147,), 588, "0x1.febf05d48f326p+19"),
+    ((184,), 46, "0x1.7cdf2aec58975p+20"),
+    ((46,), 457, "0x1.f18ec031c9cd5p+20"),
+    ((205, 115, 13, 262, 30, 395, 108, 31), 2363, "0x1.02b879a1b6019p+17"),
     # m2 = 1: the cap alone can pass the incumbent
-    ((373,), 74, False, "0x1.81e54cff47428p+1"),
-    ((171,), 20, False, "0x1.4db9582230f3cp-2"),
-    ((216,), 24, False, "0x1.29bf3ff4afb46p+1"),
-    ((190,), 25, False, "0x1.400b18570858ep+0"),
+    ((373,), 74, "0x1.81e54cff47428p+1"),
+    ((171,), 20, "0x1.4db9582230f3cp-2"),
+    ((216,), 24, "0x1.29bf3ff4afb46p+1"),
+    ((190,), 25, "0x1.400b18570858ep+0"),
 ]
 
 
@@ -262,16 +262,10 @@ def _pinned_problem(seed):
     )
 
 
-@pytest.mark.parametrize("seed", range(len(PINNED_BUDGETED)))
+@pytest.mark.parametrize("seed", range(len(PINNED_EXHAUSTIVE)))
 def test_budgeted_search_order_is_pinned(seed):
-    prob = _pinned_problem(seed)
-    sol = solve_match(prob, node_budget=1000)
-    got = (sol.selected_ids, sol.stats.nodes, sol.stats.suboptimal, sol.objective.hex())
-    assert got == PINNED_BUDGETED[seed]
-    if not sol.stats.suboptimal:
-        # a certified entry is the exhaustive optimum, whatever the search order
-        full = solve_match(prob)
-        assert (sol.selected_ids, sol.objective.hex()) == (full.selected_ids, full.objective.hex())
+    sol = solve_match(_pinned_problem(seed))
+    assert (sol.selected_ids, sol.stats.nodes, sol.objective.hex()) == PINNED_EXHAUSTIVE[seed]
 
 
 def test_search_does_not_depend_on_the_weight_scale():
@@ -285,12 +279,11 @@ def test_search_does_not_depend_on_the_weight_scale():
             weights=prob.weights * scale, candidate_ids=prob.candidate_ids[:n], m2=prob.m2,
         )
 
-    for seed in range(len(PINNED_BUDGETED)):
+    for seed in range(len(PINNED_EXHAUSTIVE)):
         prob = _pinned_problem(seed)
-        want = solve_match(prob, node_budget=1000)
-        got = solve_match(scaled(prob, 20, 2.0**-60), node_budget=1000)
-        assert (got.selected_ids, got.stats.nodes, got.stats.suboptimal) == (
-            want.selected_ids, want.stats.nodes, want.stats.suboptimal)
+        want = solve_match(prob)
+        got = solve_match(scaled(prob, 20, 2.0**-60))
+        assert (got.selected_ids, got.stats.nodes) == (want.selected_ids, want.stats.nodes)
         assert got.objective == want.objective * 2.0**-60
         want = solve_match_lexicographic(scaled(prob, 14, 1.0))
         got = solve_match_lexicographic(scaled(prob, 14, 2.0**-60))
@@ -306,7 +299,7 @@ def test_exact_twins_end_the_search():
     ids = np.arange(25)[::-1]
     sol = solve_match(MatchProblem(mu, cands, np.ones(3), candidate_ids=ids))
     assert sol.selected_ids == (0,)
-    assert sol.objective == 0.0 and not sol.stats.suboptimal
+    assert sol.objective == 0.0
     assert sol.stats.nodes == 0
 
 
@@ -318,7 +311,6 @@ def test_exhaustive_search_past_64_candidates():
     # singleton and pair seeding cannot find
     prob = _problem(0.0, np.r_[10.0 + np.arange(97.0), 1.0, 2.0, -3.0])
     sol = solve_match(prob)
-    assert not sol.stats.suboptimal
     assert sol.selected == (97, 98, 99)
     assert (sol.epsilon, sol.a, sol.objective) == (0.0, 3.0, 3.0)
 
@@ -336,12 +328,11 @@ MILP_PSI = [24, 28, 32, 36, 40]
 def test_frontier_cap_does_not_change_results(monkeypatch, cap):
     # a frontier wider than the cap is searched in depth-first chunks: the
     # states expanded change, the result must not, in either search order
-    pinned = [_pinned_problem(seed) for seed in range(len(PINNED_BUDGETED))]
+    pinned = [_pinned_problem(seed) for seed in range(len(PINNED_EXHAUSTIVE))]
     probs = pinned + [_milp_instance(psi, seed) for psi in MILP_PSI for seed in range(2)]
 
     def results(batched):
         sols = solve_match(probs) if batched else [solve_match(prob) for prob in probs]
-        assert not any(sol.stats.suboptimal for sol in sols)
         sols += [solve_match_lexicographic(prob) for prob in pinned]
         return [(sol.selected_ids, sol.objective.hex(), sol.epsilon.hex(), sol.a.hex())
                 for sol in sols]
@@ -352,19 +343,12 @@ def test_frontier_cap_does_not_change_results(monkeypatch, cap):
     assert results(False) == want
     # one list: chunk i of every problem shares frontier i
     assert results(True) == want
-    # a budget stops each problem after exactly its own count of states,
-    # also when chunks of it still wait
-    budgeted = [solution_bits(sol) for sol in solve_match(probs, node_budget=300)]
-    assert budgeted == [solution_bits(solve_match(prob, node_budget=300)) for prob in probs]
-    assert all(out[5] == 300 for out in budgeted if out[6])
 
 
 def test_solve_match_takes_a_list():
     assert solve_match([]) == []
     with pytest.raises(TypeError):
         solve_match([_problem(**WORKED), "not a problem"])
-    with pytest.raises(ConfigError):
-        solve_match(_problem(**WORKED), node_budget=-1)
     rng = np.random.default_rng(5)
     twin = np.array([0.5, 0.25])
     probs = [
@@ -372,19 +356,16 @@ def test_solve_match_takes_a_list():
         # an exact twin ends its search at the seed, with no state expanded
         _problem(twin, np.vstack([rng.uniform(0, 1, (6, 2)), twin]), [1.0, 3.0]),
         _milp_instance(24, 0),
-        _pinned_problem(0),  # 1000 states do not certify it
+        _pinned_problem(0),
         _problem(rng.uniform(0, 1, 7), rng.uniform(0, 1, (3, 7)), m2=1.0),
     ]
     probs = probs * 4  # more than one group of _BATCH problems
     assert len(probs) > matching._BATCH
-    for budget in (None, 1000):
-        sols = solve_match(probs, node_budget=budget)
-        assert [solution_bits(sol) for sol in sols] == [
-            solution_bits(solve_match(prob, node_budget=budget)) for prob in probs]
-        assert sols[1].stats.nodes == 0
-        assert sols[3].stats.suboptimal == (budget is not None)
-        # a group's problems share its wall time
-        assert len({sol.stats.time_s for sol in sols[:matching._BATCH]}) == 1
+    sols = solve_match(probs)
+    assert [solution_bits(sol) for sol in sols] == [solution_bits(solve_match(prob)) for prob in probs]
+    assert sols[1].stats.nodes == 0
+    # a group's problems share its wall time
+    assert len({sol.stats.time_s for sol in sols[:matching._BATCH]}) == 1
 
 
 def test_batched_solve_equals_unit_solves_on_desk_data():
@@ -439,7 +420,6 @@ def test_milp_oracle_agrees_above_bruteforce_limit(psi):
     for seed in range(2):
         prob = _milp_instance(psi, seed)
         sol = solve_match(prob)
-        assert not sol.stats.suboptimal
         reported, rescored = _milp_objective(prob)
         assert rescored == pytest.approx(sol.objective, rel=1e-9)
         assert reported == pytest.approx(sol.objective, rel=1e-9)
