@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -317,6 +319,61 @@ def _grow(a: np.ndarray, n: int, rows: int) -> np.ndarray:
     return out
 
 
+def _columns(
+    header: list[str], treatment_col: str, outcome_col: str
+) -> tuple[int, int, list[int]]:
+    """The treatment, outcome and feature column indices of ``header``."""
+    t_idx = header.index(treatment_col)
+    y_idx = header.index(outcome_col)
+    return t_idx, y_idx, [j for j in range(len(header)) if j not in (t_idx, y_idx)]
+
+
+def _plain_lines(raw: bytes) -> bool:
+    """Whether ``raw`` holds no ``"`` byte and no line that, with its line
+    end, is longer than ``csv.field_size_limit()``."""
+    if b'"' in raw:
+        return False
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
+    return np.diff(ends, prepend=-1, append=len(raw)).max() <= csv.field_size_limit()
+
+
+def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int) -> np.ndarray | None:
+    """Every data row as one float array, read by numpy's C text reader, or
+    ``None`` when the csv reader must read the file.
+
+    The C reader accepts a subset of what the csv reader and ``float`` do,
+    and reads each cell it accepts to the same bits. Two kinds of file fall
+    outside that, and are refused before parsing: one holding a ``"`` byte
+    (a quoted cell can span lines and needs unquoting) and one with a line
+    longer than ``csv.field_size_limit()`` (the csv reader refuses its
+    cell). The result is also refused unless it has at least one row, the
+    header's width, only finite cells and every treatment 0 or 1. ``None``
+    says nothing about the file: the csv reader decides what is wrong.
+    """
+    try:
+        with open(path, "rb") as binary:
+            # the bytes are freed before the parse, which reads them again
+            if not _plain_lines(binary.read()):
+                return None
+            binary.seek(0)
+            fh = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
+            # without quotes each line is one record: skip blank lines and
+            # the header as _read_table does, and parse from the line after it
+            rows = csv.reader(fh, delimiter=delimiter)
+            next(row for row in rows if any(cell.strip() for cell in row))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data" among them
+                table = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2,
+                                   dtype=np.float64)
+    except Exception as exc:  # whatever the fault, the csv reader names it
+        logger.debug("%s: read by the csv reader: %s", path, exc)
+        return None
+    if table.shape[1] != width or len(table) == 0 or not np.isfinite(table).all():
+        return None
+    t = table[:, t_idx]
+    return table if ((t == 0.0) | (t == 1.0)).all() else None
+
+
 def _convert(
     header: list[str],
     chunks: Iterator[_Chunk],
@@ -332,9 +389,7 @@ def _convert(
     the file takes precedence. Earlier chunks passed every check, so the
     first bad cell of the failing chunk is the first in the file.
     """
-    t_idx = header.index(treatment_col)
-    y_idx = header.index(outcome_col)
-    feat_idx = [j for j in range(len(header)) if j not in (t_idx, y_idx)]
+    t_idx, y_idx, feat_idx = _columns(header, treatment_col, outcome_col)
     # features before the outcome: the order in which bad cells are named
     numeric = feat_idx + [y_idx]
     t, x, y = np.empty(0), np.empty((0, len(feat_idx))), np.empty(0)
@@ -418,18 +473,26 @@ def load_dataset(
     grammar after surrounding whitespace is stripped; missing values are
     rejected rather than imputed. With ``encode=True``, non-numeric feature
     columns are first expanded into one indicator column per level; a table
-    whose every cell converts to a finite number has none, and is parsed
-    only once.
+    whose every cell converts to a finite number has none.
 
-    The file is read in one csv pass, which skips blank and delimiter-only
-    lines. The kept rows are converted in chunks of at most ``_CHUNK_ROWS``
-    rows, one numpy call each, straight into the treatment, feature and
-    outcome arrays, so no string cell outlives its chunk (``encode=True``
-    holds every row, since a text column's levels need them all). The
-    finiteness and 0/1 treatment checks run on each chunk's array. Only when
-    one of these steps fails are the cells of that chunk scanned one by one,
-    to name the first bad cell. Errors give the physical file line (1-based,
-    the header is line 1) on which the offending row ends.
+    The header is read by the csv reader, and checked, first. A file without
+    a ``"`` byte and without a line longer than ``csv.field_size_limit()``
+    is then read by numpy's C text reader in one call; its table is kept if
+    it has the header's width, at least one row, only finite cells and
+    treatments 0 or 1. Such a table is the one the csv reader gives, bit for
+    bit, and with ``encode=True`` it has no text column to expand.
+
+    Every other file, and every file the C reader refuses, is read on by
+    the csv reader, and every error below comes from it. It skips
+    blank and delimiter-only lines. The kept rows are converted in chunks of
+    at most ``_CHUNK_ROWS`` rows, one numpy call each, straight into the
+    treatment, feature and outcome arrays, so no string cell outlives its
+    chunk (``encode=True`` holds every row, since a text column's levels
+    need them all). The finiteness and 0/1 treatment checks run on each
+    chunk's array. Only when one of these steps fails are the cells of that
+    chunk scanned one by one, to name the first bad cell. Errors give the
+    physical file line (1-based, the header is line 1) on which the
+    offending row ends.
 
     When a file has several faults, the reader's errors come first: an
     unreadable, non-UTF-8 or csv-refused file, no data rows, or a row of the
@@ -473,7 +536,15 @@ def load_dataset(
         _drain(chunks)
         raise EmptyInput("input has no feature columns")
 
-    if not encode:
+    t_idx, y_idx, feat_idx = _columns(header, treatment_col, outcome_col)
+    table = _c_table(path, delimiter, len(header), t_idx)
+    if table is not None:
+        chunks.close()
+        names = tuple(header[j] for j in feat_idx)
+        # take, not table[:, feat_idx]: that would be Fortran-ordered, and
+        # freezing it would copy it again
+        t, x, y = table[:, t_idx], table.take(feat_idx, axis=1), table[:, y_idx].copy()
+    elif not encode:
         names, t, x, y = _convert(header, chunks, treatment_col, outcome_col)
     else:
         rows: list[list[str]] = []
@@ -501,7 +572,9 @@ def load_dataset(
 def normalize_min_max(d: Dataset) -> Dataset:
     """Rescale every feature to [0, 1] using the min and max over all units.
 
-    Constant columns map to all zeros. The outcome is left untouched. The
+    Constant columns map to all zeros. The outcome is left untouched. A
+    column whose ``max - min`` overflows is rescaled with every term halved
+    first; every other column gets ``(x - min) / (max - min)``. The
     per-feature ``(min, max)`` pairs are recorded on the result so
     :func:`denormalize_min_max` can invert the transform. A dataset that
     already carries scaling passes through unchanged.
@@ -510,10 +583,15 @@ def normalize_min_max(d: Dataset) -> Dataset:
         return d
     lo = d.x.min(axis=0)
     hi = d.x.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = np.isinf(span)
     out = np.zeros_like(d.x)
-    nonconst = span > 0
+    nonconst = (span > 0) & ~wide
     out[:, nonconst] = (d.x[:, nonconst] - lo[nonconst]) / span[nonconst]
+    # a span beyond the float range: every term is halved first, so that no
+    # difference overflows
+    out[:, wide] = (d.x[:, wide] / 2 - lo[wide] / 2) / (hi[wide] / 2 - lo[wide] / 2)
     scaling = tuple((float(a), float(b)) for a, b in zip(lo, hi))
     return replace(d, x=_frozen(out), scaling=scaling)
 
@@ -524,7 +602,14 @@ def denormalize_min_max(d: Dataset) -> Dataset:
         raise EmptyInput("dataset carries no scaling metadata")
     lo = np.array([a for a, _ in d.scaling])
     hi = np.array([b for _, b in d.scaling])
-    out = d.x * (hi - lo) + lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = np.isinf(span)
+    out = d.x * np.where(wide, 0.0, span) + lo
+    # halved as normalize_min_max does; the clip keeps a rounding error at
+    # either end from overflowing when the value is doubled back
+    half_lo, half_hi = lo[wide] / 2, hi[wide] / 2
+    out[:, wide] = np.clip(d.x[:, wide] * (half_hi - half_lo) + half_lo, half_lo, half_hi) * 2
     const = hi == lo
     out[:, const] = lo[const]
     return replace(d, x=_frozen(out), scaling=None)

@@ -157,6 +157,50 @@ def test_estimate_oversized_cell_exit_3(tmp_path):
     _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "wide.csv", "line 3")
 
 
+def test_estimate_finite_oversized_cell_exit_3(tmp_path):
+    # a cell that numpy's C reader reads as 1.0 but the csv reader refuses
+    csv_path = tmp_path / "wide.csv"
+    csv_path.write_text("t,y,a\n0,1,2\n1,3," + "0" * 200_000 + "1\n")
+    _assert_one_line_data_error(_estimate_exit(tmp_path, csv_path), "wide.csv", "line 3")
+
+
+@pytest.mark.parametrize("rest", ["", "\n\n", "\n \n"])
+def test_estimate_no_data_rows_exit_3_without_a_warning(tmp_path, rest):
+    csv_path = tmp_path / "empty.csv"
+    csv_path.write_text("t,y,a\n" + rest)
+    r = _estimate_exit(tmp_path, csv_path)
+    _assert_one_line_data_error(r, "empty.csv: no data rows")
+    assert "Warning" not in r.stderr
+
+
+def _strict_json(text):
+    def _refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("command", ["estimate", "tree"])
+def test_feature_span_beyond_the_float_range_runs(tmp_path, command):
+    # max - min of column a overflows; the run ends without a traceback and
+    # writes no NaN or infinity
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("t,y,a\n0,1,1e308\n1,2,-1e308\n0,3,1e308\n1,4,0\n")
+    out = tmp_path / "out"
+    r = run_cli(command, "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                "--out", str(out))
+    assert r.returncode in (0, 3), r.stderr
+    assert "Traceback" not in r.stderr and "Warning" not in r.stderr
+    for path in out.glob("*.json"):
+        _strict_json(path.read_text())
+    for path in out.glob("*.jsonl"):
+        for line in path.read_text().splitlines():
+            _strict_json(line)
+    if command == "estimate":
+        assert r.returncode == 0
+        assert _strict_json((out / "report.json").read_text())["payload"]["att"] == 2.0
+
+
 def test_estimate_directory_input_exit_3(tmp_path):
     folder = tmp_path / "folder.csv"
     folder.mkdir()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,19 @@ def test_normalize_constant_column_goes_to_zero():
     x = np.array([[5.0], [5.0]])
     d = normalize_min_max(make_dataset(t, x, np.zeros(2), ("c",)))
     np.testing.assert_array_equal(d.x, [[0.0], [0.0]])
+
+
+def test_normalize_span_beyond_the_float_range():
+    # 1e308 - (-1e308) overflows; the halved formula keeps every value finite
+    t = np.array([0, 1, 0, 1])
+    x = np.array([[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0], [0.0, 5.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = normalize_min_max(make_dataset(t, x, np.arange(4.0), ("a", "b")))
+        back = denormalize_min_max(d)
+    np.testing.assert_array_equal(d.x[:, 0], [1.0, 0.0, 1.0, 0.5])
+    np.testing.assert_array_equal(d.x[:, 1], [0.0, 0.25, 0.5, 1.0])
+    np.testing.assert_array_equal(back.x, x)
 
 
 def test_denormalize_round_trip():
@@ -238,7 +253,20 @@ def test_load_dataset_success_path_does_no_per_cell_work(tmp_path, monkeypatch):
     np.testing.assert_array_equal(d.x, [[1, 2], [3, 4], [5, 6]])
 
 
-def test_load_dataset_encode_without_text_columns_skips_column_detection(tmp_path, monkeypatch):
+@pytest.fixture
+def csv_reader_only(monkeypatch):
+    """Keep numpy's C reader out of the load, so that the chunked csv reader
+    reads the file."""
+    monkeypatch.setattr(dataset, "_c_table", lambda *args: None)
+
+
+def _not_called(*args):
+    raise AssertionError("called on a table that the C reader reads")
+
+
+def test_load_dataset_encode_without_text_columns_skips_column_detection(
+    tmp_path, monkeypatch, csv_reader_only
+):
     # the whole-table conversion shows every column numeric, so no column is
     # tested on its own and the table is the one the plain load builds
     def _refuse(cells):
@@ -253,9 +281,11 @@ def test_load_dataset_encode_without_text_columns_skips_column_detection(tmp_pat
     np.testing.assert_array_equal(got.t, want.t)
 
 
-def test_load_dataset_converts_at_most_one_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
-    # the success path never builds a float array of more than _CHUNK_ROWS
-    # rows, so no whole-table array exists next to the final ones
+def test_load_dataset_converts_at_most_one_chunk_of_rows_at_a_time(
+    tmp_path, monkeypatch, csv_reader_only
+):
+    # the csv reader's success path never builds a float array of more than
+    # _CHUNK_ROWS rows, so no whole-table array exists next to the final ones
     seen = []
     convert = dataset._float_rows
 
@@ -273,8 +303,41 @@ def test_load_dataset_converts_at_most_one_chunk_of_rows_at_a_time(tmp_path, mon
     np.testing.assert_array_equal(d.t, np.arange(n) % 2)
 
 
+def _rows(n):
+    return "t,y,a\n" + "".join(f"{i % 2},{i / 7!r},{-i}e-3\n" for i in range(n))
+
+
+def _same_dataset(got, want):
+    assert got.feature_names == want.feature_names
+    assert got.t.dtype == want.t.dtype and got.t.tobytes() == want.t.tobytes()
+    assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+
+
+def test_load_dataset_valid_file_takes_the_c_reader(tmp_path, monkeypatch):
+    # a valid table without quotes is read by numpy's C reader in one call:
+    # no list of cell strings is built and no chunk is converted
+    p = _write(tmp_path, _rows(2 * dataset._CHUNK_ROWS + 1))
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_c_table", lambda *args: None)
+        want = load_dataset(p, treatment_col="t", outcome_col="y")
+    monkeypatch.setattr(dataset, "_float_rows", _not_called)
+    got = load_dataset(p, treatment_col="t", outcome_col="y")
+    _same_dataset(got, want)
+
+
+def test_load_dataset_encode_all_numeric_takes_the_c_reader(tmp_path, monkeypatch):
+    # without a text column there is nothing to encode, so --encode-categoricals
+    # reads the table as a plain load does
+    p = _write(tmp_path, _rows(10))
+    want = load_dataset(p, treatment_col="t", outcome_col="y")
+    monkeypatch.setattr(dataset, "encode_categoricals", _not_called)
+    monkeypatch.setattr(dataset, "_float_rows", _not_called)
+    got = load_dataset(p, treatment_col="t", outcome_col="y", encode=True)
+    _same_dataset(got, want)
+
+
 @pytest.fixture
-def chunks_of_two(monkeypatch):
+def chunks_of_two(monkeypatch, csv_reader_only):
     monkeypatch.setattr(dataset, "_CHUNK_ROWS", 2)
 
 
