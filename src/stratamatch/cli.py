@@ -33,7 +33,13 @@ from .bench import (
 )
 from .config import PipelineConfig
 from .dataset import Dataset, check_distinct_columns, load_dataset
-from .errors import AuditNotFound, ConfigError, EstimationImpossible, StrataMatchError
+from .errors import (
+    AuditNotFound,
+    ConfigError,
+    EstimationImpossible,
+    NonFiniteResult,
+    StrataMatchError,
+)
 from .estimation import ESTIMATORS, AttReport, fit_pipeline
 from .tree import export_rules, tree_to_dict
 
@@ -185,8 +191,17 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _json(obj, path: Path, **kwargs) -> str:
+    """``obj`` as strict JSON text for ``path``; a NaN or an infinity in it is
+    a data error, raised before anything is written."""
+    try:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteResult(f"cannot write {path}: {exc}") from None
+
+
 def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json(obj, path, indent=2) + "\n")
 
 
 def _report_payload(report: AttReport, cfg: PipelineConfig, method: str, d: Dataset) -> dict:
@@ -212,9 +227,9 @@ def _report_payload(report: AttReport, cfg: PipelineConfig, method: str, d: Data
 def _write_audit(report: AttReport, path: Path) -> None:
     lines = []
     for r in report.iatt:
-        lines.append(json.dumps(dataclasses.asdict(r), sort_keys=True))
+        lines.append(_json(dataclasses.asdict(r), path))
     for r in report.skipped:
-        lines.append(json.dumps({"treated_row": r.treated_row, "skipped": r.reason}, sort_keys=True))
+        lines.append(_json({"treated_row": r.treated_row, "skipped": r.reason}, path))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -248,8 +263,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     report = ESTIMATORS[method](d, cfg)
     out = _out_dir(args)
     if report.tree is not None:
-        (out / "tree_rules.txt").write_text(export_rules(report.tree))
         _dump_json(tree_to_dict(report.tree), out / "tree.json")
+        (out / "tree_rules.txt").write_text(export_rules(report.tree))
     _write_audit(report, out / "audit.jsonl")
     (out / "summary.txt").write_text(_summary_text(report, method, d))
     payload = _report_payload(report, cfg, method, d)
@@ -356,10 +371,10 @@ def cmd_tree(args: argparse.Namespace) -> int:
     d = _load(args)
     fit = fit_pipeline(d, cfg)
     out = _out_dir(args)
-    (out / "tree_rules.txt").write_text(export_rules(fit.tree))
     blob = tree_to_dict(fit.tree)
     blob["feature_scaling"] = [list(pair) for pair in (fit.control.scaling or ())]
     _dump_json(blob, out / "tree.json")
+    (out / "tree_rules.txt").write_text(export_rules(fit.tree))
     logger.info("tree: %d leaves; artifacts in %s", len(fit.tree.leaves()), out)
     return 0
 

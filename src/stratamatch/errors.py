@@ -78,6 +78,11 @@ class EstimationImpossible(StrataMatchError):
     """Every treated unit was skipped, so no estimate can be formed."""
 
 
+class NonFiniteResult(StrataMatchError):
+    """An estimate, or a number bound for an artifact, is infinite or NaN
+    because the data's magnitudes overflow the float range."""
+
+
 class InvalidSample(StrataMatchError):
     """A requested subsample size exceeds the available units."""
 

@@ -28,6 +28,7 @@ from .errors import (
     EmptyInput,
     EstimationImpossible,
     NoCandidates,
+    NonFiniteResult,
     StrategyRequiresBinary,
 )
 from .matching import candidate_pool, select_candidates, solve_match
@@ -172,10 +173,26 @@ class AttReport:
 def _finish(method: str, records: list[IattRecord], skipped: list[SkipRecord],
             n_treated: int, strata: tuple[dict, ...] = (),
             tree: TreeModel | None = None) -> AttReport:
+    """The report of ``records``, whose mean is the ``att``.
+
+    Raises:
+        EstimationImpossible: when there is no record.
+        NonFiniteResult: when the ``att``, or a number of some record, is
+            infinite or NaN; nothing is reported then.
+    """
     if not records:
         raise EstimationImpossible(f"{method}: every treated unit was skipped")
     records.sort(key=lambda r: r.treated_row)
+    for r in records:
+        for name in ("iatt", "epsilon", "a", "objective"):
+            v = getattr(r, name)
+            if v is not None and not math.isfinite(v):
+                raise NonFiniteResult(
+                    f"{method}: {name} of treated row {r.treated_row} is {v!r}, not a finite number"
+                )
     att = float(np.mean([r.iatt for r in records]))
+    if not math.isfinite(att):
+        raise NonFiniteResult(f"{method}: att is {att!r}, not a finite number")
     if skipped:
         logger.warning("%s: skipped %d of %d treated units", method, len(skipped), n_treated)
     return AttReport(
@@ -344,12 +361,18 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
                     iatt=float(treated.y[k]) - cbar,
                 )
             )
+        try:
+            att_1tok, att_ktok = robust_att_1tok(s), robust_att_ktok(s)
+        except OverflowError:
+            raise NonFiniteResult(
+                f"strategy-1:k: the effect in stratum {leaf_id} is beyond the float range"
+            ) from None
         detail = {
             "stratum": leaf_id,
             "n_treated": len(units),
             "n_control": int(yc.size),
-            "att_1tok": robust_att_1tok(s),
-            "att_ktok": robust_att_ktok(s),
+            "att_1tok": att_1tok,
+            "att_ktok": att_ktok,
         }
         if binary:
             detail["att_1to1"] = robust_att_1to1(s)

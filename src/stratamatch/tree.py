@@ -109,20 +109,29 @@ def best_split(x: np.ndarray, y: np.ndarray) -> SplitCandidate | None:
     side empty). Ties break toward the lower feature index, then the lower
     threshold. Returns ``None`` when no feature admits a two-sided split.
 
-    Per feature, the scan sorts once and evaluates all thresholds from
-    cumulative sums, so a node costs O(p n log n).
+    Per feature, the scan walks the values in sorted order and evaluates all
+    thresholds from cumulative sums. This function sorts its own input;
+    :func:`build_tree` sorts each feature once at the root and hands every
+    child its parent's order filtered by membership, so a tree costs one
+    O(p n log n) sort plus O(p n) per node.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = x.shape[0]
-    if n < 2:
+    if x.shape[0] < 2:
         return None
-    sd_parent = float(np.std(y))
+    return _scan(x, y, np.argsort(x, axis=0, kind="stable").T, float(np.std(y)))
+
+
+def _scan(x: np.ndarray, y: np.ndarray, orders: np.ndarray,
+          sd_parent: float) -> SplitCandidate | None:
+    """:func:`best_split` over the rows ``orders[j]`` of ``x`` and ``y``, where
+    ``orders[j]`` lists one node's rows by ascending ``x[:, j]``, ties in
+    ascending row order, and ``sd_parent`` is the node's outcome deviation."""
     best: SplitCandidate | None = None
-    for j in range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
+    for j, order in enumerate(orders):
+        n = order.size
         xs = x[order, j]
-        ys = y[order]
+        ys = y.take(order)
         cut = np.nonzero(xs[:-1] < xs[1:])[0]
         if cut.size == 0:
             continue
@@ -187,12 +196,21 @@ def build_tree(
     A control set smaller than ``p + 2`` yields a single-leaf tree with a
     warning.
     """
-    n, p = control.x.shape
+    x, y = control.x, control.y
+    n, p = x.shape
     if theta is None:
         theta = default_theta(p)
     nodes: list[TreeNode] = []
+    # order[j, lo:hi] lists one node's rows by ascending feature j, ties in
+    # row order. A split stable-partitions its node's span, left child first,
+    # so each child's span is its parent's order filtered by membership, and
+    # one array of int32 rows serves the whole tree.
+    order = np.empty((p, n), dtype=np.int32 if n < 2**31 else np.int64)
+    for j in range(p):
+        order[j] = np.argsort(x[:, j], kind="stable")
+    goes_left = np.zeros(n, dtype=bool)  # membership flags of the node being split
 
-    def grow(indices: np.ndarray, depth: int, fit: LinearFit) -> int:
+    def grow(indices: np.ndarray, depth: int, fit: LinearFit, lo: int) -> int:
         node_id = len(nodes)
         nodes.append(None)  # type: ignore[arg-type]  # reserve slot; filled below
         node = TreeNode(
@@ -202,23 +220,28 @@ def build_tree(
             r2_adj=fit.r2_adj,
             n=int(indices.size),
         )
-        xs = control.x[indices]
-        ys = control.y[indices]
+        span = order[:, lo:lo + indices.size]
         cand = None
         if depth < max_depth and indices.size >= p + 2:
-            cand = best_split(xs, ys)
+            cand = _scan(x, y, span, float(np.std(y[indices])))
         if cand is not None:
-            mask = xs[:, cand.feature] <= cand.threshold
+            mask = x[indices, cand.feature] <= cand.threshold
             lidx = indices[mask]
             ridx = indices[~mask]
-            lfit = ols_fit(control.x[lidx], control.y[lidx])
-            rfit = ols_fit(control.x[ridx], control.y[ridx])
+            lfit = ols_fit(x[lidx], y[lidx])
+            rfit = ols_fit(x[ridx], y[ridx])
             if should_split(fit, lfit, rfit, lidx.size, ridx.size, lambda_, theta):
                 node.split = (cand.feature, cand.threshold)
                 node.sdr = cand.sdr
                 nodes[node_id] = node
-                node.left = grow(lidx, depth + 1, lfit)
-                node.right = grow(ridx, depth + 1, rfit)
+                goes_left[indices] = mask
+                for row in span:
+                    side = goes_left[row]
+                    left, right = row.compress(side), row.compress(~side)
+                    row[:left.size] = left
+                    row[left.size:] = right
+                node.left = grow(lidx, depth + 1, lfit, lo)
+                node.right = grow(ridx, depth + 1, rfit, lo + lidx.size)
                 return node_id
         node.leaf_model = fit
         nodes[node_id] = node
@@ -228,7 +251,7 @@ def build_tree(
         logger.warning(
             "control set too small for any split (n=%d < p+2=%d); single-leaf tree", n, p + 2
         )
-    grow(np.arange(n), 0, ols_fit(control.x, control.y))
+    grow(np.arange(n), 0, ols_fit(x, y), 0)
     model = TreeModel(
         nodes=nodes,
         root=0,

@@ -201,6 +201,35 @@ def test_feature_span_beyond_the_float_range_runs(tmp_path, command):
         assert _strict_json((out / "report.json").read_text())["payload"]["att"] == 2.0
 
 
+def _overflowing_outcomes_csv(tmp_path):
+    # every treated-minus-control difference is -2e308, beyond the float range
+    csv_path = tmp_path / "huge_y.csv"
+    rows = [f"{k % 2},{'-1e308' if k % 2 else '1e308'},0.{k + 1}" for k in range(6)]
+    csv_path.write_text("t,y,a\n" + "\n".join(rows) + "\n")
+    return csv_path
+
+
+@pytest.mark.parametrize("method", ["m5c-mf", "m5c-m", "naive", "strategies"])
+def test_estimate_non_finite_effect_exit_3(tmp_path, method):
+    out = tmp_path / "out"
+    r = run_cli("estimate", "--input", str(_overflowing_outcomes_csv(tmp_path)),
+                "--treatment", "t", "--outcome", "y", "--method", method, "--out", str(out))
+    _assert_one_line_data_error(r, "not a finite number" if method != "strategies" else "float range")
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_tree_non_finite_fit_writes_no_nan(tmp_path):
+    out = tmp_path / "out"
+    r = run_cli("tree", "--input", str(_overflowing_outcomes_csv(tmp_path)),
+                "--treatment", "t", "--outcome", "y", "--out", str(out))
+    assert r.returncode in (0, 3), r.stderr
+    assert "Traceback" not in r.stderr
+    if r.returncode == 3:
+        _assert_one_line_data_error(r, "tree.json")
+    for path in out.glob("*.json"):
+        _strict_json(path.read_text())
+
+
 def test_estimate_directory_input_exit_3(tmp_path):
     folder = tmp_path / "folder.csv"
     folder.mkdir()

@@ -1,11 +1,15 @@
+import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratamatch.errors import DegenerateSplit
 from stratamatch.regression import LinearFit, ols_fit
 from stratamatch.tree import (
+    TreeModel,
+    TreeNode,
     assign_leaf,
     best_split,
     build_tree,
@@ -280,3 +284,93 @@ def test_assign_leaf_routes_to_matching_regime():
     leaf = tree.node(assign_leaf(tree, np.array([0.9])))
     pred = leaf.leaf_model.intercept + leaf.leaf_model.coefficients[0] * 0.9
     assert pred == pytest.approx(10.0 - 0.9, abs=0.1)
+
+
+def _tree_by_node_search(control, lambda_, theta, max_depth):
+    """The tree :func:`build_tree` grows, with every node's split found by
+    :func:`best_split` on that node's own rows, which sorts them afresh."""
+    x, y = control.x, control.y
+    n, p = x.shape
+    nodes = []
+
+    def grow(indices, depth, fit):
+        node_id = len(nodes)
+        nodes.append(None)
+        node = TreeNode(node_id=node_id, depth=depth, control_indices=indices,
+                        r2_adj=fit.r2_adj, n=int(indices.size))
+        cand = None
+        if depth < max_depth and indices.size >= p + 2:
+            cand = best_split(x[indices], y[indices])
+        if cand is not None:
+            mask = x[indices, cand.feature] <= cand.threshold
+            lidx, ridx = indices[mask], indices[~mask]
+            lfit, rfit = ols_fit(x[lidx], y[lidx]), ols_fit(x[ridx], y[ridx])
+            if should_split(fit, lfit, rfit, lidx.size, ridx.size, lambda_, theta):
+                node.split = (cand.feature, cand.threshold)
+                node.sdr = cand.sdr
+                nodes[node_id] = node
+                node.left = grow(lidx, depth + 1, lfit)
+                node.right = grow(ridx, depth + 1, rfit)
+                return node_id
+        node.leaf_model = fit
+        nodes[node_id] = node
+        return node_id
+
+    grow(np.arange(n), 0, ols_fit(x, y))
+    return TreeModel(nodes=nodes, root=0, lambda_=lambda_, theta=theta, p=p,
+                     feature_names=control.feature_names)
+
+
+# per-column value sets: constant, binary, -0.0 beside 0.0, a few levels
+_LEVELS = [(0.0, 0.25, 0.5, 0.75, 1.0), (-1.0, 1e-300, 0.5, 3.0), (-0.0, 0.0, 1.0), (0.0, 1.0),
+           (-0.0, 0.0), (0.0,)]
+
+
+@st.composite
+def _tied_controls(draw):
+    n = draw(st.integers(4, 80).map(lambda k: 84 - k))  # large n first
+    p = draw(st.sampled_from((3, 5, 2, 4, 1)))
+    # hypothesis picks the shape, the level sets and the model; a seeded
+    # generator fills the cells, as drawn lists would be mostly one value
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.column_stack([rng.choice(np.array(draw(st.sampled_from(_LEVELS))), n)
+                         for _ in range(p)])
+    noise = rng.choice(np.array([0.0, 0.01, -0.01, 0.03]), n)
+    # columns a and d pick which linear model holds: a model tree's reason to split
+    perm = draw(st.permutations(range(p)))
+    a, b, c, d = (perm[i % p] for i in range(4))
+    y = (noise + np.where(x[:, a] > 0.0, 4.0 * x[:, b] + 3.0, -4.0 * x[:, c])
+         + np.where(x[:, d] > 0.5, 2.0, -2.0) * x[:, b])
+    return control_only(x, y)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(control=_tied_controls(),
+       lambda_=st.sampled_from((0.0, 0.1)),
+       theta=st.sampled_from((1, 2, 5, 30)),
+       max_depth=st.sampled_from((32, 2, 1)))
+def test_presorted_tree_equals_a_fresh_sort_at_every_node(control, lambda_, theta, max_depth):
+    got = build_tree(control, lambda_, theta, max_depth)
+    want = _tree_by_node_search(control, lambda_, theta, max_depth)
+    assert json.dumps(tree_to_dict(got)) == json.dumps(tree_to_dict(want))
+    assert len(got.nodes) == len(want.nodes)
+    for a, b in zip(got.nodes, want.nodes):
+        assert a.control_indices.dtype == b.control_indices.dtype
+        assert a.control_indices.tobytes() == b.control_indices.tobytes()
+
+
+def test_build_tree_sorts_each_feature_once(monkeypatch):
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, size=(400, 3))
+    y = 20.0 * (x[:, 0] > 0.5) + 10.0 * (x[:, 1] > 0.5) + x[:, 2] + rng.normal(0, 0.01, 400)
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    tree = build_tree(control_only(x, y), theta=10)
+    assert sum(not nd.is_leaf for nd in tree.nodes) >= 3
+    assert len(calls) == x.shape[1]
