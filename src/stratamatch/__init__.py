@@ -3,178 +3,126 @@
 Fits a piecewise-linear tree on controls only, matches each treated unit
 to a balanced control subset inside its stratum by exact search, and
 reports per-unit and aggregate effects with balance diagnostics.
+
+``import stratamatch`` loads only the exception types; every other public
+name imports its submodule (and numpy) on first access.
 """
 
-from .balance import (
-    BalanceReport,
-    FeatureBalance,
-    compute_balance,
-    ks_distance,
-    overlap_coefficient,
-    post_match_report,
-    pre_match_report,
-    smd_abs,
-    variance_ratio,
-)
-from .bench import (
-    PRESETS,
-    DgpSpec,
-    StudyResult,
-    generate,
-    generate_hyb20var,
-    run_bias_study,
-    run_bootstrap_study,
-)
-from .config import PipelineConfig
-from .dataset import (
-    Dataset,
-    denormalize_min_max,
-    load_dataset,
-    make_dataset,
-    normalize_min_max,
-    split_by_treatment,
-)
-from .errors import (
-    AuditNotFound,
-    ConfigError,
-    DegenerateSplit,
-    EmptyInput,
-    EstimationImpossible,
-    HierarchyBoundWarning,
-    InsufficientDegreesOfFreedom,
-    InvalidSample,
-    MalformedInput,
-    NamedColumnAbsent,
-    NoCandidates,
-    NonFiniteResult,
-    OracleTooLarge,
-    ParseFailure,
-    PositivityViolation,
-    StrataMatchError,
-    StrategyRequiresBinary,
-)
-from .estimation import (
-    ESTIMATORS,
-    AttReport,
-    IattRecord,
-    PipelineFit,
-    StratumOutcome,
-    aggregate_att,
-    estimate_m5c_m,
-    estimate_m5c_mf,
-    estimate_naive,
-    estimate_strategies,
-    fit_pipeline,
-    naive_diff_in_means,
-    robust_att_1to1,
-    robust_att_1tok,
-    robust_att_ktok,
-)
-from .matching import (
-    CandidatePool,
-    MatchProblem,
-    MatchSolution,
-    candidate_pool,
-    hierarchy_m2_bound,
-    select_candidates,
-    solve_match,
-    solve_match_bruteforce,
-    solve_match_lexicographic,
-)
-from .regression import LinearFit, adjusted_r2, feature_weights, ols_fit, std_dev
-from .tree import (
-    TreeModel,
-    TreeNode,
-    assign_leaf,
-    best_split,
-    build_tree,
-    default_theta,
-    export_rules,
-    sdr,
-    should_split,
-    tree_to_dict,
-)
+from importlib import import_module as _import_module
+
+from . import errors
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttReport",
-    "AuditNotFound",
-    "BalanceReport",
-    "CandidatePool",
-    "ConfigError",
-    "Dataset",
-    "DegenerateSplit",
-    "DgpSpec",
-    "ESTIMATORS",
-    "EmptyInput",
-    "EstimationImpossible",
-    "FeatureBalance",
-    "HierarchyBoundWarning",
-    "IattRecord",
-    "InsufficientDegreesOfFreedom",
-    "InvalidSample",
-    "LinearFit",
-    "MalformedInput",
-    "MatchProblem",
-    "MatchSolution",
-    "NamedColumnAbsent",
-    "NoCandidates",
-    "NonFiniteResult",
-    "OracleTooLarge",
-    "PRESETS",
-    "ParseFailure",
-    "PipelineConfig",
-    "PipelineFit",
-    "PositivityViolation",
-    "StrataMatchError",
-    "StrategyRequiresBinary",
-    "StratumOutcome",
-    "StudyResult",
-    "TreeModel",
-    "TreeNode",
-    "adjusted_r2",
-    "aggregate_att",
-    "assign_leaf",
-    "best_split",
-    "build_tree",
-    "candidate_pool",
-    "compute_balance",
-    "default_theta",
-    "denormalize_min_max",
-    "estimate_m5c_m",
-    "estimate_m5c_mf",
-    "estimate_naive",
-    "estimate_strategies",
-    "export_rules",
-    "feature_weights",
-    "fit_pipeline",
-    "generate",
-    "generate_hyb20var",
-    "hierarchy_m2_bound",
-    "ks_distance",
-    "load_dataset",
-    "make_dataset",
-    "naive_diff_in_means",
-    "normalize_min_max",
-    "ols_fit",
-    "overlap_coefficient",
-    "post_match_report",
-    "pre_match_report",
-    "robust_att_1to1",
-    "robust_att_1tok",
-    "robust_att_ktok",
-    "run_bias_study",
-    "run_bootstrap_study",
-    "sdr",
-    "select_candidates",
-    "should_split",
-    "smd_abs",
-    "solve_match",
-    "solve_match_bruteforce",
-    "solve_match_lexicographic",
-    "split_by_treatment",
-    "std_dev",
-    "tree_to_dict",
-    "variance_ratio",
-]
+# submodule -> the public names it exports
+_EXPORTS = {
+    "balance": (
+        "BalanceReport",
+        "FeatureBalance",
+        "compute_balance",
+        "ks_distance",
+        "overlap_coefficient",
+        "post_match_report",
+        "pre_match_report",
+        "smd_abs",
+        "variance_ratio",
+    ),
+    "bench": (
+        "PRESETS",
+        "DgpSpec",
+        "StudyResult",
+        "generate",
+        "generate_hyb20var",
+        "run_bias_study",
+        "run_bootstrap_study",
+    ),
+    "config": ("PipelineConfig",),
+    "dataset": (
+        "Dataset",
+        "denormalize_min_max",
+        "load_dataset",
+        "make_dataset",
+        "normalize_min_max",
+        "split_by_treatment",
+    ),
+    "errors": (
+        "AuditNotFound",
+        "ConfigError",
+        "DegenerateSplit",
+        "EmptyInput",
+        "EstimationImpossible",
+        "HierarchyBoundWarning",
+        "InsufficientDegreesOfFreedom",
+        "InvalidSample",
+        "MalformedInput",
+        "NamedColumnAbsent",
+        "NoCandidates",
+        "NonFiniteResult",
+        "OracleTooLarge",
+        "ParseFailure",
+        "PositivityViolation",
+        "StrataMatchError",
+        "StrategyRequiresBinary",
+    ),
+    "estimation": (
+        "ESTIMATORS",
+        "AttReport",
+        "IattRecord",
+        "PipelineFit",
+        "StratumOutcome",
+        "aggregate_att",
+        "estimate_m5c_m",
+        "estimate_m5c_mf",
+        "estimate_naive",
+        "estimate_strategies",
+        "fit_pipeline",
+        "naive_diff_in_means",
+        "robust_att_1to1",
+        "robust_att_1tok",
+        "robust_att_ktok",
+    ),
+    "matching": (
+        "CandidatePool",
+        "MatchProblem",
+        "MatchSolution",
+        "candidate_pool",
+        "hierarchy_m2_bound",
+        "select_candidates",
+        "solve_match",
+        "solve_match_bruteforce",
+        "solve_match_lexicographic",
+    ),
+    "regression": ("LinearFit", "adjusted_r2", "feature_weights", "ols_fit", "std_dev"),
+    "tree": (
+        "TreeModel",
+        "TreeNode",
+        "assign_leaf",
+        "best_split",
+        "build_tree",
+        "default_theta",
+        "export_rules",
+        "sdr",
+        "should_split",
+        "tree_to_dict",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+# the exception types need no numpy, so they are bound now
+globals().update((name, getattr(errors, name)) for name in _EXPORTS["errors"])
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule on first access (PEP 562)."""
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -45,10 +45,20 @@ def _wmean(v: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(w * v) / np.sum(w))
 
 
-def _wvar(v: np.ndarray, w: np.ndarray) -> float:
-    # population convention: weighted second moment about the weighted mean
-    m = _wmean(v, w)
+def _wvar(v: np.ndarray, w: np.ndarray, m: float) -> float:
+    # population convention: weighted second moment about the weighted mean m
     return float(np.sum(w * (v - m) ** 2) / np.sum(w))
+
+
+def _smd(mt: float, mc: float, vt: float, vc: float) -> float:
+    denom = math.sqrt((vt + vc) / 2.0)
+    if denom == 0.0:
+        return 0.0 if mt == mc else math.inf
+    return abs(mt - mc) / denom
+
+
+def _vr(vt: float, vc: float) -> float:
+    return math.nan if vc == 0.0 else vt / vc
 
 
 def smd_abs(treated: np.ndarray, control: np.ndarray, control_weights: np.ndarray | None = None) -> float:
@@ -59,12 +69,8 @@ def smd_abs(treated: np.ndarray, control: np.ndarray, control_weights: np.ndarra
     """
     t, c = _check(treated, control)
     wc = _weights(c, control_weights)
-    mt, mc = float(np.mean(t)), _wmean(c, wc)
-    vt, vc = float(np.var(t)), _wvar(c, wc)
-    denom = math.sqrt((vt + vc) / 2.0)
-    if denom == 0.0:
-        return 0.0 if mt == mc else math.inf
-    return abs(mt - mc) / denom
+    mc = _wmean(c, wc)
+    return _smd(float(np.mean(t)), mc, float(np.var(t)), _wvar(c, wc, mc))
 
 
 def variance_ratio(treated: np.ndarray, control: np.ndarray, control_weights: np.ndarray | None = None) -> float:
@@ -72,26 +78,54 @@ def variance_ratio(treated: np.ndarray, control: np.ndarray, control_weights: np
     control variance is zero (undefined)."""
     t, c = _check(treated, control)
     wc = _weights(c, control_weights)
-    vc = _wvar(c, wc)
-    if vc == 0.0:
-        return math.nan
-    return float(np.var(t)) / vc
+    return _vr(float(np.var(t)), _wvar(c, wc, _wmean(c, wc)))
+
+
+def _control_cdf(c: np.ndarray, w: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted control values and the cumulative control mass at each.
+
+    Unit weights (``w is None``) accumulate to exactly 1..n, so a plain sort
+    serves. Other weights keep the stable order: the order of ties fixes the
+    bits of the cumulative sum.
+    """
+    if w is None:
+        return np.sort(c), np.arange(1.0, c.size + 1.0)
+    order = np.argsort(c, kind="stable")
+    return c[order], np.cumsum(w[order])
+
+
+def _ks_sorted(ts: np.ndarray, cs: np.ndarray, ccum: np.ndarray) -> float:
+    """KS distance of sorted treated values ``ts`` against sorted control
+    values ``cs`` with cumulative mass ``ccum``.
+
+    The CDF gap changes only at a treated value or at the last of a run of
+    equal control values, so those points hold its maximum.
+    """
+    ends = np.flatnonzero(np.append(cs[1:] != cs[:-1], True))
+    grid = np.concatenate([ts, cs[ends]])
+    ft = np.searchsorted(ts, grid, side="right") / ts.size
+    idx = np.concatenate([np.searchsorted(cs, ts, side="right"), ends + 1])
+    fc = np.where(idx > 0, ccum[np.maximum(idx - 1, 0)], 0.0) / ccum[-1]
+    return float(np.max(np.abs(ft - fc)))
 
 
 def ks_distance(treated: np.ndarray, control: np.ndarray, control_weights: np.ndarray | None = None) -> float:
     """Largest vertical distance between the two empirical CDFs."""
     t, c = _check(treated, control)
-    wc = _weights(c, control_weights)
-    ts = np.sort(t)
-    corder = np.argsort(c, kind="stable")
-    cs = c[corder]
-    ccum = np.cumsum(wc[corder])
-    ctot = ccum[-1]
-    grid = np.union1d(ts, cs)
-    ft = np.searchsorted(ts, grid, side="right") / ts.size
-    idx = np.searchsorted(cs, grid, side="right")
-    fc = np.where(idx > 0, ccum[np.maximum(idx - 1, 0)], 0.0) / ctot
-    return float(np.max(np.abs(ft - fc)))
+    w = None if control_weights is None else _weights(c, control_weights)
+    return _ks_sorted(np.sort(t), *_control_cdf(c, w))
+
+
+def _overlap(t: np.ndarray, c: np.ndarray, bins: int, wc: np.ndarray) -> float:
+    lo = float(min(t.min(), c.min()))
+    hi = float(max(t.max(), c.max()))
+    if lo == hi:
+        return 1.0
+    pt, _ = np.histogram(t, bins=bins, range=(lo, hi))
+    pc, _ = np.histogram(c, bins=bins, range=(lo, hi), weights=wc)
+    p = pt / pt.sum()
+    q = pc / pc.sum()
+    return float(np.sum(np.minimum(p, q)))
 
 
 def overlap_coefficient(
@@ -107,16 +141,7 @@ def overlap_coefficient(
     proportions, 1 for identical distributions and 0 for disjoint ones.
     """
     t, c = _check(treated, control)
-    wc = _weights(c, control_weights)
-    lo = float(min(t.min(), c.min()))
-    hi = float(max(t.max(), c.max()))
-    if lo == hi:
-        return 1.0
-    pt, _ = np.histogram(t, bins=bins, range=(lo, hi))
-    pc, _ = np.histogram(c, bins=bins, range=(lo, hi), weights=wc)
-    p = pt / pt.sum()
-    q = pc / pc.sum()
-    return float(np.sum(np.minimum(p, q)))
+    return _overlap(t, c, bins, _weights(c, control_weights))
 
 
 @dataclass(frozen=True)
@@ -173,27 +198,36 @@ def compute_balance(
     scope: str = "pre",
     bins: int = DEFAULT_BINS,
 ) -> BalanceReport:
-    """Score every feature column of a treated-vs-control comparison."""
+    """Score every feature column of a treated-vs-control comparison.
+
+    Each column is sorted once, and its means and variances serve both the
+    SMD and the variance ratio; every metric has the bits of its public
+    function.
+    """
     x_treated = np.asarray(x_treated, dtype=np.float64)
     x_control = np.asarray(x_control, dtype=np.float64)
     if x_treated.ndim != 2 or x_control.ndim != 2:
         raise EmptyInput("compute_balance expects two feature matrices")
+    # feature-major copies: each column is one contiguous row
+    xt, xc = np.ascontiguousarray(x_treated.T), np.ascontiguousarray(x_control.T)
+    wc = None
     rows = []
     for j, name in enumerate(feature_names):
-        t = x_treated[:, j]
-        c = x_control[:, j]
-        wc = control_weights
-        mt = float(np.mean(t))
-        mc = _wmean(c, _weights(c, wc))
+        t, c = _check(xt[j], xc[j])
+        if wc is None:
+            wc = _weights(c, control_weights)
+            w_cdf = None if control_weights is None else wc  # None takes the plain sort
+        mt, mc = float(np.mean(t)), _wmean(c, wc)
+        vt, vc = float(np.var(t)), _wvar(c, wc, mc)
         rows.append(
             FeatureBalance(
                 name=name,
                 mean_treated=mt,
                 mean_control=mc,
-                smd=smd_abs(t, c, wc),
-                variance_ratio=variance_ratio(t, c, wc),
-                ks=ks_distance(t, c, wc),
-                overlap=overlap_coefficient(t, c, bins, wc),
+                smd=_smd(mt, mc, vt, vc),
+                variance_ratio=_vr(vt, vc),
+                ks=_ks_sorted(np.sort(t), *_control_cdf(c, w_cdf)),
+                overlap=_overlap(t, c, bins, wc),
             )
         )
     return BalanceReport(

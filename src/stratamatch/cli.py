@@ -8,6 +8,10 @@ Logs go to stderr; data artifacts go to files. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 estimation impossible. Report
 payloads exclude timestamps, so the same data and config reproduce them
 byte for byte.
+
+Each subcommand imports the layers it calls inside its own function, so a
+call loads only what it uses: ``balance`` never loads the tree or the
+matcher, and ``--version`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -20,19 +24,9 @@ import logging
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .balance import post_match_report, pre_match_report, report_to_dict, report_to_text
-from .bench import (
-    PRESETS,
-    generate,
-    run_bias_study,
-    run_bootstrap_study,
-    summary_to_dict,
-    write_records_csv,
-)
-from .config import PipelineConfig
-from .dataset import Dataset, check_distinct_columns, load_dataset
 from .errors import (
     AuditNotFound,
     ConfigError,
@@ -40,8 +34,11 @@ from .errors import (
     NonFiniteResult,
     StrataMatchError,
 )
-from .estimation import ESTIMATORS, AttReport, fit_pipeline
-from .tree import export_rules, tree_to_dict
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
+    from .dataset import Dataset
+    from .estimation import AttReport
 
 logger = logging.getLogger(__name__)
 
@@ -105,6 +102,8 @@ def _resolve_config(args: argparse.Namespace) -> tuple[PipelineConfig, dict]:
     """Merge defaults, config file, and explicit CLI flags (in that order).
 
     Flags hold raw strings and parse like their config keys."""
+    from .config import PipelineConfig
+
     overrides: dict = {}
     extras: dict = {}
     if getattr(args, "config", None):
@@ -164,6 +163,8 @@ def _add_io_flags(sp: argparse.ArgumentParser) -> None:
 
 
 def _load(args: argparse.Namespace) -> Dataset:
+    from .dataset import load_dataset
+
     return load_dataset(
         args.input,
         treatment_col=args.treatment,
@@ -177,6 +178,8 @@ def _dry_run(args: argparse.Namespace, *paths: str, detail: str = "") -> int:
     """Check what a run would read, without reading it: the column check
     :func:`load_dataset` runs before it opens the file, then that every path
     exists."""
+    from .dataset import check_distinct_columns
+
     check_distinct_columns(args.treatment, args.outcome)
     for path in paths:
         if not Path(path).exists():
@@ -204,7 +207,9 @@ def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(_json(obj, path, indent=2) + "\n")
 
 
-def _report_payload(report: AttReport, cfg: PipelineConfig, method: str, d: Dataset) -> dict:
+def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig, method: str,
+                    d: Dataset) -> dict:
+    """``iatt`` holds the ``dataclasses.asdict`` of each ``report.iatt`` record."""
     return {
         "method": method,
         "config": {**cfg.as_dict(), "method": method},
@@ -218,16 +223,14 @@ def _report_payload(report: AttReport, cfg: PipelineConfig, method: str, d: Data
         "att": report.att,
         "n_used": report.n_used,
         "n_skipped": len(report.skipped),
-        "iatt": [dataclasses.asdict(r) for r in report.iatt],
+        "iatt": iatt,
         "skipped": [dataclasses.asdict(r) for r in report.skipped],
         "strata": [dict(s) for s in report.strata],
     }
 
 
-def _write_audit(report: AttReport, path: Path) -> None:
-    lines = []
-    for r in report.iatt:
-        lines.append(_json(dataclasses.asdict(r), path))
+def _write_audit(report: AttReport, iatt: list[dict], path: Path) -> None:
+    lines = [_json(r, path) for r in iatt]
     for r in report.skipped:
         lines.append(_json({"treated_row": r.treated_row, "skipped": r.reason}, path))
     path.write_text("\n".join(lines) + "\n")
@@ -252,6 +255,9 @@ def _summary_text(report: AttReport, method: str, d: Dataset) -> str:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from .estimation import ESTIMATORS
+    from .tree import export_rules, tree_to_dict
+
     cfg, extras = _resolve_config(args)
     method = args.method or extras.get("method") or "m5c-mf"
     if method not in ESTIMATORS:
@@ -265,9 +271,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if report.tree is not None:
         _dump_json(tree_to_dict(report.tree), out / "tree.json")
         (out / "tree_rules.txt").write_text(export_rules(report.tree))
-    _write_audit(report, out / "audit.jsonl")
+    iatt = [dataclasses.asdict(r) for r in report.iatt]
+    _write_audit(report, iatt, out / "audit.jsonl")
     (out / "summary.txt").write_text(_summary_text(report, method, d))
-    payload = _report_payload(report, cfg, method, d)
+    payload = _report_payload(report, iatt, cfg, method, d)
     meta = {
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "runtime_s": time.perf_counter() - t0,
@@ -280,6 +287,15 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import (
+        PRESETS,
+        generate,
+        run_bias_study,
+        run_bootstrap_study,
+        summary_to_dict,
+        write_records_csv,
+    )
+
     cfg, _ = _resolve_config(args)
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
@@ -347,6 +363,8 @@ def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, t
 
 
 def cmd_balance(args: argparse.Namespace) -> int:
+    from .balance import post_match_report, pre_match_report, report_to_dict, report_to_text
+
     if args.dry_run:
         return _dry_run(args, args.input, args.audit)
     d = _load(args)
@@ -365,6 +383,9 @@ def cmd_balance(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
+    from .estimation import fit_pipeline
+    from .tree import export_rules, tree_to_dict
+
     cfg, _ = _resolve_config(args)
     if args.dry_run:
         return _dry_run(args, args.input)
@@ -380,6 +401,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .bench import PRESETS, generate
+
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
     spec = PRESETS[args.preset]
@@ -412,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("estimate", help="estimate the effect on the treated")
     _add_io_flags(sp)
-    sp.add_argument("--method", choices=sorted(ESTIMATORS), default=None,
-                    help="estimator (default m5c-mf)")
+    sp.add_argument("--method", default=None,
+                    help="estimator: m5c-mf (default), m5c-m, naive or strategies")
     sp.add_argument("--out", required=True, help="output directory")
     _add_pipeline_flags(sp)
     sp.set_defaults(func=cmd_estimate)

@@ -72,9 +72,17 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
         rank_deficient = True
 
     resid = y - design @ beta
-    ssr = float(resid @ resid)
     centered = y - y.mean()
-    sst = float(centered @ centered)
+    with np.errstate(over="ignore"):  # an overflow is redone below
+        ssr = float(resid @ resid)
+        sst = float(centered @ centered)
+    if math.isinf(ssr) or math.isinf(sst):
+        # a sum of squares passed the float range (|y| beyond ~1e154): scale
+        # both vectors by one power of two, exact, so the larger peaks in [0.5, 1)
+        peak = float(max(np.max(np.abs(resid)), np.max(np.abs(centered))))
+        scale = math.ldexp(1.0, -math.frexp(peak)[1])
+        resid, centered = resid * scale, centered * scale
+        ssr, sst = float(resid @ resid), float(centered @ centered)
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     r2a = adjusted_r2(r2, n, p) if n > p + 1 else None
     coef = np.asarray(beta[1:], dtype=np.float64)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratamatch.balance import (
     compute_balance,
@@ -204,3 +205,78 @@ def test_overlap_half_shifted_uniforms():
     t = rng.uniform(0.0, 1.0, 10_000)
     c = rng.uniform(0.5, 1.5, 10_000)
     assert overlap_coefficient(t, c) == pytest.approx(0.5, abs=0.05)
+
+
+# The formulas of the per-metric code that compute_balance replaced: a stable
+# argsort with a cumulative weight sum on every path, and the CDF gap read on
+# the union1d of both samples. compute_balance and ks_distance must keep
+# their bits.
+
+
+def _reference_ks(t, c, w):
+    wc = np.ones_like(c) if w is None else w
+    ts = np.sort(t)
+    corder = np.argsort(c, kind="stable")
+    cs = c[corder]
+    ccum = np.cumsum(wc[corder])
+    grid = np.union1d(ts, cs)
+    ft = np.searchsorted(ts, grid, side="right") / ts.size
+    idx = np.searchsorted(cs, grid, side="right")
+    fc = np.where(idx > 0, ccum[np.maximum(idx - 1, 0)], 0.0) / ccum[-1]
+    return float(np.max(np.abs(ft - fc)))
+
+
+def _reference_row(t, c, w, bins):
+    wc = np.ones_like(c) if w is None else w
+    mt, mc = float(np.mean(t)), float(np.sum(wc * c) / np.sum(wc))
+    vt, vc = float(np.var(t)), float(np.sum(wc * (c - mc) ** 2) / np.sum(wc))
+    denom = math.sqrt((vt + vc) / 2.0)
+    smd = (0.0 if mt == mc else math.inf) if denom == 0.0 else abs(mt - mc) / denom
+    lo, hi = float(min(t.min(), c.min())), float(max(t.max(), c.max()))
+    if lo == hi:
+        ovl = 1.0
+    else:
+        pt, _ = np.histogram(t, bins=bins, range=(lo, hi))
+        pc, _ = np.histogram(c, bins=bins, range=(lo, hi), weights=wc)
+        ovl = float(np.sum(np.minimum(pt / pt.sum(), pc / pc.sum())))
+    vr = math.nan if vc == 0.0 else vt / vc
+    return (mt, mc, smd, vr, _reference_ks(t, c, w), ovl)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+# few levels, so ties are common; -0.0 sits beside 0.0
+_LEVELS = st.sampled_from([0.0, -0.0, 1.0, 1.0, 0.5, -2.0, 1e-300, 3.0, 0.1, 0.7])
+# weights with ties and zeros
+_WEIGHTS = st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7, 1.0, 2.5])
+
+
+@st.composite
+def _comparisons(draw):
+    p = draw(st.integers(1, 3))
+    n_t = draw(st.integers(1, 6))
+    n_c = draw(st.integers(1, 60))
+    xt = np.array(draw(st.lists(_LEVELS, min_size=n_t * p, max_size=n_t * p))).reshape(n_t, p)
+    xc = np.array(draw(st.lists(_LEVELS, min_size=n_c * p, max_size=n_c * p))).reshape(n_c, p)
+    if draw(st.booleans()):  # a constant column on both sides
+        xt[:, 0] = xc[:, 0] = draw(_LEVELS)
+    w = None
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(_WEIGHTS, min_size=n_c, max_size=n_c)))
+        if w.sum() == 0:
+            w[draw(st.integers(0, n_c - 1))] = draw(st.sampled_from([0.1, 1 / 3, 1.0]))
+    return xt, xc, w, draw(st.sampled_from([1, 3, 20]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_comparisons())
+def test_balance_keeps_the_bits_of_the_per_metric_formulas(case):
+    xt, xc, w, bins = case
+    names = tuple(f"x{j}" for j in range(xt.shape[1]))
+    rep = compute_balance(xt, xc, names, control_weights=w, bins=bins)
+    for j, f in enumerate(rep.features):
+        got = (f.mean_treated, f.mean_control, f.smd, f.variance_ratio, f.ks, f.overlap)
+        assert _bits(got) == _bits(_reference_row(xt[:, j], xc[:, j], w, bins))
+        assert _bits([ks_distance(xt[:, j], xc[:, j], w)]) == _bits([f.ks])

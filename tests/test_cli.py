@@ -230,6 +230,27 @@ def test_tree_non_finite_fit_writes_no_nan(tmp_path):
         _strict_json(path.read_text())
 
 
+@pytest.mark.parametrize("command", ["estimate", "tree"])
+def test_outcomes_near_1e200_fit_a_finite_r2(tmp_path, command):
+    # the outcomes' sums of squares pass the float range, their ratio does not:
+    # the root model's r2 is finite, so the run writes its tree and exits 0
+    csv_path = tmp_path / "y1e200.csv"
+    csv_path.write_text(
+        "t,y,a,b\n0,3.577e+200,0.805,0.808\n1,2.917e+200,0.286,0.054\n"
+        "0,1.244e+200,0.408,0.045\n1,2.173e+200,0.999,0.652\n0,5.488e+200,0.435,0.974\n"
+        "1,3.465e+200,0.844,0.392\n0,3.778e+200,0.677,0.061\n1,1.321e+200,0.271,0.880\n"
+    )
+    out = tmp_path / "out"
+    r = run_cli(command, "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    model = _strict_json((out / "tree.json").read_text())["root"]["model"]
+    assert 0.0 <= model["r2"] <= 1.0
+    if command == "estimate":
+        assert _strict_json((out / "report.json").read_text())["payload"]["att"] < 0.0
+
+
 def test_estimate_directory_input_exit_3(tmp_path):
     folder = tmp_path / "folder.csv"
     folder.mkdir()
@@ -330,6 +351,25 @@ def test_estimate_unknown_method_exit_2(tmp_path, data_csv):
         "--method", "zzz", "--out", str(tmp_path / "x"),
     )
     assert r.returncode == 2
+
+
+def test_unknown_method_names_the_choices(tmp_path, data_csv):
+    r = run_cli(
+        "estimate", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+        "--method", "zzz", "--out", str(tmp_path / "x"),
+    )
+    assert r.returncode == 2 and "Traceback" not in r.stderr
+    (line,) = [ln for ln in r.stderr.splitlines() if ln.startswith("ERROR")]
+    assert "configuration error: unknown method 'zzz'" in line and "m5c-mf" in line
+
+
+def test_method_help_names_every_estimator():
+    from stratamatch import cli
+    from stratamatch.estimation import ESTIMATORS
+
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    (method,) = [a for a in sub.choices["estimate"]._actions if a.dest == "method"]
+    assert all(name in method.help for name in ESTIMATORS)
 
 
 def test_estimate_bad_flag_value_exit_2(tmp_path, data_csv):

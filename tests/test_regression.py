@@ -135,3 +135,13 @@ def test_feature_weights_pick_up_benchmark_signal():
     floors = [0.3, 0.15, 2.0, 0.3, 0.05]
     for name, floor in zip(names, floors):
         assert w[int(name[1:]) - 1] > floor, name
+
+
+def test_ols_r2_stays_finite_when_the_sums_of_squares_overflow():
+    # |y| near 1e200: resid @ resid and the centered sum pass DBL_MAX
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(8, 2))
+    y = rng.uniform(1.0, 6.0, size=8)
+    fit = ols_fit(x, y * 1e200)
+    assert np.isfinite(fit.r2) and np.isfinite(fit.r2_adj)
+    assert fit.r2 == pytest.approx(ols_fit(x, y).r2, rel=1e-9)
