@@ -223,12 +223,6 @@ def _drain(chunks: Iterator[_Chunk]) -> None:
         pass
 
 
-def _in_chunks(rows: list[list[str]], lines: list[int]) -> Iterator[_Chunk]:
-    """Rows already held in memory, in chunks as :func:`_read_table` yields them."""
-    for i in range(0, len(rows), _CHUNK_ROWS):
-        yield rows[i:i + _CHUNK_ROWS], lines[i:i + _CHUNK_ROWS]
-
-
 def _is_number(cell: str) -> bool:
     try:
         v = float(cell)
@@ -312,13 +306,6 @@ def _chunk_table(
     return table
 
 
-def _grow(a: np.ndarray, n: int, rows: int) -> np.ndarray:
-    """A new buffer of ``rows`` rows holding the first ``n`` rows of ``a``."""
-    out = np.empty((rows,) + a.shape[1:])
-    out[:n] = a[:n]
-    return out
-
-
 def _columns(
     header: list[str], treatment_col: str, outcome_col: str
 ) -> tuple[int, int, list[int]]:
@@ -329,9 +316,10 @@ def _columns(
 
 
 def _plain_lines(raw: bytes) -> bool:
-    """Whether ``raw`` holds no ``"`` byte and no line that, with its line
-    end, is longer than ``csv.field_size_limit()``."""
-    if b'"' in raw:
+    """Whether ``raw`` holds no ``"`` byte after its first line end (a quoted
+    header is read by the csv reader) and no line that, with its line end,
+    is longer than ``csv.field_size_limit()``."""
+    if raw.find(b'"', raw.find(b"\n") + 1) != -1:
         return False
     ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
     return np.diff(ends, prepend=-1, append=len(raw)).max() <= csv.field_size_limit()
@@ -344,11 +332,12 @@ def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int) -> np.nda
     The C reader accepts a subset of what the csv reader and ``float`` do,
     and reads each cell it accepts to the same bits. Two kinds of file fall
     outside that, and are refused before parsing: one holding a ``"`` byte
-    (a quoted cell can span lines and needs unquoting) and one with a line
-    longer than ``csv.field_size_limit()`` (the csv reader refuses its
-    cell). The result is also refused unless it has at least one row, the
-    header's width, only finite cells and every treatment 0 or 1. ``None``
-    says nothing about the file: the csv reader decides what is wrong.
+    after its first line (a quoted cell can span lines and needs unquoting;
+    a quoted header is read by the csv reader) and one with a line longer
+    than ``csv.field_size_limit()`` (the csv reader refuses its cell). The
+    result is also refused unless it has at least one row, the header's
+    width, only finite cells and every treatment 0 or 1. ``None`` says
+    nothing about the file: the csv reader decides what is wrong.
     """
     try:
         with open(path, "rb") as binary:
@@ -374,42 +363,32 @@ def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int) -> np.nda
     return table if ((t == 0.0) | (t == 1.0)).all() else None
 
 
-def _convert(
+def _csv_table(
     header: list[str],
     chunks: Iterator[_Chunk],
     treatment_col: str,
     outcome_col: str,
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """The feature names, and the treatment, feature and outcome arrays of
-    every chunk.
+) -> np.ndarray:
+    """Every chunk's rows as one float table in header column order, each
+    chunk converted and checked on its own.
 
-    Each chunk's columns are copied into buffers that double when full, so
-    at no time is a second whole-table array held. A cell error drains
-    ``chunks`` before it is raised, so an error of the reader anywhere in
-    the file takes precedence. Earlier chunks passed every check, so the
-    first bad cell of the failing chunk is the first in the file.
+    A cell error drains ``chunks`` before it is raised, so an error of the
+    reader anywhere in the file takes precedence. Earlier chunks passed
+    every check, so the first bad cell of the failing chunk is the first in
+    the file.
     """
     t_idx, y_idx, feat_idx = _columns(header, treatment_col, outcome_col)
     # features before the outcome: the order in which bad cells are named
     numeric = feat_idx + [y_idx]
-    t, x, y = np.empty(0), np.empty((0, len(feat_idx))), np.empty(0)
-    n = 0
+    tables = []
     for rows, lines in chunks:
         try:
-            table = _chunk_table(header, rows, lines, numeric, t_idx)
+            tables.append(_chunk_table(header, rows, lines, numeric, t_idx))
         except ParseFailure:
             _drain(chunks)
             raise
-        m = len(rows)
-        if n + m > len(t):
-            t, x, y = (_grow(a, n, 2 * (n + m)) for a in (t, x, y))
-        t[n:n + m] = table[:, t_idx]
-        x[n:n + m] = table[:, feat_idx]
-        y[n:n + m] = table[:, y_idx]
-        n += m
-    for a in (t, x, y):
-        a.resize((n,) + a.shape[1:], refcheck=False)  # in place: no view of a exists
-    return tuple(header[j] for j in feat_idx), t, x, y
+    del rows, lines  # free the last chunk's strings before the join
+    return np.concatenate(tables)
 
 
 def encode_categoricals(
@@ -475,24 +454,25 @@ def load_dataset(
     columns are first expanded into one indicator column per level; a table
     whose every cell converts to a finite number has none.
 
-    The header is read by the csv reader, and checked, first. A file without
-    a ``"`` byte and without a line longer than ``csv.field_size_limit()``
-    is then read by numpy's C text reader in one call; its table is kept if
-    it has the header's width, at least one row, only finite cells and
-    treatments 0 or 1. Such a table is the one the csv reader gives, bit for
-    bit, and with ``encode=True`` it has no text column to expand.
+    The header is read by the csv reader, and checked, first; its names may
+    be quoted. A file without a ``"`` byte after the header line and without
+    a line longer than ``csv.field_size_limit()`` is then read by numpy's C
+    text reader in one call; its table is kept if it has the header's width,
+    at least one row, only finite cells and treatments 0 or 1. Such a table
+    is the one the csv reader gives, bit for bit, and with ``encode=True``
+    it has no text column to expand.
 
     Every other file, and every file the C reader refuses, is read on by
     the csv reader, and every error below comes from it. It skips
     blank and delimiter-only lines. The kept rows are converted in chunks of
-    at most ``_CHUNK_ROWS`` rows, one numpy call each, straight into the
-    treatment, feature and outcome arrays, so no string cell outlives its
-    chunk (``encode=True`` holds every row, since a text column's levels
-    need them all). The finiteness and 0/1 treatment checks run on each
-    chunk's array. Only when one of these steps fails are the cells of that
-    chunk scanned one by one, to name the first bad cell. Errors give the
-    physical file line (1-based, the header is line 1) on which the
-    offending row ends.
+    at most ``_CHUNK_ROWS`` rows, one numpy call each, so no string cell
+    outlives its chunk (``encode=True`` holds every row, since a text
+    column's levels need them all). The finiteness and 0/1 treatment checks
+    run on each chunk's array. Only when one of these steps fails are the
+    cells of that chunk scanned one by one, to name the first bad cell.
+    Errors give the physical file line (1-based, the header is line 1) on
+    which the offending row ends. Either reader gives one float table, which
+    is split once into the treatment, feature and outcome arrays.
 
     When a file has several faults, the reader's errors come first: an
     unreadable, non-UTF-8 or csv-refused file, no data rows, or a row of the
@@ -536,16 +516,11 @@ def load_dataset(
         _drain(chunks)
         raise EmptyInput("input has no feature columns")
 
-    t_idx, y_idx, feat_idx = _columns(header, treatment_col, outcome_col)
-    table = _c_table(path, delimiter, len(header), t_idx)
+    table = _c_table(path, delimiter, len(header), header.index(treatment_col))
     if table is not None:
         chunks.close()
-        names = tuple(header[j] for j in feat_idx)
-        # take, not table[:, feat_idx]: that would be Fortran-ordered, and
-        # freezing it would copy it again
-        t, x, y = table[:, t_idx], table.take(feat_idx, axis=1), table[:, y_idx].copy()
     elif not encode:
-        names, t, x, y = _convert(header, chunks, treatment_col, outcome_col)
+        table = _csv_table(header, chunks, treatment_col, outcome_col)
     else:
         rows: list[list[str]] = []
         lines: list[int] = []
@@ -555,12 +530,17 @@ def load_dataset(
         # one conversion shows that no column is text; the per-column
         # detection runs only when it fails
         try:
-            names, t, x, y = _convert(header, _in_chunks(rows, lines), treatment_col, outcome_col)
+            table = _csv_table(header, iter([(rows, lines)]), treatment_col, outcome_col)
         except ParseFailure:
             header, rows = encode_categoricals(header, rows, skip=(treatment_col, outcome_col))
-            names, t, x, y = _convert(header, _in_chunks(rows, lines), treatment_col, outcome_col)
+            table = _csv_table(header, iter([(rows, lines)]), treatment_col, outcome_col)
         del rows, lines
 
+    t_idx, y_idx, feat_idx = _columns(header, treatment_col, outcome_col)
+    names = tuple(header[j] for j in feat_idx)
+    # take, not table[:, feat_idx]: that would be Fortran-ordered, and
+    # freezing it would copy it again
+    t, x, y = table[:, t_idx], table.take(feat_idx, axis=1), table[:, y_idx].copy()
     d = _checked_dataset(t.astype(np.int64), x, y, names)
     logger.info(
         "loaded %s: n=%d (treated=%d, control=%d), p=%d",

@@ -32,7 +32,7 @@ from .errors import (
     StrategyRequiresBinary,
 )
 from .matching import candidate_pool, select_candidates, solve_match
-from .regression import feature_weights
+from .regression import _mean, feature_weights
 from .tree import TreeModel, assign_leaf, build_tree
 
 logger = logging.getLogger(__name__)
@@ -190,7 +190,7 @@ def _finish(method: str, records: list[IattRecord], skipped: list[SkipRecord],
                 raise NonFiniteResult(
                     f"{method}: {name} of treated row {r.treated_row} is {v!r}, not a finite number"
                 )
-    att = float(np.mean([r.iatt for r in records]))
+    att = _mean([r.iatt for r in records])
     if not math.isfinite(att):
         raise NonFiniteResult(f"{method}: att is {att!r}, not a finite number")
     if skipped:
@@ -282,12 +282,12 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
         records.append(IattRecord(
             treated_row=int(treated.rows()[k]),
             leaf=leaf_id,
-            iatt=float(treated.y[k] - np.mean(ys)),
+            iatt=float(treated.y[k] - _mean(ys)),
             matched_rows=tuple(int(r) for r in sol.selected_ids),
             epsilon=sol.epsilon,
             a=sol.a,
             objective=sol.objective,
-            nodes=sol.stats.nodes,
+            nodes=sol.nodes,
         ))
     return _finish("m5c-mf", records, skipped, treated.n, tree=fit.tree)
 
@@ -321,7 +321,7 @@ def estimate_m5c_m(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
 def estimate_naive(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     """Naive baseline in report form; every treated unit's effect is its
     outcome minus the global control mean."""
-    control_mean = float(np.mean(d.y[d.t == 0]))
+    control_mean = _mean(d.y[d.t == 0])
     rows = d.rows()
     records = [
         IattRecord(treated_row=int(rows[k]), leaf=-1, iatt=float(d.y[k]) - control_mean)
@@ -352,7 +352,7 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
         units = by_leaf[leaf_id]
         yc = control.y[fit.tree.node(leaf_id).control_indices]
         s = StratumOutcome(treated=treated.y[units], control=yc, stratum_id=leaf_id)
-        cbar = float(np.mean(yc))
+        cbar = _mean(yc)
         for k in units:
             records.append(
                 IattRecord(

@@ -35,7 +35,6 @@ independent full-enumeration oracle is provided for cross-checking.
 from __future__ import annotations
 
 import logging
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -122,24 +121,14 @@ class MatchProblem:
 
 
 @dataclass(frozen=True)
-class SolverStats:
-    """How a solve ran. ``nodes`` counts the problem's own frontier states
-    expanded. ``time_s`` is the wall time of the solver run that produced the
-    solution: for :func:`solve_match` given a list, that of the whole group
-    of up to ``_BATCH`` problems solved together."""
-
-    method: str
-    nodes: int
-    time_s: float
-
-
-@dataclass(frozen=True)
 class MatchSolution:
     """Selected candidate subset with its certified deviation levels.
 
     ``selected`` holds positions into the problem's candidate arrays, in
     ascending order; ``selected_ids`` the corresponding original indices.
-    ``objective == a + m2 * epsilon`` by construction.
+    ``objective == a + m2 * epsilon`` by construction. ``nodes`` counts the
+    problem's own frontier states expanded (the subsets scored, for the
+    brute-force oracle).
     """
 
     selected: tuple[int, ...]
@@ -147,7 +136,7 @@ class MatchSolution:
     epsilon: float
     a: float
     objective: float
-    stats: SolverStats
+    nodes: int
 
 
 def hierarchy_m2_bound(prob: MatchProblem, delta: float = DELTA_PRECISION) -> float:
@@ -329,7 +318,7 @@ def _by_objective(m2: float):
     return lambda eps, a, ids: (a + m2 * eps, ids)
 
 
-def _solution(prob: MatchProblem, inc: _Incumbent, stats: SolverStats) -> MatchSolution:
+def _solution(prob: MatchProblem, inc: _Incumbent, nodes: int) -> MatchSolution:
     assert inc.sel is not None
     return MatchSolution(
         selected=inc.sel,
@@ -337,7 +326,7 @@ def _solution(prob: MatchProblem, inc: _Incumbent, stats: SolverStats) -> MatchS
         epsilon=inc.eps,
         a=inc.a,
         objective=inc.a + prob.m2 * inc.eps,
-        stats=stats,
+        nodes=nodes,
     )
 
 
@@ -627,12 +616,12 @@ def solve_match(
     or a sequence of problems and returns their solutions as a list in the
     same order. Consecutive groups of at most ``_BATCH`` problems share one
     run of the branch-and-bound of :func:`_search`, which saves per-step
-    call overhead; each problem's result, ``stats.nodes`` included, equals
+    call overhead; each problem's result, ``nodes`` included, equals
     that of solving it alone.
 
     Objective ties resolve to the lexicographically smallest selected
     original-index set. The search is exhaustive, so every solution is a
-    certified optimum; ``stats.nodes`` counts the problem's frontier states
+    certified optimum; ``nodes`` counts the problem's frontier states
     expanded, at most the ``2**n`` subsets of its ``n`` candidates.
 
     Raises:
@@ -647,12 +636,10 @@ def solve_match(
     out = []
     for start in range(0, len(probs), _BATCH):
         group = probs[start:start + _BATCH]
-        t0 = time.perf_counter()
         results = _search(group, 1.0, [prob.m2 for prob in group],
                           [_by_objective(prob.m2) for prob in group])
-        elapsed = time.perf_counter() - t0
         for prob, (inc, nodes) in zip(group, results):
-            out.append(_solution(prob, inc, SolverStats("subset-bb", nodes, elapsed)))
+            out.append(_solution(prob, inc, nodes))
     return out
 
 
@@ -666,7 +653,6 @@ def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
     Raises:
         OracleTooLarge: for more than 20 candidates.
     """
-    t0 = time.perf_counter()
     n = prob.n_candidates
     if n > _ORACLE_MAX:
         raise OracleTooLarge(f"oracle enumerates at most 2^{_ORACLE_MAX} subsets (got n={n})")
@@ -701,8 +687,7 @@ def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
         vals = screen(masks)
         for mask in masks[vals <= best_v + margin]:
             inc.offer(tuple(i for i in range(n) if (int(mask) >> i) & 1))
-    stats = SolverStats(method="bruteforce", nodes=total - 1, time_s=time.perf_counter() - t0)
-    return _solution(prob, inc, stats)
+    return _solution(prob, inc, total - 1)
 
 
 def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:
@@ -713,12 +698,11 @@ def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:
     Runs the exhaustive search of :func:`solve_match` on the score ``eps``
     alone, so ``a`` prunes nothing; the subsets within the pruning margin of
     the best ``eps`` are re-scored through :func:`_evaluate` and ranked on
-    ``(eps, a, ids)``. ``stats.nodes`` counts the frontier states expanded.
+    ``(eps, a, ids)``. ``nodes`` counts the frontier states expanded.
 
     This is the reference semantics the big-M objective of
     :func:`solve_match` approximates; with ``m2`` above
     :func:`hierarchy_m2_bound` the two agree on ``eps``.
     """
-    t0 = time.perf_counter()
     [(inc, nodes)] = _search([prob], 0.0, [1.0], [lambda eps, a, ids: (eps, a, ids)])
-    return _solution(prob, inc, SolverStats("lexicographic", nodes, time.perf_counter() - t0))
+    return _solution(prob, inc, nodes)

@@ -36,6 +36,20 @@ class LinearFit:
         return self.intercept + x @ self.coefficients
 
 
+def _mean(v) -> float:
+    """``float(np.mean(v))``, unless that overflows on finite values: then
+    the mean of ``v / s`` times ``s``, a power of two above ``len(v)``, so
+    no partial sum can pass the float range. Every finite mean keeps its
+    bits."""
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below
+        m = float(np.mean(v))
+    if math.isfinite(m) or not np.isfinite(v).all():
+        return m
+    s = math.ldexp(1.0, len(v).bit_length())
+    return float(np.mean(v / s)) * s
+
+
 def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     """Fit ordinary least squares of ``y`` on ``x`` with an intercept.
 
@@ -72,7 +86,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
         rank_deficient = True
 
     resid = y - design @ beta
-    centered = y - y.mean()
+    centered = y - _mean(y)
     with np.errstate(over="ignore"):  # an overflow is redone below
         ssr = float(resid @ resid)
         sst = float(centered @ centered)

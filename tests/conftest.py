@@ -44,9 +44,9 @@ def full_scan_shortlist(control: Dataset, leaf_indices, treated, weights, psi: i
 
 
 def solution_bits(sol):
-    """Everything a solve reports but its time, with floats as bits."""
+    """Everything a solve reports, with floats as bits."""
     return (sol.selected, sol.selected_ids, sol.epsilon.hex(), sol.a.hex(), sol.objective.hex(),
-            sol.stats.nodes)
+            sol.nodes)
 
 
 def toy_dataset(seed: int = 0, n_treated: int = 8, n_control: int = 60, p: int = 3) -> Dataset:

@@ -230,6 +230,36 @@ def test_tree_non_finite_fit_writes_no_nan(tmp_path):
         _strict_json(path.read_text())
 
 
+def test_tree_constant_outcomes_whose_sum_overflows_fit_exactly(tmp_path):
+    # the three controls all have y = 1e308: their sum overflows, their mean
+    # does not, so the root model is a perfect fit
+    out = tmp_path / "out"
+    r = run_cli("tree", "--input", str(_overflowing_outcomes_csv(tmp_path)),
+                "--treatment", "t", "--outcome", "y", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    model = _strict_json((out / "tree.json").read_text())["root"]["model"]
+    assert model["r2"] == model["r2_adj"] == 1.0
+
+
+@pytest.mark.parametrize("method", ["naive", "strategies"])
+def test_control_means_whose_sum_overflows_give_a_finite_att(tmp_path, method):
+    # ROADMAP item 1's 60-row file: 40 controls with y near 2.5e307, whose
+    # sum passes DBL_MAX while every effect is finite
+    rng = np.random.default_rng(0)
+    t = (np.arange(60) % 3 == 0).astype(int)
+    a, b = rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)
+    y = 5e307 * a + t
+    csv_path = tmp_path / "y5e307.csv"
+    csv_path.write_text("t,y,a,b\n" + "".join(
+        f"{t[i]},{float(y[i])!r},{float(a[i])!r},{float(b[i])!r}\n" for i in range(60)))
+    out = tmp_path / "out"
+    r = run_cli("estimate", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                "--method", method, "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    att = _strict_json((out / "report.json").read_text())["payload"]["att"]
+    assert att == 1.2603640039875318e+306
+
+
 @pytest.mark.parametrize("command", ["estimate", "tree"])
 def test_outcomes_near_1e200_fit_a_finite_r2(tmp_path, command):
     # the outcomes' sums of squares pass the float range, their ratio does not:

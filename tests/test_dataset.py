@@ -284,8 +284,8 @@ def test_load_dataset_encode_without_text_columns_skips_column_detection(
 def test_load_dataset_converts_at_most_one_chunk_of_rows_at_a_time(
     tmp_path, monkeypatch, csv_reader_only
 ):
-    # the csv reader's success path never builds a float array of more than
-    # _CHUNK_ROWS rows, so no whole-table array exists next to the final ones
+    # the csv reader's success path converts at most _CHUNK_ROWS rows of
+    # strings at a time; only the float chunk tables are joined into one
     seen = []
     convert = dataset._float_rows
 
@@ -334,6 +334,41 @@ def test_load_dataset_encode_all_numeric_takes_the_c_reader(tmp_path, monkeypatc
     monkeypatch.setattr(dataset, "_float_rows", _not_called)
     got = load_dataset(p, treatment_col="t", outcome_col="y", encode=True)
     _same_dataset(got, want)
+
+
+# the csv reader reads the header on either path, so names quoted as R's
+# write.csv quotes them leave the data rows to the C reader
+@pytest.mark.parametrize("text, c_read", [
+    ('"t","y","a"\n0,1.5,2\n1,2.5,3\n', True),
+    ('"t","y","a,b"\n0,1,2\n1,3,4\n', True),  # the delimiter inside a quoted name
+    ('"t","y","a"\r\n0,1,2\r\n1,3,4\r\n', True),
+    ('\ufeff"t","y","a"\n0,1,2\n1,3,4\n', True),
+    ('""\nt,y,a\n0,1,2\n1,3,4\n', True),  # a quoted blank first line
+    ('"t","y","a\nb"\n0,1,2\n1,3,4\n', False),  # a line end inside a quoted name
+    ('\n"t","y","a"\n0,1,2\n1,3,4\n', False),  # a blank line before the header
+    ('"t","y","a"\r0,1,2\r1,3,4\r', False),  # no line feed at all
+    ('"t","y","a"\n0,1,"2"\n1,3,4\n', False),  # a quoted data cell
+])
+def test_load_dataset_quoted_header_reads_as_the_csv_reader(tmp_path, monkeypatch, text, c_read):
+    p = tmp_path / "q.csv"
+    p.write_bytes(text.encode("utf-8"))
+    c_table = dataset._c_table
+    read = []
+
+    def _recorded(*args):
+        table = c_table(*args)
+        read.append(table is not None)
+        return table
+
+    with monkeypatch.context() as m:
+        m.setattr(dataset, "_c_table", lambda *args: None)
+        want = load_dataset(p, treatment_col="t", outcome_col="y")
+    monkeypatch.setattr(dataset, "_c_table", _recorded)
+    if c_read:
+        monkeypatch.setattr(dataset, "_float_rows", _not_called)
+    got = load_dataset(p, treatment_col="t", outcome_col="y")
+    _same_dataset(got, want)
+    assert read == [c_read]
 
 
 @pytest.fixture

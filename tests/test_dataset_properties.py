@@ -1,9 +1,10 @@
 """Property checks of the table loader against a per-cell ``float()`` reference.
 
 Tables mix padded, quoted, multi-line and exponent-form cells with blank and
-delimiter-only lines, and shuffle the treatment and outcome columns among the
-features. A valid table must load bit for bit as ``float()`` reads each cell;
-a table with one defect must fail at that defect's physical line and column.
+delimiter-only lines, quote header names now and then, and shuffle the
+treatment and outcome columns among the features. A valid table must load
+bit for bit as ``float()`` reads each cell; a table with one defect must
+fail at that defect's physical line and column.
 Both properties also run with chunks of one to three rows, so that chunk
 boundaries fall between most rows; those runs keep numpy's C reader out, so
 that they check the chunked csv reader.
@@ -55,16 +56,25 @@ def number_cells(draw, value, delim, quotes=True):
 @st.composite
 def tables(draw, quotes=True):
     """A valid table: the delimiter, the header, the cell texts of each row,
-    and the file's records (one per row, blank ones in between). With
-    ``quotes=False`` no cell is quoted."""
+    and the file's records (the header text, then one per row, blank ones in
+    between). Header names are quoted now and then. With ``quotes=False`` no
+    cell is quoted and no name holds a line end."""
     delim = draw(st.sampled_from([",", "\t"]))
     p = draw(st.integers(1, 4))
-    header = draw(st.permutations(["t", "y"] + [f"x{j + 1}" for j in range(p)]))
+    names = [f"x{j + 1}" for j in range(p)]
+    # names only a quoted header can hold: one with the delimiter and, when
+    # cells may be quoted, one with a line end
+    if draw(st.booleans()):
+        names[0] = f"x{delim}1"
+    if quotes and p > 1 and draw(st.booleans()):
+        names[1] = "x\n2"
+    header = draw(st.permutations(["t", "y"] + names))
     n = draw(st.integers(2, 8))
     treat = [0, 1] + draw(st.lists(st.sampled_from([0, 1]), min_size=n - 2, max_size=n - 2))
     spelled = {0: ["0", "-0.0", "0e5", " 0 "], 1: ["1", "1.0", "+1"] + (['"1"'] if quotes else [])}
     blank = st.sampled_from(["", " ", delim * (p + 1), f" {delim} "])
-    records = [delim.join(header)]
+    records = [delim.join(f'"{name}"' if draw(st.booleans()) or delim in name or "\n" in name
+                          else name for name in header)]
     cells = []
     for i in range(n):
         records.extend(draw(st.lists(blank, max_size=2)))
@@ -221,8 +231,9 @@ def mixed_tables(draw):
     The table is one of :func:`tables`, quoted or not, perhaps one cell
     wider on every row, with some of its rows mutated, odd lines inserted, a
     line end per record and perhaps no final line end. Two tables in three
-    keep only their empty blank lines; those of them without quotes or
-    mutations are the ones the C reader must read.
+    keep only their empty blank lines; those of them without quoted cells or
+    mutations are the ones the C reader must read, unless their header is
+    quoted and no line ends in a line feed.
     """
     quotes = draw(st.sampled_from([False, False, True]))
     delim, _, _, records = draw(tables(quotes=quotes))
@@ -254,7 +265,8 @@ def mixed_tables(draw):
     text = "".join(t + e for t, e in zip(texts, ends))
     if draw(st.booleans()):
         text = text[:-len(ends[-1])]
-    return delim, text, plain and not (quotes or wider or mutated)
+    c_read = plain and not (quotes or wider or mutated) and ("\n" in text or '"' not in text)
+    return delim, text, c_read
 
 
 def _outcome(path, delim):

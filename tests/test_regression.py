@@ -1,8 +1,12 @@
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stratamatch.errors import EmptyInput, InsufficientDegreesOfFreedom
-from stratamatch.regression import adjusted_r2, feature_weights, ols_fit, std_dev
+from stratamatch.regression import _mean, adjusted_r2, feature_weights, ols_fit, std_dev
 
 from conftest import control_only
 
@@ -145,3 +149,42 @@ def test_ols_r2_stays_finite_when_the_sums_of_squares_overflow():
     fit = ols_fit(x, y * 1e200)
     assert np.isfinite(fit.r2) and np.isfinite(fit.r2_adj)
     assert fit.r2 == pytest.approx(ols_fit(x, y).r2, rel=1e-9)
+
+
+def test_ols_constant_outcome_whose_sum_overflows_is_a_perfect_fit():
+    # three outcomes of 1e308 sum past DBL_MAX; their mean does not
+    fit = ols_fit(np.array([[0.1], [0.3], [0.5]]), np.full(3, 1e308))
+    assert fit.r2 == 1.0
+
+
+HUGE = st.builds(lambda m, s: s * m, st.sampled_from([1e307, 2.5e307, 1e308, 1.7976931348623157e308]),
+                 st.sampled_from([1.0, -1.0]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), HUGE),
+                min_size=1, max_size=60))
+def test_mean_keeps_the_bits_of_every_finite_mean(values):
+    v = np.array(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _mean(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = float(np.mean(v))
+    if np.isfinite(want):
+        assert got.hex() == want.hex()
+        return
+    # the float sum of v / s is exact up to rounding errors of the order of
+    # the sum of |v|; with values of one sign that is relative to the mean
+    exact = sum(map(Fraction, values)) / len(values)
+    scale = sum(abs(Fraction(x)) for x in values) / len(values)
+    assert np.isfinite(got)
+    assert abs(Fraction(got) - exact) <= Fraction(1e-12) * scale
+
+
+def test_mean_of_controls_near_2_5e307_is_finite():
+    # one halving is not enough: 40 halves still sum past DBL_MAX
+    v = np.full(40, 2.5e307)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.mean(v / 2))
+    assert _mean(v) == 2.5e307
