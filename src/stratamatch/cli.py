@@ -9,17 +9,20 @@ Logs go to stderr; data artifacts go to files. Exit codes: 0 success,
 payloads exclude timestamps, so the same data and config reproduce them
 byte for byte.
 
-Each subcommand imports the layers it calls inside its own function, so a
-call loads only what it uses: ``balance`` never loads the tree or the
-matcher, and ``--version`` loads no numpy.
+Each subcommand imports the layers and the standard-library modules it calls
+inside its own function, so a call loads only what it uses: ``balance`` never
+loads the tree or the matcher, and ``--version`` loads no numpy, ``json``,
+``csv`` or ``dataclasses``.
+
+:func:`main` is the in-process API. :func:`run` is the program's entry
+point: it runs :func:`main` and exits with its code, after moving every live
+object out of reach of the interpreter's final garbage collections.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import json
+import gc
 import logging
 import sys
 import time
@@ -197,6 +200,8 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _json(obj, path: Path, **kwargs) -> str:
     """``obj`` as strict JSON text for ``path``; a NaN or an infinity in it is
     a data error, raised before anything is written."""
+    import json
+
     try:
         return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
     except ValueError as exc:
@@ -210,6 +215,8 @@ def _dump_json(obj: dict, path: Path) -> None:
 def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig, method: str,
                     d: Dataset) -> dict:
     """``iatt`` holds the ``dataclasses.asdict`` of each ``report.iatt`` record."""
+    import dataclasses
+
     return {
         "method": method,
         "config": {**cfg.as_dict(), "method": method},
@@ -255,6 +262,8 @@ def _summary_text(report: AttReport, method: str, d: Dataset) -> str:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from .estimation import ESTIMATORS
     from .tree import export_rules, tree_to_dict
 
@@ -287,6 +296,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from .bench import (
         PRESETS,
         generate,
@@ -330,6 +341,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, tuple[int, ...]]]:
     """``(treated row, matched control rows)`` of each audit record that
     holds a match; every row id must be an integer row of ``d``."""
+    import json
+
     try:
         lines = audit.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -401,6 +414,9 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    import csv
+    import dataclasses
+
     from .bench import PRESETS, generate
 
     if args.preset not in PRESETS:
@@ -501,5 +517,22 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def run() -> None:
+    """Run :func:`main` on the command line and exit with its code.
+
+    ``gc.freeze()`` moves every live object to the permanent generation,
+    which the collections at interpreter exit skip, so the operating system
+    reclaims the memory at once instead of the interpreter visiting the
+    objects. The rest of the exit is as usual: atexit handlers run, output
+    is flushed, and ``SystemExit`` from argparse and any traceback pass
+    through unchanged.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,8 +6,10 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .matching import DEFAULT_M2, DEFAULT_PSI
 from .tree import DEFAULT_LAMBDA, DEFAULT_MAX_DEPTH, default_theta
+
+DEFAULT_M2 = 1e6
+DEFAULT_PSI = 20
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,9 +31,11 @@ from .errors import (
     NonFiniteResult,
     StrategyRequiresBinary,
 )
-from .matching import candidate_pool, select_candidates, solve_match
 from .regression import _mean, feature_weights
 from .tree import TreeModel, assign_leaf, build_tree
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +62,8 @@ class StratumOutcome:
 
 
 def _fractions(v: np.ndarray) -> list[Fraction]:
+    from fractions import Fraction
+
     return [Fraction(float(x)) for x in v]
 
 
@@ -74,6 +78,8 @@ def robust_att_1to1(s: StratumOutcome) -> float:
     Raises:
         StrategyRequiresBinary: if any outcome is not 0 or 1.
     """
+    from fractions import Fraction
+
     yt, yc = s.treated, s.control
     if not (np.all((yt == 0) | (yt == 1)) and np.all((yc == 0) | (yc == 1))):
         raise StrategyRequiresBinary("1:1 pairing is defined for 0/1 outcomes only")
@@ -94,7 +100,7 @@ def robust_att_1tok(s: StratumOutcome) -> float:
     units of ``y_t - mean(control outcomes)``."""
     yc = _fractions(s.control)
     cbar = sum(yc) / len(yc)
-    iatts = [Fraction(float(v)) - cbar for v in s.treated]
+    iatts = [v - cbar for v in _fractions(s.treated)]
     return float(sum(iatts) / len(iatts))
 
 
@@ -120,7 +126,7 @@ def aggregate_att(atts: list[float], n_treated: list[int]) -> float:
 def naive_diff_in_means(d: Dataset) -> float:
     """Unadjusted baseline: ``mean(y | t=1) - mean(y | t=0)``."""
     tmask = d.t == 1
-    return float(np.mean(d.y[tmask]) - np.mean(d.y[~tmask]))
+    return _mean(d.y[tmask]) - _mean(d.y[~tmask])
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +262,8 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     Raises:
         EstimationImpossible: when no treated unit could be matched.
     """
+    from .matching import candidate_pool, select_candidates, solve_match
+
     cfg = cfg or PipelineConfig()
     fit = fit_pipeline(d, cfg)
     control, treated = fit.control, fit.treated
@@ -282,7 +290,7 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
         records.append(IattRecord(
             treated_row=int(treated.rows()[k]),
             leaf=leaf_id,
-            iatt=float(treated.y[k] - _mean(ys)),
+            iatt=float(treated.y[k]) - _mean(ys),
             matched_rows=tuple(int(r) for r in sol.selected_ids),
             epsilon=sol.epsilon,
             a=sol.a,

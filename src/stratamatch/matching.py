@@ -40,13 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_M2, DEFAULT_PSI
 from .dataset import Dataset
 from .errors import EmptyInput, NoCandidates, OracleTooLarge
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_M2 = 1e6
-DEFAULT_PSI = 20
 DELTA_PRECISION = 1e-9
 
 _ORACLE_MAX = 20
@@ -449,6 +448,7 @@ def _rank_in_problem(g: np.ndarray, width: np.ndarray) -> np.ndarray:
     return rank
 
 
+@np.errstate(over="ignore")  # a score past the float range is inf, which ranks last
 def _search(
     probs: list[MatchProblem], wa: float, we: list[float], ranks: list
 ) -> list[tuple[_Incumbent, int]]:

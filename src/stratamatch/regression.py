@@ -50,6 +50,20 @@ def _mean(v) -> float:
     return float(np.mean(v / s)) * s
 
 
+def _std(v) -> float:
+    """``float(np.std(v))``, unless that overflows on finite values (|v|
+    beyond ~1e154): then the deviation of ``v`` scaled by one power of two,
+    exact, so that it peaks in [0.5, 1), scaled back. Every finite deviation
+    keeps its bits."""
+    v = np.asarray(v, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below
+        sd = float(np.std(v))
+    if math.isfinite(sd) or not np.isfinite(v).all():
+        return sd
+    e = math.frexp(float(np.max(np.abs(v))))[1]
+    return math.ldexp(float(np.std(np.ldexp(v, -e))), e)
+
+
 def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     """Fit ordinary least squares of ``y`` on ``x`` with an intercept.
 
@@ -75,27 +89,24 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
     p = x.shape[1]
 
     design = np.column_stack([np.ones(n), x])
-    rank_deficient = False
-    try:
-        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        rank_deficient = rank < p + 1
-    except np.linalg.LinAlgError:
-        logger.warning("lstsq failed to converge; falling back to ridge-regularized normal equations")
-        gram = design.T @ design + _RIDGE * np.eye(p + 1)
-        beta = np.linalg.solve(gram, design.T @ y)
-        rank_deficient = True
-
-    resid = y - design @ beta
-    centered = y - _mean(y)
-    with np.errstate(over="ignore"):  # an overflow is redone below
+    beta, rank_deficient = _solve(design, y)
+    mean = _mean(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone below
+        resid = y - design @ beta
+        centered = y - mean
         ssr = float(resid @ resid)
         sst = float(centered @ centered)
-    if math.isinf(ssr) or math.isinf(sst):
-        # a sum of squares passed the float range (|y| beyond ~1e154): scale
-        # both vectors by one power of two, exact, so the larger peaks in [0.5, 1)
-        peak = float(max(np.max(np.abs(resid)), np.max(np.abs(centered))))
-        scale = math.ldexp(1.0, -math.frexp(peak)[1])
-        resid, centered = resid * scale, centered * scale
+    if not (math.isfinite(ssr) and math.isfinite(sst)):
+        # a fitted value, a deviation or a sum of squares passed the float
+        # range (|y| beyond ~1e154): form both vectors from y, the fitted
+        # values and the mean, each scaled by one power of two, exact, so
+        # that y peaks in [0.5, 1). Coefficients beyond the float range are
+        # refitted at that scale.
+        e = -math.frexp(float(np.max(np.abs(y))))[1]
+        ys = np.ldexp(y, e)
+        bs = np.ldexp(beta, e) if np.isfinite(beta).all() else _solve(design, ys)[0]
+        resid = ys - design @ bs
+        centered = ys - math.ldexp(mean, e)
         ssr, sst = float(resid @ resid), float(centered @ centered)
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
     r2a = adjusted_r2(r2, n, p) if n > p + 1 else None
@@ -109,6 +120,18 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
         n_obs=n,
         rank_deficient=bool(rank_deficient),
     )
+
+
+def _solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Least-squares coefficients of ``y`` on ``design`` and whether the
+    design is rank deficient."""
+    try:
+        beta, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        return beta, bool(rank < design.shape[1])
+    except np.linalg.LinAlgError:
+        logger.warning("lstsq failed to converge; falling back to ridge-regularized normal equations")
+        gram = design.T @ design + _RIDGE * np.eye(design.shape[1])
+        return np.linalg.solve(gram, design.T @ y), True
 
 
 def adjusted_r2(r2: float, n: int, p: int) -> float:
@@ -131,7 +154,7 @@ def std_dev(v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise EmptyInput("std_dev of an empty vector")
-    return float(np.std(v))
+    return _std(v)
 
 
 def feature_weights(d: Dataset) -> np.ndarray:

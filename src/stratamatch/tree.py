@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateSplit, EmptyInput
-from .regression import LinearFit, ols_fit, std_dev
+from .regression import LinearFit, _std, ols_fit, std_dev
 
 logger = logging.getLogger(__name__)
 
@@ -119,9 +119,10 @@ def best_split(x: np.ndarray, y: np.ndarray) -> SplitCandidate | None:
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] < 2:
         return None
-    return _scan(x, y, np.argsort(x, axis=0, kind="stable").T, float(np.std(y)))
+    return _scan(x, y, np.argsort(x, axis=0, kind="stable").T, _std(y))
 
 
+@np.errstate(over="ignore")  # an overflowing sum of squares is redone below
 def _scan(x: np.ndarray, y: np.ndarray, orders: np.ndarray,
           sd_parent: float) -> SplitCandidate | None:
     """:func:`best_split` over the rows ``orders[j]`` of ``x`` and ``y``, where
@@ -129,28 +130,43 @@ def _scan(x: np.ndarray, y: np.ndarray, orders: np.ndarray,
     ascending row order, and ``sd_parent`` is the node's outcome deviation."""
     best: SplitCandidate | None = None
     for j, order in enumerate(orders):
-        n = order.size
         xs = x[order, j]
         ys = y.take(order)
         cut = np.nonzero(xs[:-1] < xs[1:])[0]
         if cut.size == 0:
             continue
-        cs = np.cumsum(ys)
-        cs2 = np.cumsum(ys * ys)
-        nl = cut + 1.0
-        nr = n - nl
-        sl = cs[cut]
-        sl2 = cs2[cut]
-        sr = cs[-1] - sl
-        sr2 = cs2[-1] - sl2
-        # E[y^2] - E[y]^2, clamped against cancellation noise
-        varl = np.maximum(sl2 / nl - (sl / nl) ** 2, 0.0)
-        varr = np.maximum(sr2 / nr - (sr / nr) ** 2, 0.0)
-        vals = sd_parent - (nl / n) * np.sqrt(varl) - (nr / n) * np.sqrt(varr)
+        vals = _reductions(ys, cut, sd_parent)
+        if vals is None:
+            # the sum of squares passed the float range (|y| beyond ~1e154):
+            # redo the sums on y and sd_parent scaled by one power of two,
+            # exact, so that y peaks in [0.5, 1)
+            e = math.frexp(float(np.max(np.abs(ys))))[1]
+            vals = np.ldexp(_reductions(np.ldexp(ys, -e), cut, math.ldexp(sd_parent, -e)), e)
         k = int(np.argmax(vals))  # first maximum: lowest threshold wins ties
         if best is None or float(vals[k]) > best.sdr:
             best = SplitCandidate(feature=j, threshold=float(xs[cut[k]]), sdr=float(vals[k]))
     return best
+
+
+def _reductions(ys: np.ndarray, cut: np.ndarray, sd_parent: float) -> np.ndarray | None:
+    """The deviation reduction of splitting ``ys`` after each position in
+    ``cut``, from cumulative sums; ``None`` if the sum of ``ys * ys`` is not
+    finite. Every other sum is then finite too."""
+    n = ys.size
+    cs2 = np.cumsum(ys * ys)
+    if not math.isfinite(cs2[-1]):
+        return None
+    cs = np.cumsum(ys)
+    nl = cut + 1.0
+    nr = n - nl
+    sl = cs[cut]
+    sl2 = cs2[cut]
+    sr = cs[-1] - sl
+    sr2 = cs2[-1] - sl2
+    # E[y^2] - E[y]^2, clamped against cancellation noise
+    varl = np.maximum(sl2 / nl - (sl / nl) ** 2, 0.0)
+    varr = np.maximum(sr2 / nr - (sr / nr) ** 2, 0.0)
+    return sd_parent - (nl / n) * np.sqrt(varl) - (nr / n) * np.sqrt(varr)
 
 
 def _r2a(fit: LinearFit) -> float:
@@ -223,7 +239,7 @@ def build_tree(
         span = order[:, lo:lo + indices.size]
         cand = None
         if depth < max_depth and indices.size >= p + 2:
-            cand = _scan(x, y, span, float(np.std(y[indices])))
+            cand = _scan(x, y, span, _std(y[indices]))
         if cand is not None:
             mask = x[indices, cand.feature] <= cand.threshold
             lidx = indices[mask]

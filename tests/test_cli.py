@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -239,6 +240,37 @@ def test_tree_constant_outcomes_whose_sum_overflows_fit_exactly(tmp_path):
     assert r.returncode == 0, r.stderr
     model = _strict_json((out / "tree.json").read_text())["root"]["model"]
     assert model["r2"] == model["r2_adj"] == 1.0
+
+
+@pytest.mark.parametrize("method", ["m5c-mf", "m5c-m", "naive", "strategies"])
+def test_overflowing_effect_prints_only_its_error_line(tmp_path, method):
+    # the overflows on the way to the error are expected: no RuntimeWarning
+    # or other text joins the log lines
+    r = run_cli("estimate", "--input", str(_overflowing_outcomes_csv(tmp_path)),
+                "--treatment", "t", "--outcome", "y", "--method", method,
+                "--out", str(tmp_path / "out"))
+    assert r.returncode == 3
+    (line,) = [ln for ln in r.stderr.splitlines() if not ln.startswith("INFO ")]
+    assert line.startswith("ERROR stratamatch.cli: data error: ")
+
+
+@pytest.mark.parametrize("command", ["estimate", "tree"])
+def test_outcomes_whose_squares_overflow_give_a_finite_sdr(tmp_path, command):
+    # 8 rows with y in [1.2e200, 6e200): y * y passes the float range, and the
+    # accepted root split's sdr is computed on y scaled by a power of two
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        y, a = rng.uniform(1.2e200, 6e200, 8), rng.uniform(0, 1, 8)
+    csv_path = tmp_path / "y6e200.csv"
+    csv_path.write_text("t,y,a\n" + "".join(
+        f"{k % 2},{float(y[k])!r},{float(a[k])!r}\n" for k in range(8)))
+    out = tmp_path / "out"
+    r = run_cli(command, "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert "Warning" not in r.stderr
+    root = _strict_json((out / "tree.json").read_text())["root"]
+    assert 0.0 < root["split"]["sdr"] < 6e200
 
 
 @pytest.mark.parametrize("method", ["naive", "strategies"])
@@ -740,3 +772,91 @@ def test_balance_pre_report_random_assignment(tmp_path):
     assert pre["scope"] == "pre"
     assert pre["n_treated"] == 40 and pre["n_control"] == 800
     assert pre["mean_abs_smd"] < 0.25
+
+
+_IN_PROCESS = """
+import sys
+from stratamatch import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+sys.exit(code)
+"""
+
+
+def _entry_and_main(tmp_path, *argv):
+    """``python -m stratamatch argv`` and ``cli.main(argv)``, each in a fresh
+    interpreter and writing to its own ``out`` directory, with that
+    directory's path replaced by ``OUT`` in their output."""
+    runs = []
+    for name, head in (("entry", ["-m", "stratamatch"]), ("main", ["-c", _IN_PROCESS])):
+        out = tmp_path / name
+        args = [a.replace("{out}", str(out)) for a in argv]
+        r = subprocess.run([sys.executable, *head, *args], capture_output=True, text=True,
+                           timeout=300)
+        runs.append((r.returncode, r.stdout.replace(str(out), "OUT"),
+                     r.stderr.replace(str(out), "OUT")))
+    return runs
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["estimate", "--out", "{out}"], 2),
+    (["estimate", "--input", "{data}", "--treatment", "t", "--outcome", "y", "--psi", "0",
+      "--out", "{out}"], 2),
+    (["estimate", "--input", "{out}/missing.csv", "--treatment", "t", "--outcome", "y",
+      "--out", "{out}"], 3),
+], ids=["version", "help", "usage", "config", "data"])
+def test_entry_point_exits_as_main_returns(tmp_path, data_csv, argv, code):
+    argv = [a.replace("{data}", str(data_csv)) for a in argv]
+    entry, main = _entry_and_main(tmp_path, *argv)
+    assert entry == main
+    assert entry[0] == code
+    assert "Traceback" not in entry[2]
+
+
+def test_entry_point_estimate_writes_what_main_writes(tmp_path, data_csv):
+    entry, main = _entry_and_main(tmp_path, "estimate", "--input", str(data_csv),
+                                  "--treatment", "t", "--outcome", "y", "--out", "{out}")
+    assert entry == main and entry[0] == 0
+    for name in ("audit.jsonl", "summary.txt", "tree.json", "tree_rules.txt"):
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    payloads = [json.loads((tmp_path / side / "report.json").read_text())["payload"]
+                for side in ("entry", "main")]
+    assert payloads[0] == payloads[1]
+
+
+def test_main_freezes_nothing(tmp_path, data_csv):
+    from stratamatch import cli
+
+    assert cli.main(["tree", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+                     "--out", str(tmp_path / "out")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_freezes_before_exiting(monkeypatch, capsys):
+    from stratamatch import cli
+
+    monkeypatch.setattr(sys, "argv", ["stratamatch", "--version"])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert "stratamatch" in capsys.readouterr().out
+
+
+def test_installed_command_runs_the_entry_function():
+    import importlib
+    from pathlib import Path
+
+    from stratamatch import cli
+
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    module, name = project["project"]["scripts"]["stratamatch"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.run

@@ -192,6 +192,14 @@ def test_naive_diff_on_binary_table_equals_group_strategy():
     assert naive_diff_in_means(d) == pytest.approx(4.0 / 35.0, abs=1e-9)
 
 
+def test_naive_diff_agrees_with_estimate_naive_when_the_control_sum_overflows():
+    # 40 controls at 2.5e307 sum past DBL_MAX; their mean and the effect do not
+    t = np.array([0] * 40 + [1] * 20)
+    y = np.array([2.5e307] * 40 + [1.0] * 20)
+    d = make_dataset(t, np.zeros((60, 1)), y, ("a",))
+    assert naive_diff_in_means(d) == estimate_naive(d).att == 1.0 - 2.5e307
+
+
 def test_registry_contents():
     assert set(ESTIMATORS) == {"m5c-mf", "m5c-m", "naive", "strategies"}
 

@@ -14,13 +14,15 @@ import pytest
 from stratamatch import cli
 
 _PROBE = """
-import json, sys
+import sys
 from stratamatch import cli
 try:
     rc = cli.main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
-print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+modules = sorted(sys.modules)
+import json
+print(json.dumps({"rc": rc, "modules": modules}))
 """
 
 
@@ -32,11 +34,11 @@ def _python(code, *argv):
 
 
 def _command(*argv):
-    """``cli.main(argv)`` in a fresh interpreter: its exit code, and the
-    ``stratamatch`` modules and whether numpy were loaded by the end."""
+    """``cli.main(argv)`` in a fresh interpreter: its exit code, the
+    ``stratamatch`` modules and all the modules loaded by the end."""
     out = _python(_PROBE, *argv)
     modules = set(out["modules"])
-    return out["rc"], {m for m in modules if m.split(".")[0] == "stratamatch"}, "numpy" in modules
+    return out["rc"], {m for m in modules if m.split(".")[0] == "stratamatch"}, modules
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +71,24 @@ def test_estimate_loads_no_balance_or_bench(run):
 
 
 def test_version_loads_no_numpy():
-    rc, loaded, numpy_loaded = _command("--version")
+    rc, loaded, modules = _command("--version")
     assert rc == 0
     assert loaded == {"stratamatch", "stratamatch.cli", "stratamatch.errors"}
-    assert not numpy_loaded
+    assert "numpy" not in modules
+    assert not modules & {"dataclasses", "inspect", "json", "csv"}
+
+
+@pytest.mark.parametrize("argv", [("estimate", "--method", "m5c-mf"),
+                                  ("estimate", "--method", "m5c-m"),
+                                  ("estimate", "--method", "naive"),
+                                  ("estimate", "--method", "strategies"),
+                                  ("tree",)], ids=lambda a: a[-1])
+def test_only_the_match_form_loads_the_matcher_and_only_strategies_fractions(run, argv):
+    root, io = run
+    rc, loaded, modules = _command(*argv, *io, "--out", str(root / "-".join(argv)))
+    assert rc == 0
+    assert ("stratamatch.matching" in loaded) == (argv[-1] == "m5c-mf")
+    assert ("fractions" in modules) == (argv[-1] == "strategies")
 
 
 def test_package_names_resolve_on_first_access():

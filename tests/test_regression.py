@@ -151,6 +151,17 @@ def test_ols_r2_stays_finite_when_the_sums_of_squares_overflow():
     assert fit.r2 == pytest.approx(ols_fit(x, y).r2, rel=1e-9)
 
 
+def test_ols_r2_stays_finite_when_the_residuals_overflow():
+    # the slope, -2e308, and y minus the fitted values pass the float range;
+    # the exact r2 is 1 - 3.2 / 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = ols_fit(np.array([[0.1], [0.3], [0.5], [0.7]]),
+                      np.array([1e308, -1e308, 1e308, -1e308]))
+    assert fit.r2 == pytest.approx(0.2, rel=1e-12)
+    assert fit.r2_adj == pytest.approx(1.0 - 0.8 * 3 / 2, rel=1e-12)
+
+
 def test_ols_constant_outcome_whose_sum_overflows_is_a_perfect_fit():
     # three outcomes of 1e308 sum past DBL_MAX; their mean does not
     fit = ols_fit(np.array([[0.1], [0.3], [0.5]]), np.full(3, 1e308))

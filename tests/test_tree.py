@@ -374,3 +374,32 @@ def test_build_tree_sorts_each_feature_once(monkeypatch):
     tree = build_tree(control_only(x, y), theta=10)
     assert sum(not nd.is_leaf for nd in tree.nodes) >= 3
     assert len(calls) == x.shape[1]
+
+
+def test_sdr_stays_finite_when_the_squares_of_y_overflow():
+    # the fourth draw of 8 rows, y in [1.2e200, 6e200): its four controls
+    # accept a split whose sums of y * y pass the float range
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        y, a = rng.uniform(1.2e200, 6e200, 8), rng.uniform(0, 1, 8)
+    c = np.arange(8) % 2 == 0
+    blob = tree_to_dict(build_tree(control_only(a[c][:, None], y[c])))
+    json.dumps(blob, allow_nan=False)
+    split = blob["root"]["split"]
+    # the exact reduction, from deviations taken about each side's mean
+    left = y[c][a[c] <= split["threshold"]]
+    right = y[c][a[c] > split["threshold"]]
+    want = (np.std(y[c] / 1e200) - (left.size * np.std(left / 1e200)
+                                    + right.size * np.std(right / 1e200)) / 4) * 1e200
+    assert split["sdr"] == pytest.approx(want, rel=1e-9)
+
+
+def test_best_split_of_scaled_outcomes_scales_its_sdr():
+    # outcomes times 2**600 square past the float range; the scan keeps the
+    # split and scales its reduction exactly
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(size=(30, 3)), rng.uniform(1.0, 6.0, size=30)
+    small = best_split(x, y)
+    big = best_split(x, y * 2.0**600)
+    assert (big.feature, big.threshold) == (small.feature, small.threshold)
+    assert big.sdr == small.sdr * 2.0**600
