@@ -20,12 +20,8 @@ _EXPORTS = {
         "BalanceReport",
         "FeatureBalance",
         "compute_balance",
-        "ks_distance",
-        "overlap_coefficient",
         "post_match_report",
         "pre_match_report",
-        "smd_abs",
-        "variance_ratio",
     ),
     "bench": (
         "PRESETS",
@@ -39,7 +35,6 @@ _EXPORTS = {
     "config": ("PipelineConfig",),
     "dataset": (
         "Dataset",
-        "denormalize_min_max",
         "load_dataset",
         "make_dataset",
         "normalize_min_max",
@@ -48,7 +43,6 @@ _EXPORTS = {
     "errors": (
         "AuditNotFound",
         "ConfigError",
-        "DegenerateSplit",
         "EmptyInput",
         "EstimationImpossible",
         "HierarchyBoundWarning",
@@ -76,7 +70,6 @@ _EXPORTS = {
         "estimate_naive",
         "estimate_strategies",
         "fit_pipeline",
-        "naive_diff_in_means",
         "robust_att_1to1",
         "robust_att_1tok",
         "robust_att_ktok",
@@ -92,7 +85,7 @@ _EXPORTS = {
         "solve_match_bruteforce",
         "solve_match_lexicographic",
     ),
-    "regression": ("LinearFit", "adjusted_r2", "feature_weights", "ols_fit", "std_dev"),
+    "regression": ("LinearFit", "adjusted_r2", "feature_weights", "ols_fit"),
     "tree": (
         "TreeModel",
         "TreeNode",
@@ -101,7 +94,6 @@ _EXPORTS = {
         "build_tree",
         "default_theta",
         "export_rules",
-        "sdr",
         "should_split",
         "tree_to_dict",
     ),

@@ -1,13 +1,13 @@
 """Covariate balance diagnostics between treated and control groups.
 
-All four metrics accept an optional weight vector on the control side so the
-same code scores a raw control pool and a matched pool in which each selected
-control counts 1/|selected| within its treated unit's match set.
+:func:`compute_balance` scores every feature on four metrics and accepts an
+optional weight vector on the control side, so the same code scores a raw
+control pool and a matched pool in which each selected control counts
+1/|selected| within its treated unit's match set.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -61,26 +61,6 @@ def _vr(vt: float, vc: float) -> float:
     return math.nan if vc == 0.0 else vt / vc
 
 
-def smd_abs(treated: np.ndarray, control: np.ndarray, control_weights: np.ndarray | None = None) -> float:
-    """Absolute standardized mean difference with pooled population variances.
-
-    ``|mean_t - mean_c| / sqrt((var_t + var_c) / 2)``. When both variances
-    are zero the metric is 0 for equal means and ``inf`` for unequal ones.
-    """
-    t, c = _check(treated, control)
-    wc = _weights(c, control_weights)
-    mc = _wmean(c, wc)
-    return _smd(float(np.mean(t)), mc, float(np.var(t)), _wvar(c, wc, mc))
-
-
-def variance_ratio(treated: np.ndarray, control: np.ndarray, control_weights: np.ndarray | None = None) -> float:
-    """Treated-over-control population variance ratio; ``nan`` when the
-    control variance is zero (undefined)."""
-    t, c = _check(treated, control)
-    wc = _weights(c, control_weights)
-    return _vr(float(np.var(t)), _wvar(c, wc, _wmean(c, wc)))
-
-
 def _control_cdf(c: np.ndarray, w: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted control values and the cumulative control mass at each.
 
@@ -109,13 +89,6 @@ def _ks_sorted(ts: np.ndarray, cs: np.ndarray, ccum: np.ndarray) -> float:
     return float(np.max(np.abs(ft - fc)))
 
 
-def ks_distance(treated: np.ndarray, control: np.ndarray, control_weights: np.ndarray | None = None) -> float:
-    """Largest vertical distance between the two empirical CDFs."""
-    t, c = _check(treated, control)
-    w = None if control_weights is None else _weights(c, control_weights)
-    return _ks_sorted(np.sort(t), *_control_cdf(c, w))
-
-
 def _overlap(t: np.ndarray, c: np.ndarray, bins: int, wc: np.ndarray) -> float:
     lo = float(min(t.min(), c.min()))
     hi = float(max(t.max(), c.max()))
@@ -126,22 +99,6 @@ def _overlap(t: np.ndarray, c: np.ndarray, bins: int, wc: np.ndarray) -> float:
     p = pt / pt.sum()
     q = pc / pc.sum()
     return float(np.sum(np.minimum(p, q)))
-
-
-def overlap_coefficient(
-    treated: np.ndarray,
-    control: np.ndarray,
-    bins: int = DEFAULT_BINS,
-    control_weights: np.ndarray | None = None,
-) -> float:
-    """Shared mass of the two distributions under a common histogram.
-
-    Both samples are binned with ``bins`` equal-width bins spanning the
-    pooled range; the coefficient is ``sum_b min(p_b, q_b)`` of the bin
-    proportions, 1 for identical distributions and 0 for disjoint ones.
-    """
-    t, c = _check(treated, control)
-    return _overlap(t, c, bins, _weights(c, control_weights))
 
 
 @dataclass(frozen=True)
@@ -201,8 +158,14 @@ def compute_balance(
     """Score every feature column of a treated-vs-control comparison.
 
     Each column is sorted once, and its means and variances serve both the
-    SMD and the variance ratio; every metric has the bits of its public
-    function.
+    SMD and the variance ratio. The SMD is ``|mean_t - mean_c| / sqrt((var_t
+    + var_c) / 2)`` with population variances: 0 for equal means and ``inf``
+    for unequal ones when both variances are zero. The variance ratio is
+    treated over control, ``nan`` when the control variance is zero. The KS
+    distance is the largest vertical gap between the two empirical CDFs. The
+    overlap is ``sum_b min(p_b, q_b)`` of the bin proportions of ``bins``
+    equal-width bins over the pooled range: 1 for identical distributions
+    and 0 for disjoint ones.
     """
     x_treated = np.asarray(x_treated, dtype=np.float64)
     x_control = np.asarray(x_control, dtype=np.float64)
@@ -312,10 +275,6 @@ def _json_safe(v: float) -> float | str | None:
     if math.isinf(v):
         return "inf"
     return v
-
-
-def report_to_json(report: BalanceReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
 
 
 def report_to_text(report: BalanceReport) -> str:

@@ -89,7 +89,7 @@ def parse_config_file(path: str | Path) -> tuple[dict, dict]:
         if key == "method":
             extras["method"] = raw.strip()
             continue
-        if key == "node_budget":  # older config files' key, 'none' only: delete with ROADMAP item 4
+        if key == "node_budget":  # older config files' key, 'none' only: delete with ROADMAP item 1
             if raw.strip().lower() != "none":
                 raise ConfigError(f"{path}:{lineno}: key {key!r} was removed; every match search "
                                   "is exhaustive (only 'none' is accepted)")

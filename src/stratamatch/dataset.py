@@ -555,9 +555,8 @@ def normalize_min_max(d: Dataset) -> Dataset:
     Constant columns map to all zeros. The outcome is left untouched. A
     column whose ``max - min`` overflows is rescaled with every term halved
     first; every other column gets ``(x - min) / (max - min)``. The
-    per-feature ``(min, max)`` pairs are recorded on the result so
-    :func:`denormalize_min_max` can invert the transform. A dataset that
-    already carries scaling passes through unchanged.
+    per-feature ``(min, max)`` pairs are recorded on the result. A dataset
+    that already carries scaling passes through unchanged.
     """
     if d.scaling is not None:
         return d
@@ -574,25 +573,6 @@ def normalize_min_max(d: Dataset) -> Dataset:
     out[:, wide] = (d.x[:, wide] / 2 - lo[wide] / 2) / (hi[wide] / 2 - lo[wide] / 2)
     scaling = tuple((float(a), float(b)) for a, b in zip(lo, hi))
     return replace(d, x=_frozen(out), scaling=scaling)
-
-
-def denormalize_min_max(d: Dataset) -> Dataset:
-    """Invert :func:`normalize_min_max` using the recorded scaling pairs."""
-    if d.scaling is None:
-        raise EmptyInput("dataset carries no scaling metadata")
-    lo = np.array([a for a, _ in d.scaling])
-    hi = np.array([b for _, b in d.scaling])
-    with np.errstate(over="ignore"):
-        span = hi - lo
-    wide = np.isinf(span)
-    out = d.x * np.where(wide, 0.0, span) + lo
-    # halved as normalize_min_max does; the clip keeps a rounding error at
-    # either end from overflowing when the value is doubled back
-    half_lo, half_hi = lo[wide] / 2, hi[wide] / 2
-    out[:, wide] = np.clip(d.x[:, wide] * (half_hi - half_lo) + half_lo, half_lo, half_hi) * 2
-    const = hi == lo
-    out[:, const] = lo[const]
-    return replace(d, x=_frozen(out), scaling=None)
 
 
 def split_by_treatment(d: Dataset) -> tuple[Dataset, Dataset]:

@@ -58,10 +58,6 @@ class InsufficientDegreesOfFreedom(StrataMatchError):
     """Too few observations for the requested statistic (needs n > p + 1)."""
 
 
-class DegenerateSplit(StrataMatchError):
-    """A candidate split would leave one side of the partition empty."""
-
-
 class NoCandidates(StrataMatchError):
     """No control candidates are available for a treated unit."""
 

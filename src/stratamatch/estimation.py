@@ -123,12 +123,6 @@ def aggregate_att(atts: list[float], n_treated: list[int]) -> float:
     return math.fsum(a * n for a, n in zip(atts, n_treated)) / total
 
 
-def naive_diff_in_means(d: Dataset) -> float:
-    """Unadjusted baseline: ``mean(y | t=1) - mean(y | t=0)``."""
-    tmask = d.t == 1
-    return _mean(d.y[tmask]) - _mean(d.y[~tmask])
-
-
 # ---------------------------------------------------------------------------
 # pipeline estimators
 

@@ -35,6 +35,7 @@ independent full-enumeration oracle is provided for cross-checking.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT_M2, DEFAULT_PSI
 from .dataset import Dataset
-from .errors import EmptyInput, NoCandidates, OracleTooLarge
+from .errors import EmptyInput, NoCandidates, NonFiniteResult, OracleTooLarge
 
 logger = logging.getLogger(__name__)
 
@@ -182,11 +183,15 @@ def candidate_pool(control: Dataset, leaf_indices: np.ndarray, weights: np.ndarr
 
     Raises:
         NoCandidates: if ``leaf_indices`` is empty.
+        NonFiniteResult: if a weight is infinite or NaN, as when the
+            outcome's regression slope overflows; no distance is defined.
     """
     leaf_indices = np.asarray(leaf_indices, dtype=np.int64)
     if leaf_indices.size == 0:
         raise NoCandidates("leaf holds no control units")
     w = np.asarray(weights, dtype=np.float64).reshape(-1)
+    if not np.isfinite(w).all():
+        raise NonFiniteResult(f"feature weights {w.tolist()!r} are not all finite numbers")
     if np.all(w == 0):
         logger.warning("all feature weights are zero; falling back to unit weights")
         w = np.ones_like(w)
@@ -413,6 +418,25 @@ def _rounding_slack(we: float, n: int, dev: np.ndarray) -> float:
     return 3.0 * we * n * n * _EPS * float(dev.max())
 
 
+def _scale_shift(dev: np.ndarray, weight: float) -> int:
+    """The power of two a problem's deviations are scaled by for the search.
+
+    Every sum, bound and score the search forms is at most ``weight * n *
+    D``, where ``D = max(dev)`` and ``weight = wa + we``, plus rounding and
+    the pruning margin, which stay far below a factor of two. When that
+    bound reaches half the float range, the shift brings ``D`` into [0.5,
+    1): scores that overflow to ``inf`` prune nothing, and the search would
+    visit all ``2**n`` subsets. A power of two scales every sum and score
+    exactly, so the search expands the same states (see
+    :func:`_rounding_slack`), unless a deviation turns subnormal. Otherwise
+    the shift is 0 and every bit stays.
+    """
+    top = float(dev.max())
+    if weight * dev.size * top < np.finfo(np.float64).max / 2:
+        return 0
+    return -math.frexp(top)[1]
+
+
 def _take(trail, index):
     """The trail of the frontier states picked by ``index``. A root frontier
     has no trail (``None``)."""
@@ -510,9 +534,12 @@ def _search(
     dvpad = np.full((G, N), np.inf)
     slack = np.empty(G)
     best = np.empty(G)
-    incs, orders = [], []
+    incs, orders, shifts = [], [], []
     for g, prob in enumerate(probs):
         d, dv = _deviations(prob)
+        shift = _scale_shift(dv, wa + we[g])
+        if shift:
+            d, dv = np.ldexp(d, shift), np.ldexp(dv, shift)
         inc = _Incumbent(ranks[g], d.tolist(), dv.tolist(), prob.candidate_ids.tolist())
         _seed_incumbent(d, dv, wa, float(we[g]), inc.offer)
         order = np.argsort(-np.abs(d).sum(axis=1), kind="stable")
@@ -522,6 +549,7 @@ def _search(
         best[g] = wa * inc.a + we[g] * inc.eps
         incs.append(inc)
         orders.append(order)
+        shifts.append(shift)
 
     def columns(a: np.ndarray) -> np.ndarray:
         # feature-major: column g * N + k holds row k of problem g
@@ -604,6 +632,9 @@ def _search(
         for j, g in zip(hit[ok].tolist(), gh[ok].tolist()):
             picked = orders[g][_included(trail, j, g) + [int(k[g])]]
             incs[g].offer(tuple(sorted(picked.tolist())))
+    for inc, shift in zip(incs, shifts):
+        if shift:  # past the float range, eps or a scales back to inf
+            inc.eps, inc.a = float(np.ldexp(inc.eps, -shift)), float(np.ldexp(inc.a, -shift))
     return list(zip(incs, nodes.tolist()))
 
 

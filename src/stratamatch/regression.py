@@ -145,18 +145,6 @@ def adjusted_r2(r2: float, n: int, p: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
-def std_dev(v: np.ndarray) -> float:
-    """Population standard deviation (divisor ``n``).
-
-    Raises:
-        EmptyInput: on an empty vector.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise EmptyInput("std_dev of an empty vector")
-    return _std(v)
-
-
 def feature_weights(d: Dataset) -> np.ndarray:
     """Feature importance for matching distances and deviation caps.
 

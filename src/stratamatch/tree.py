@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DegenerateSplit, EmptyInput
-from .regression import LinearFit, _std, ols_fit, std_dev
+from .regression import LinearFit, _std, ols_fit
 
 logger = logging.getLogger(__name__)
 
@@ -73,32 +72,6 @@ class TreeModel:
 
     def leaves(self) -> list[TreeNode]:
         return [nd for nd in self.nodes if nd.is_leaf]
-
-
-def sdr(parent: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    """Standard-deviation reduction of a partition of ``parent``.
-
-    ``sd(parent) - |L|/|P| * sd(L) - |R|/|P| * sd(R)`` with population
-    standard deviations.
-
-    Raises:
-        DegenerateSplit: if either side is empty or sizes do not partition.
-    """
-    parent = np.asarray(parent, dtype=np.float64)
-    left = np.asarray(left, dtype=np.float64)
-    right = np.asarray(right, dtype=np.float64)
-    if parent.size == 0:
-        raise EmptyInput("sdr of an empty parent")
-    if left.size == 0 or right.size == 0:
-        raise DegenerateSplit("a split side is empty")
-    if left.size + right.size != parent.size:
-        raise DegenerateSplit("left and right do not partition the parent")
-    n = parent.size
-    return (
-        std_dev(parent)
-        - (left.size / n) * std_dev(left)
-        - (right.size / n) * std_dev(right)
-    )
 
 
 def best_split(x: np.ndarray, y: np.ndarray) -> SplitCandidate | None:

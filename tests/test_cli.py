@@ -3,11 +3,14 @@ import gc
 import json
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def run_cli(*args, cwd=None):
@@ -273,10 +276,10 @@ def test_outcomes_whose_squares_overflow_give_a_finite_sdr(tmp_path, command):
     assert 0.0 < root["split"]["sdr"] < 6e200
 
 
-@pytest.mark.parametrize("method", ["naive", "strategies"])
-def test_control_means_whose_sum_overflows_give_a_finite_att(tmp_path, method):
-    # ROADMAP item 1's 60-row file: 40 controls with y near 2.5e307, whose
-    # sum passes DBL_MAX while every effect is finite
+def _y5e307_csv(tmp_path):
+    """60 rows, every third treated, y = 5e307 * a + t: 40 controls with y
+    near 2.5e307, whose sum passes DBL_MAX while every effect is finite, and
+    a feature weight near 5e307."""
     rng = np.random.default_rng(0)
     t = (np.arange(60) % 3 == 0).astype(int)
     a, b = rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)
@@ -284,12 +287,77 @@ def test_control_means_whose_sum_overflows_give_a_finite_att(tmp_path, method):
     csv_path = tmp_path / "y5e307.csv"
     csv_path.write_text("t,y,a,b\n" + "".join(
         f"{t[i]},{float(y[i])!r},{float(a[i])!r},{float(b[i])!r}\n" for i in range(60)))
+    return csv_path
+
+
+@pytest.mark.parametrize("method", ["naive", "strategies"])
+def test_control_means_whose_sum_overflows_give_a_finite_att(tmp_path, method):
     out = tmp_path / "out"
-    r = run_cli("estimate", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
-                "--method", method, "--out", str(out))
+    r = run_cli("estimate", "--input", str(_y5e307_csv(tmp_path)), "--treatment", "t",
+                "--outcome", "y", "--method", method, "--out", str(out))
     assert r.returncode == 0, r.stderr
     att = _strict_json((out / "report.json").read_text())["payload"]["att"]
     assert att == 1.2603640039875318e+306
+
+
+def test_match_objectives_past_the_float_range_exit_3(tmp_path):
+    # the weight of a is near 5e307: the search ends, and six of the twenty
+    # objectives a + m2 * eps are beyond the float range
+    r = run_cli("estimate", "--input", str(_y5e307_csv(tmp_path)), "--treatment", "t",
+                "--outcome", "y", "--out", str(tmp_path / "out"))
+    _assert_one_line_data_error(r, "objective of treated row", "not a finite number")
+
+
+def test_infinite_feature_weight_exit_3(tmp_path):
+    # the regression slope of y on a overflows, so the weight of a is inf and
+    # no distance to a control is defined
+    csv_path = tmp_path / "inf_weight.csv"
+    csv_path.write_text("t,y,a\n0,-1e308,0\n0,1e308,1\n1,-1e308,0\n1,1e308,1\n"
+                        "0,-1e308,0\n0,1e308,1\n")
+    r = run_cli("estimate", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                "--out", str(tmp_path / "out"))
+    _assert_one_line_data_error(r, "feature weights [inf] are not all finite numbers")
+
+
+_MAGNITUDES = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308]
+
+
+@st.composite
+def _bad_tables(draw):
+    """A ``t,y,x0..`` table of 4-60 rows with both groups present, whose
+    outcome and feature cells are drawn from zero, subnormal, tiny, unit,
+    huge and near-overflow magnitudes of either sign."""
+    n, p = draw(st.integers(4, 60)), draw(st.integers(1, 3))
+    cell = st.builds(lambda m, s: s * m, st.sampled_from(_MAGNITUDES), st.sampled_from([1, -1]))
+    t = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    t[0], t[1] = 1, 0
+    rows = draw(st.lists(st.lists(cell, min_size=p + 1, max_size=p + 1), min_size=n, max_size=n))
+    header = ",".join(["t", "y"] + [f"x{j}" for j in range(p)])
+    return header + "\n" + "".join(
+        ",".join([str(t[i])] + [repr(float(v)) for v in rows[i]]) + "\n" for i in range(n))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_bad_tables(), st.sampled_from([1, 2, 4, 6]))
+def test_any_table_ends_in_a_documented_exit_code(table, psi):
+    # every method either writes strict JSON or exits 2, 3 or 4; no
+    # exception escapes main
+    from stratamatch import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "table.csv"
+        csv_path.write_text(table)
+        for method in ("m5c-mf", "m5c-m", "naive", "strategies"):
+            out = Path(tmp) / method
+            code = cli.main(["estimate", "--input", str(csv_path), "--treatment", "t",
+                             "--outcome", "y", "--method", method, "--psi", str(psi),
+                             "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            for path in out.glob("*.json"):
+                _strict_json(path.read_text())
+            for path in out.glob("*.jsonl"):
+                for line in path.read_text().splitlines():
+                    _strict_json(line)
 
 
 @pytest.mark.parametrize("command", ["estimate", "tree"])

@@ -5,7 +5,6 @@ import pytest
 
 from stratamatch import dataset
 from stratamatch.dataset import (
-    denormalize_min_max,
     load_dataset,
     make_dataset,
     normalize_min_max,
@@ -105,17 +104,8 @@ def test_normalize_span_beyond_the_float_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         d = normalize_min_max(make_dataset(t, x, np.arange(4.0), ("a", "b")))
-        back = denormalize_min_max(d)
     np.testing.assert_array_equal(d.x[:, 0], [1.0, 0.0, 1.0, 0.5])
     np.testing.assert_array_equal(d.x[:, 1], [0.0, 0.25, 0.5, 1.0])
-    np.testing.assert_array_equal(back.x, x)
-
-
-def test_denormalize_round_trip():
-    d = _simple()
-    back = denormalize_min_max(normalize_min_max(d))
-    np.testing.assert_allclose(back.x, d.x, rtol=0, atol=1e-12)
-    assert back.scaling is None
 
 
 def test_split_by_treatment_partitions_rows():

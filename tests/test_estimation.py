@@ -20,7 +20,6 @@ from stratamatch.estimation import (
     estimate_naive,
     estimate_strategies,
     fit_pipeline,
-    naive_diff_in_means,
     robust_att_1to1,
     robust_att_1tok,
     robust_att_ktok,
@@ -160,7 +159,7 @@ def test_naive_diff_in_means_frozen():
         np.array([1.0, 3.0, 4.0, 8.0]),
         ("a",),
     )
-    assert naive_diff_in_means(d) == pytest.approx(4.0, abs=1e-15)
+    assert estimate_naive(d).att == pytest.approx(4.0, abs=1e-15)
 
 
 def test_naive_diff_constant_groups():
@@ -170,7 +169,7 @@ def test_naive_diff_constant_groups():
         np.array([3.0, 3.0, 5.0, 5.0]),
         ("a",),
     )
-    assert naive_diff_in_means(d) == 2.0
+    assert estimate_naive(d).att == 2.0
 
 
 def test_naive_diff_identical_groups():
@@ -180,7 +179,7 @@ def test_naive_diff_identical_groups():
         np.array([4.0, 4.0]),
         ("a",),
     )
-    assert naive_diff_in_means(d) == 0.0
+    assert estimate_naive(d).att == 0.0
 
 
 def test_naive_diff_on_binary_table_equals_group_strategy():
@@ -188,8 +187,8 @@ def test_naive_diff_on_binary_table_equals_group_strategy():
     t = np.array([1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
     d = make_dataset(t, np.zeros((12, 1)), y, ("a",))
     s = StratumOutcome(treated=y[:5], control=y[5:])
-    assert naive_diff_in_means(d) == pytest.approx(robust_att_ktok(s), abs=1e-12)
-    assert naive_diff_in_means(d) == pytest.approx(4.0 / 35.0, abs=1e-9)
+    assert estimate_naive(d).att == pytest.approx(robust_att_ktok(s), abs=1e-12)
+    assert estimate_naive(d).att == pytest.approx(4.0 / 35.0, abs=1e-9)
 
 
 def test_naive_diff_agrees_with_estimate_naive_when_the_control_sum_overflows():
@@ -197,7 +196,7 @@ def test_naive_diff_agrees_with_estimate_naive_when_the_control_sum_overflows():
     t = np.array([0] * 40 + [1] * 20)
     y = np.array([2.5e307] * 40 + [1.0] * 20)
     d = make_dataset(t, np.zeros((60, 1)), y, ("a",))
-    assert naive_diff_in_means(d) == estimate_naive(d).att == 1.0 - 2.5e307
+    assert estimate_naive(d).att == 1.0 - 2.5e307
 
 
 def test_registry_contents():
@@ -357,7 +356,7 @@ def test_m5c_mf_still_works_on_tiny_control_pool():
 def test_estimate_naive_matches_direct_difference():
     d = toy_dataset(seed=10)
     rep = estimate_naive(d, PipelineConfig())
-    assert rep.att == pytest.approx(naive_diff_in_means(d), abs=1e-12)
+    assert rep.att == pytest.approx(np.mean(d.y[d.t == 1]) - np.mean(d.y[d.t == 0]), abs=1e-12)
     assert rep.n_used == d.n_treated
 
 

@@ -111,6 +111,6 @@ print(json.dumps({"bare": bare, "all": names, "star": sorted(n for n in star if 
                   "missing_raises": missing_raises}))
 """)
     assert out["bare"] == ["stratamatch", "stratamatch.errors"]
-    assert out["all"] == sorted(set(out["all"])) and len(out["all"]) == 79
+    assert out["all"] == sorted(set(out["all"])) and len(out["all"]) == 70
     assert out["star"] == out["all"]
     assert out["home"] and out["dir"] and out["missing_raises"]

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from stratamatch import matching
 from stratamatch.bench import generate_hyb20var
 from stratamatch.config import PipelineConfig
+from stratamatch.dataset import make_dataset
 from stratamatch.estimation import fit_pipeline
 from stratamatch.errors import (
     EmptyInput,
@@ -263,7 +265,7 @@ def _pinned_problem(seed):
 
 
 @pytest.mark.parametrize("seed", range(len(PINNED_EXHAUSTIVE)))
-def test_budgeted_search_order_is_pinned(seed):
+def test_exhaustive_search_order_is_pinned(seed):
     sol = solve_match(_pinned_problem(seed))
     assert (sol.selected_ids, sol.nodes, sol.objective.hex()) == PINNED_EXHAUSTIVE[seed]
 
@@ -289,6 +291,35 @@ def test_search_does_not_depend_on_the_weight_scale():
         got = solve_match_lexicographic(scaled(prob, 14, 2.0**-60))
         assert (got.selected_ids, got.nodes) == (want.selected_ids, want.nodes)
         assert (got.epsilon, got.a) == (want.epsilon * 2.0**-60, want.a * 2.0**-60)
+
+
+def test_scores_past_the_float_range_search_a_pinned_number_of_states():
+    # y = 5e307 * a + t on 60 rows makes the weight of a near 5e307, and
+    # a + m2 * eps then overflows on most subsets: unscaled, nothing would
+    # prune and each problem would visit its 2**20 subsets. The search scales
+    # the deviations by a power of two, so each problem expands the states,
+    # and finds the subset and the eps and a bits, of the same problem with
+    # its weights scaled by hand
+    rng = np.random.default_rng(0)
+    t = (np.arange(60) % 3 == 0).astype(int)
+    a, b = rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)
+    fit = fit_pipeline(make_dataset(t, np.column_stack([a, b]), 5e307 * a + t, ("a", "b")),
+                       PipelineConfig())
+    probs = [select_candidates(candidate_pool(fit.control, fit.tree.node(leaf).control_indices,
+                                              fit.weights), fit.treated.x[k])
+             for k, leaf in enumerate(fit.leaf_ids)]
+    sols = solve_match(probs)
+    assert sum(s.nodes for s in sols) == 598_230
+    assert max(s.nodes for s in sols) == 83_183
+    assert sum(not np.isfinite(s.objective) for s in sols) == 6
+    for prob, sol in zip(probs, sols):
+        dev = prob.weights * (prob.candidate_features - prob.treated_features)
+        e = math.frexp(float(np.abs(dev).max()))[1]
+        scaled = solve_match(MatchProblem(prob.treated_features, prob.candidate_features,
+                                          np.ldexp(prob.weights, -e), m2=prob.m2,
+                                          candidate_ids=prob.candidate_ids))
+        assert (sol.selected_ids, sol.nodes) == (scaled.selected_ids, scaled.nodes)
+        assert (sol.epsilon, sol.a) == (math.ldexp(scaled.epsilon, e), math.ldexp(scaled.a, e))
 
 
 def test_exact_twins_end_the_search():

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratamatch.errors import EmptyInput, InsufficientDegreesOfFreedom
-from stratamatch.regression import _mean, adjusted_r2, feature_weights, ols_fit, std_dev
+from stratamatch.errors import InsufficientDegreesOfFreedom
+from stratamatch.regression import _mean, _std, adjusted_r2, feature_weights, ols_fit
 
 from conftest import control_only
 
@@ -87,12 +87,7 @@ def test_ols_small_n_has_no_adjusted():
 
 
 def test_std_dev_population():
-    assert std_dev(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(np.sqrt(1.25), abs=1e-15)
-
-
-def test_std_dev_empty():
-    with pytest.raises(EmptyInput):
-        std_dev(np.array([]))
+    assert _std(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(np.sqrt(1.25), abs=1e-15)
 
 
 def test_feature_weights_are_abs_coefficients():
@@ -114,8 +109,8 @@ def test_adjusted_r2_perfect_fit_is_fixed_point():
 
 
 def test_std_dev_known_values():
-    assert std_dev(np.array([5.0, 5.0, 5.0])) == 0.0
-    assert std_dev(np.array([0.0, 0.0, 10.0, 10.0])) == 5.0
+    assert _std(np.array([5.0, 5.0, 5.0])) == 0.0
+    assert _std(np.array([0.0, 0.0, 10.0, 10.0])) == 5.0
 
 
 def test_feature_weights_constant_outcome_all_zero():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratamatch.errors import DegenerateSplit
 from stratamatch.regression import LinearFit, ols_fit
 from stratamatch.tree import (
     TreeModel,
@@ -15,7 +14,6 @@ from stratamatch.tree import (
     build_tree,
     default_theta,
     export_rules,
-    sdr,
     should_split,
     tree_to_dict,
 )
@@ -28,27 +26,28 @@ def test_default_theta_floor():
     assert default_theta(20) == 40
 
 
+def _sdr(parent, left, right):
+    """Standard-deviation reduction of a partition, with population
+    standard deviations."""
+    n = len(parent)
+    return np.std(parent) - len(left) / n * np.std(left) - len(right) / n * np.std(right)
+
+
 def test_sdr_known_value():
-    parent = np.array([1.0, 2.0, 3.0, 4.0])
-    # sd(parent) = sqrt(1.25); each child contributes 0.5 * 0.5
-    got = sdr(parent, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert got == pytest.approx(np.sqrt(1.25) - 0.5, abs=1e-12)
+    # the middle threshold splits y into {1, 2} and {3, 4}: sd(parent) =
+    # sqrt(1.25), and each child contributes 0.5 * 0.5
+    cand = best_split(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert cand.threshold == 2.0
+    assert cand.sdr == pytest.approx(np.sqrt(1.25) - 0.5, abs=1e-12)
 
 
 def test_sdr_no_reduction_for_random_shuffle():
-    parent = np.array([1.0, 4.0, 2.0, 3.0])
-    got = sdr(parent, np.array([1.0, 4.0]), np.array([2.0, 3.0]))
-    assert got < sdr(parent, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-
-
-def test_sdr_rejects_empty_side():
-    with pytest.raises(DegenerateSplit):
-        sdr(np.array([1.0, 2.0]), np.array([]), np.array([1.0, 2.0]))
-
-
-def test_sdr_rejects_non_partition():
-    with pytest.raises(DegenerateSplit):
-        sdr(np.array([1.0, 2.0, 3.0]), np.array([1.0]), np.array([2.0]))
+    # y = 1, 4, 2, 3: feature 0 splits it into {1, 4} and {2, 3}, feature 1
+    # into {1, 2} and {4, 3}, which reduces the deviation more
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    cand = best_split(x, np.array([1.0, 4.0, 2.0, 3.0]))
+    assert cand.feature == 1
+    assert cand.sdr == pytest.approx(np.sqrt(1.25) - 0.5, abs=1e-12)
 
 
 def test_best_split_step_function():
@@ -160,7 +159,7 @@ def test_build_tree_node_metadata_consistent():
         assert np.all(d.x[left.control_indices, feature] <= threshold)
         assert np.all(d.x[right.control_indices, feature] > threshold)
         # stored gain must reproduce from the children outcome vectors
-        recomputed = sdr(
+        recomputed = _sdr(
             d.y[node.control_indices],
             d.y[left.control_indices],
             d.y[right.control_indices],
@@ -245,14 +244,14 @@ def test_tree_to_dict_round_trips_structure():
 
 
 def test_sdr_pure_children_equals_parent_sd():
-    parent = np.array([0.0, 0.0, 10.0, 10.0])
-    assert sdr(parent, np.array([0.0, 0.0]), np.array([10.0, 10.0])) == pytest.approx(5.0)
+    cand = best_split(np.array([[0.0], [0.0], [1.0], [1.0]]), np.array([0.0, 0.0, 10.0, 10.0]))
+    assert cand.sdr == pytest.approx(5.0)
 
 
 def test_sdr_constant_parent_is_zero():
-    parent = np.array([3.0, 3.0, 3.0, 3.0])
-    assert sdr(parent, parent[:1], parent[1:]) == 0.0
-    assert sdr(parent, parent[:3], parent[3:]) == 0.0
+    # every threshold of a constant outcome reduces nothing; the first wins
+    cand = best_split(np.array([[0.0], [1.0], [2.0], [3.0]]), np.full(4, 3.0))
+    assert (cand.threshold, cand.sdr) == (0.0, 0.0)
 
 
 def test_best_split_picks_informative_feature():
