@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import EmptyInput
+from .dataset import Dataset, _row_positions
+from .errors import EmptyInput, NonFiniteResult
 
 logger = logging.getLogger(__name__)
 
@@ -89,16 +89,48 @@ def _ks_sorted(ts: np.ndarray, cs: np.ndarray, ccum: np.ndarray) -> float:
     return float(np.max(np.abs(ft - fc)))
 
 
-def _overlap(t: np.ndarray, c: np.ndarray, bins: int, wc: np.ndarray) -> float:
-    lo = float(min(t.min(), c.min()))
-    hi = float(max(t.max(), c.max()))
+def _overlap(name: str, ts: np.ndarray, cs: np.ndarray, bins: int,
+             weighted: tuple[np.ndarray, np.ndarray] | None) -> float:
+    """Overlap of sorted treated values ``ts`` and sorted control values
+    ``cs`` in ``bins`` equal-width bins over their pooled range.
+
+    A side with unit weights is counted off its sorted values: each bin is
+    closed on the left, the last one on both sides, as in ``np.histogram``,
+    whose equal-width path corrects every index against the same edges. A
+    weighted control pool, ``weighted = (c, wc)``, keeps ``np.histogram``:
+    it adds the weights in input order, and that order fixes their bits.
+    A span that overflows, or that is too narrow for ``bins`` distinct
+    edges, raises :class:`NonFiniteResult`.
+    """
+    lo = float(min(ts[0], cs[0]))
+    hi = float(max(ts[-1], cs[-1]))
     if lo == hi:
         return 1.0
-    pt, _ = np.histogram(t, bins=bins, range=(lo, hi))
-    pc, _ = np.histogram(c, bins=bins, range=(lo, hi), weights=wc)
+    try:
+        if not math.isfinite(hi - lo):
+            raise ValueError("the span overflows")
+        edges = np.histogram_bin_edges(ts, bins=bins, range=(lo, hi))
+    except ValueError:
+        raise NonFiniteResult(
+            f"feature {name!r}: its pooled range [{lo!r}, {hi!r}] cannot be cut "
+            f"into equal-width bins (bins={bins})") from None
+    pt = _sorted_counts(ts, edges)
+    if weighted is None:
+        pc = _sorted_counts(cs, edges)
+    else:
+        pc, _ = np.histogram(weighted[0], bins=bins, range=(lo, hi), weights=weighted[1])
     p = pt / pt.sum()
     q = pc / pc.sum()
     return float(np.sum(np.minimum(p, q)))
+
+
+def _sorted_counts(s: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of sorted values ``s``, all within ``[edges[0], edges[-1]]``,
+    per bin ``[edges[i], edges[i + 1])``; the last bin also holds
+    ``edges[-1]``."""
+    ends = np.searchsorted(s, edges, side="left")
+    ends[-1] = s.size
+    return np.diff(ends)
 
 
 @dataclass(frozen=True)
@@ -157,15 +189,21 @@ def compute_balance(
 ) -> BalanceReport:
     """Score every feature column of a treated-vs-control comparison.
 
-    Each column is sorted once, and its means and variances serve both the
-    SMD and the variance ratio. The SMD is ``|mean_t - mean_c| / sqrt((var_t
-    + var_c) / 2)`` with population variances: 0 for equal means and ``inf``
-    for unequal ones when both variances are zero. The variance ratio is
-    treated over control, ``nan`` when the control variance is zero. The KS
+    Each column is sorted once, and the sort serves both the KS distance and
+    the overlap; its means and variances serve both the SMD and the variance
+    ratio. The SMD is ``|mean_t - mean_c| / sqrt((var_t + var_c) / 2)`` with
+    population variances: 0 for equal means and ``inf`` for unequal ones
+    when both variances are zero. The variance ratio is treated over
+    control, ``nan`` when the control variance is zero. The KS
     distance is the largest vertical gap between the two empirical CDFs. The
     overlap is ``sum_b min(p_b, q_b)`` of the bin proportions of ``bins``
     equal-width bins over the pooled range: 1 for identical distributions
     and 0 for disjoint ones.
+
+    Raises:
+        NonFiniteResult: when a column's pooled range cannot be cut into
+            ``bins`` equal-width bins: its span overflows, or it is too
+            narrow for ``bins`` distinct edges.
     """
     x_treated = np.asarray(x_treated, dtype=np.float64)
     x_control = np.asarray(x_control, dtype=np.float64)
@@ -180,6 +218,10 @@ def compute_balance(
         if wc is None:
             wc = _weights(c, control_weights)
             w_cdf = None if control_weights is None else wc  # None takes the plain sort
+        ts = np.sort(t)
+        cs, ccum = _control_cdf(c, w_cdf)
+        # a range that cannot be binned is refused before its moments overflow
+        overlap = _overlap(name, ts, cs, bins, None if w_cdf is None else (c, wc))
         mt, mc = float(np.mean(t)), _wmean(c, wc)
         vt, vc = float(np.var(t)), _wvar(c, wc, mc)
         rows.append(
@@ -189,8 +231,8 @@ def compute_balance(
                 mean_control=mc,
                 smd=_smd(mt, mc, vt, vc),
                 variance_ratio=_vr(vt, vc),
-                ks=_ks_sorted(np.sort(t), *_control_cdf(c, w_cdf)),
-                overlap=_overlap(t, c, bins, wc),
+                ks=_ks_sorted(ts, cs, ccum),
+                overlap=overlap,
             )
         )
     return BalanceReport(
@@ -221,19 +263,16 @@ def matched_pool(
     """
     if not matches:
         raise EmptyInput("no matched groups to pool")
-    pos_of_row = {int(r): i for i, r in enumerate(d.rows())}
-    trows = [pos_of_row[t] for t, _ in matches]
-    cweight: dict[int, float] = {}
-    for _, sel in matches:
-        if not sel:
-            raise EmptyInput("a matched group has no selected controls")
-        share = 1.0 / len(sel)
-        for r in sel:
-            i = pos_of_row[int(r)]
-            cweight[i] = cweight.get(i, 0.0) + share
-    crows = sorted(cweight)
-    wc = np.array([cweight[i] for i in crows])
-    return d.x[trows], d.x[crows], wc
+    sels = [sel for _, sel in matches]
+    if not all(sels):
+        raise EmptyInput("a matched group has no selected controls")
+    pos = _row_positions(d.rows(), [t for t, _ in matches] + [r for sel in sels for r in sel])
+    # each control's shares add up in match order, as a running sum would
+    shares = np.repeat([1.0 / len(sel) for sel in sels], [len(sel) for sel in sels])
+    weight = np.zeros(d.n)
+    np.add.at(weight, pos[len(matches):], shares)
+    crows = np.flatnonzero(weight)
+    return d.x[pos[:len(matches)]], d.x[crows], weight[crows]
 
 
 def post_match_report(

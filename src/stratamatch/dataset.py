@@ -74,6 +74,24 @@ class Dataset:
         return np.arange(self.n)
 
 
+def _row_positions(rows: np.ndarray, ids) -> np.ndarray:
+    """The position in ``rows`` of each row id in ``ids``, from one
+    ``searchsorted`` over the sorted row ids; a repeated row id maps to its
+    last position.
+
+    Raises:
+        KeyError: for the first id that ``rows`` lacks.
+    """
+    order = np.argsort(rows, kind="stable")
+    ranked = rows[order]
+    ids = np.asarray(ids)
+    at = np.searchsorted(ranked, ids, side="right") - 1
+    missing = (at < 0) | (ranked[at] != ids)
+    if np.any(missing):
+        raise KeyError(ids[missing][0].item())
+    return order[at]
+
+
 def make_dataset(
     t: np.ndarray,
     x: np.ndarray,

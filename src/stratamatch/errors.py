@@ -76,7 +76,9 @@ class EstimationImpossible(StrataMatchError):
 
 class NonFiniteResult(StrataMatchError):
     """An estimate, or a number bound for an artifact, is infinite or NaN
-    because the data's magnitudes overflow the float range."""
+    because the data's magnitudes overflow the float range; or a feature's
+    range is too wide or too narrow to cut into the balance overlap's
+    equal-width bins in floating point."""
 
 
 class InvalidSample(StrataMatchError):

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import PipelineConfig
-from .dataset import Dataset, normalize_min_max, split_by_treatment
+from .dataset import Dataset, _row_positions, normalize_min_max, split_by_treatment
 from .errors import (
     EmptyInput,
     EstimationImpossible,
@@ -261,7 +261,6 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     cfg = cfg or PipelineConfig()
     fit = fit_pipeline(d, cfg)
     control, treated = fit.control, fit.treated
-    pos_of_row = {int(r): i for i, r in enumerate(control.rows())}
     by_leaf: dict[int, list[int]] = {}
     for k, leaf_id in enumerate(fit.leaf_ids):
         by_leaf.setdefault(leaf_id, []).append(k)
@@ -278,9 +277,12 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
         for k in units:
             matched.append((leaf_id, k))
             problems.append(select_candidates(pool, treated.x[k], cfg.psi, cfg.m2))
+    solutions = solve_match(problems)
+    pos = _row_positions(control.rows(), [r for sol in solutions for r in sol.selected_ids])
+    ends = np.cumsum([len(sol.selected_ids) for sol in solutions])[:-1]
     records: list[IattRecord] = []
-    for (leaf_id, k), sol in zip(matched, solve_match(problems)):
-        ys = control.y[[pos_of_row[r] for r in sol.selected_ids]]
+    for (leaf_id, k), sol, at in zip(matched, solutions, np.split(pos, ends)):
+        ys = control.y[at]
         records.append(IattRecord(
             treated_row=int(treated.rows()[k]),
             leaf=leaf_id,

@@ -33,7 +33,9 @@ class LinearFit:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        return self.intercept + x @ self.coefficients
+        # a prediction past the float range is inf or nan; callers refuse it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.intercept + x @ self.coefficients
 
 
 def _mean(v) -> float:

@@ -142,6 +142,26 @@ def _reductions(ys: np.ndarray, cut: np.ndarray, sd_parent: float) -> np.ndarray
     return sd_parent - (nl / n) * np.sqrt(varl) - (nr / n) * np.sqrt(varr)
 
 
+def _presort(col: np.ndarray) -> np.ndarray:
+    """``np.argsort(col, kind="stable")``, from the cheapest sort that gives it.
+
+    A column of at most two values (``-0.0`` equals ``0.0``) needs no sort:
+    the rows of the low value, then the rest, each in row order. Otherwise
+    the default quicksort serves when it leaves no two equal values, since
+    the order of distinct values is unique; a tie falls back to the stable
+    sort, which keeps tied rows in row order.
+    """
+    col = np.ascontiguousarray(col)
+    low = col == col.min()
+    if np.all(low | (col == col.max())):
+        return np.concatenate([np.flatnonzero(low), np.flatnonzero(~low)])
+    order = np.argsort(col)
+    ranked = col[order]
+    if np.all(ranked[:-1] < ranked[1:]):
+        return order
+    return np.argsort(col, kind="stable")
+
+
 def _r2a(fit: LinearFit) -> float:
     return -math.inf if fit.r2_adj is None else fit.r2_adj
 
@@ -196,7 +216,7 @@ def build_tree(
     # one array of int32 rows serves the whole tree.
     order = np.empty((p, n), dtype=np.int32 if n < 2**31 else np.int64)
     for j in range(p):
-        order[j] = np.argsort(x[:, j], kind="stable")
+        order[j] = _presort(x[:, j])
     goes_left = np.zeros(n, dtype=bool)  # membership flags of the node being split
 
     def grow(indices: np.ndarray, depth: int, fit: LinearFit, lo: int) -> int:

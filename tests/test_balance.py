@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratamatch.balance import (
+    _sorted_counts,
     compute_balance,
     matched_pool,
     post_match_report,
@@ -13,6 +14,7 @@ from stratamatch.balance import (
     report_to_dict,
     report_to_text,
 )
+from stratamatch.errors import NonFiniteResult
 
 from conftest import toy_dataset
 
@@ -280,3 +282,65 @@ def test_balance_keeps_the_bits_of_the_per_metric_formulas(case):
     for j, f in enumerate(rep.features):
         got = (f.mean_treated, f.mean_control, f.smd, f.variance_ratio, f.ks, f.overlap)
         assert _bits(got) == _bits(_reference_row(xt[:, j], xc[:, j], w, bins))
+
+
+# pooled ranges: ordinary, subnormal-wide, a few ulps wide, and near the
+# float range; some of them are too narrow for a given bin count
+_SPANS = [(0.0, 1.0), (-3.0, 7.5), (0.0, 40 * 5e-324), (-5e-324, 1e-300),
+          (1.0, 1.0 + 64 * 2.0**-52), (-1e308, 0.0), (1e300, 1.7e308), (-0.0, 2.0**-1000)]
+
+
+@st.composite
+def _binned_samples(draw):
+    lo, hi = draw(st.sampled_from(_SPANS))
+    bins = draw(st.sampled_from([1, 2, 3, 7, 20]))
+    try:
+        edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+    except ValueError:  # too narrow: refused, see the test below
+        edges = np.array([lo, hi])
+    # values on the edges, one ulp either side of them, and between them
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    fracs = np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=30)))
+    inner = lo + fracs * hi - fracs * lo
+    pool = np.clip(np.concatenate([near, inner]), lo, hi)
+    picks = draw(st.lists(st.integers(0, pool.size - 1), min_size=2, max_size=60))
+    v = np.concatenate([[lo, hi], pool[picks]])
+    split = draw(st.integers(1, v.size - 1))
+    return v[:split], v[split:], bins
+
+
+# the moments of a near-overflow span overflow; only the overlap is compared
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(_binned_samples(), st.booleans())
+def test_overlap_counts_off_the_sorted_columns_equal_np_histogram(case, weighted):
+    t, c, bins = case
+    lo, hi = float(min(t.min(), c.min())), float(max(t.max(), c.max()))
+    try:
+        edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+    except ValueError:
+        return
+    for v in (t, c):
+        assert np.array_equal(_sorted_counts(np.sort(v), edges),
+                              np.histogram(v, bins=bins, range=(lo, hi))[0])
+    w = np.linspace(0.1, 2.0, c.size) if weighted else None
+    got = compute_balance(t[:, None], c[:, None], ("x",), control_weights=w, bins=bins)
+    assert _bits([got.features[0].overlap]) == _bits([_reference_row(t, c, w, bins)[5]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("column, bins", [
+    ([-1e308, 0.5, 0.25, 1e308], 20),  # the span overflows
+    ([-1e308, 0.5, 0.25, 1e308], 1),
+    ([0.0, 5e-324, 0.0, 1e-323], 20),  # two ulps of the subnormals
+    ([1.0, 1.0, 1.0 + 2.0**-52, 1.0], 20),  # one ulp at 1
+])
+def test_a_range_that_cannot_be_binned_is_a_data_error(column, bins):
+    v = np.array(column)
+    with pytest.raises(NonFiniteResult, match=f"feature 'x'.*bins={bins}"):
+        compute_balance(v[:2, None], v[2:, None], ("x",), bins=bins)
+
+
+def test_matched_pool_unknown_row_raises(toy):
+    with pytest.raises(KeyError):
+        matched_pool(toy, [(0, (1, toy.n + 5))])

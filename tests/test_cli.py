@@ -308,15 +308,47 @@ def test_match_objectives_past_the_float_range_exit_3(tmp_path):
     _assert_one_line_data_error(r, "objective of treated row", "not a finite number")
 
 
-def test_infinite_feature_weight_exit_3(tmp_path):
-    # the regression slope of y on a overflows, so the weight of a is inf and
-    # no distance to a control is defined
+def _inf_weight_csv(tmp_path):
+    # the regression slope of y on a overflows, so the weight of a is inf
     csv_path = tmp_path / "inf_weight.csv"
     csv_path.write_text("t,y,a\n0,-1e308,0\n0,1e308,1\n1,-1e308,0\n1,1e308,1\n"
                         "0,-1e308,0\n0,1e308,1\n")
-    r = run_cli("estimate", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
-                "--out", str(tmp_path / "out"))
+    return csv_path
+
+
+def test_infinite_feature_weight_exit_3(tmp_path):
+    # no distance to a control is defined
+    r = run_cli("estimate", "--input", str(_inf_weight_csv(tmp_path)), "--treatment", "t",
+                "--outcome", "y", "--out", str(tmp_path / "out"))
     _assert_one_line_data_error(r, "feature weights [inf] are not all finite numbers")
+
+
+@pytest.mark.filterwarnings("error")
+def test_infinite_feature_weight_model_form_warns_nothing(tmp_path, caplog):
+    # the leaf model's prediction for the treated rows is nan; the run
+    # refuses it without a RuntimeWarning on the way
+    from stratamatch import cli
+
+    code = cli.main(["estimate", "--input", str(_inf_weight_csv(tmp_path)), "--treatment", "t",
+                     "--outcome", "y", "--method", "m5c-m", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "iatt of treated row 2 is nan" in caplog.text
+
+
+@pytest.mark.filterwarnings("error")
+def test_distances_past_the_float_range_shortlist_without_warnings(tmp_path):
+    # both weights are near 1e308, so the distance of the last control
+    # overflows; the treated unit's exact twin is still its match
+    from stratamatch import cli
+
+    csv_path = tmp_path / "near_overflow.csv"
+    csv_path.write_text("t,y,x0,x1\n1,0,0,0\n" + "0,0,0,0\n" * 7
+                        + "0,0,5e-324,5e-324\n0,1e308,0,5e-324\n")
+    out = tmp_path / "out"
+    code = cli.main(["estimate", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                     "--psi", "1", "--out", str(out)])
+    assert code == 0
+    assert _strict_json((out / "report.json").read_text())["payload"]["att"] == 0.0
 
 
 _MAGNITUDES = [0.0, 5e-324, 1e-300, 1.0, 1e300, 1e308]
@@ -358,6 +390,61 @@ def test_any_table_ends_in_a_documented_exit_code(table, psi):
             for path in out.glob("*.jsonl"):
                 for line in path.read_text().splitlines():
                     _strict_json(line)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_bad_tables(), st.sampled_from([1, 2, 4, 6]))
+def test_balance_of_any_table_ends_in_a_documented_exit_code(table, psi):
+    # balance on the audit of every default run that exits 0
+    from stratamatch import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "table.csv"
+        csv_path.write_text(table)
+        data = ["--input", str(csv_path), "--treatment", "t", "--outcome", "y"]
+        run = Path(tmp) / "run"
+        if cli.main(["estimate", *data, "--psi", str(psi), "--out", str(run)]) != 0:
+            return
+        out = Path(tmp) / "balance"
+        code = cli.main(["balance", *data, "--audit", str(run / "audit.jsonl"),
+                         "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        for path in out.glob("*.json"):
+            _strict_json(path.read_text())
+
+
+def _repro_balance_csv(tmp_path, name):
+    # 60 rows; column b spans the float range, column c two subnormal ulps
+    rng = np.random.default_rng(0)
+    t = np.zeros(60, dtype=int)
+    t[::3] = 1
+    a = rng.random(60)
+    y = a + t
+    if name == "b":
+        col = a.copy()
+        col[0], col[1] = -1e308, 1e308
+    else:
+        col = np.zeros(60)
+        col[5], col[7] = 5e-324, 1e-323
+    csv_path = tmp_path / f"{name}.csv"
+    csv_path.write_text(f"t,y,a,{name}\n" + "".join(
+        f"{t[i]},{float(y[i])!r},{float(a[i])!r},{float(col[i])!r}\n" for i in range(60)))
+    return csv_path
+
+
+@pytest.mark.parametrize("name, span", [("b", "[-1e+308, 1e+308]"), ("c", "[0.0, 1e-323]")])
+def test_balance_of_a_range_that_cannot_be_binned_exit_3(tmp_path, name, span):
+    data = ["--input", str(_repro_balance_csv(tmp_path, name)), "--treatment", "t",
+            "--outcome", "y"]
+    r = run_cli("estimate", *data, "--out", str(tmp_path / "run"))
+    assert r.returncode == 0, r.stderr
+    r = run_cli("balance", *data, "--audit", str(tmp_path / "run" / "audit.jsonl"),
+                "--out", str(tmp_path / "balance"))
+    assert r.returncode == 3
+    (line,) = [ln for ln in r.stderr.splitlines() if not ln.startswith("INFO ")]
+    assert line.startswith(f"ERROR stratamatch.cli: data error: feature '{name}'")
+    assert span in line and "bins=20" in line
+    assert not (tmp_path / "balance").exists()
 
 
 @pytest.mark.parametrize("command", ["estimate", "tree"])

@@ -476,3 +476,20 @@ def test_normalize_column_values():
     y = np.array([0.0, 0.0, 0.0])
     d = normalize_min_max(make_dataset(t, x, y, ("a",)))
     np.testing.assert_allclose(d.x[:, 0], [0.0, 1.0 / 3.0, 1.0])
+
+
+@pytest.mark.parametrize("rows", [
+    np.arange(7),  # a loaded table
+    np.array([2, 5, 6, 11, 12]),  # one treatment group after the split
+    np.array([9, 3, 7, 3, 0, 9, 9]),  # unsorted, with repeats
+])
+def test_row_positions_agree_with_a_row_to_position_dict(rows):
+    # a repeated row id maps to its last position, as a dict built in row order does
+    pos_of_row = {int(r): i for i, r in enumerate(rows)}
+    ids = [int(r) for r in rows[::-1]] + [int(rows[0])] * 3
+    assert dataset._row_positions(rows, ids).tolist() == [pos_of_row[r] for r in ids]
+    assert dataset._row_positions(rows, []).size == 0
+    with pytest.raises(KeyError):
+        dataset._row_positions(rows, [int(rows[0]), int(rows.max()) + 1])
+    with pytest.raises(KeyError):
+        dataset._row_positions(rows, [int(rows.min()) - 1])

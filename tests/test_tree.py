@@ -9,6 +9,7 @@ from stratamatch.regression import LinearFit, ols_fit
 from stratamatch.tree import (
     TreeModel,
     TreeNode,
+    _presort,
     assign_leaf,
     best_split,
     build_tree,
@@ -373,6 +374,46 @@ def test_build_tree_sorts_each_feature_once(monkeypatch):
     tree = build_tree(control_only(x, y), theta=10)
     assert sum(not nd.is_leaf for nd in tree.nodes) >= 3
     assert len(calls) == x.shape[1]
+
+
+# level sets of few-valued columns: constant, two-valued (-0.0 equals 0.0),
+# subnormal and near-overflow values; None draws distinct values
+_PRESORT_LEVELS = [(2.5,), (0.0, 1.0), (-0.0, 0.0), (-0.0, 0.0, 1.0), (5e-324, 0.0),
+                   (-5e-324, 0.0, -0.0, 5e-324), (1e308, -1e308), (-1e308, 0.0, 1e308),
+                   (0.4, 0.1, 0.3, 0.2, 0.1), None]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(n=st.integers(1, 60), levels=st.sampled_from(_PRESORT_LEVELS),
+       scale=st.sampled_from((1.0, 1e-310, 1e300)), seed=st.integers(0, 2**32 - 1))
+def test_presort_equals_the_stable_argsort(n, levels, scale, seed):
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        col = rng.standard_normal(n) * scale
+        col[rng.integers(0, n)] = rng.choice([-0.0, 0.0, 1e308, -1e308])
+    else:
+        col = rng.choice(np.array(levels), n)
+    x = np.column_stack([col, -col])  # a strided column, as build_tree passes
+    assert np.array_equal(_presort(x[:, 0]), np.argsort(col, kind="stable"))
+
+
+def test_build_tree_on_two_valued_columns_calls_no_argsort(monkeypatch):
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 2, size=(400, 4)).astype(float)
+    x[:, 2] = 7.0  # a constant column
+    x[::5, 3] = -0.0  # 0.0 and -0.0 are one value
+    y = 20.0 * x[:, 0] + 10.0 * x[:, 0] * x[:, 1] + x[:, 3] + rng.normal(0, 0.01, 400)
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    tree = build_tree(control_only(x, y), theta=10)
+    assert not tree.nodes[tree.root].is_leaf
+    assert calls == []
 
 
 def test_sdr_stays_finite_when_the_squares_of_y_overflow():
