@@ -284,24 +284,34 @@ def test_balance_keeps_the_bits_of_the_per_metric_formulas(case):
         assert _bits(got) == _bits(_reference_row(xt[:, j], xc[:, j], w, bins))
 
 
-# pooled ranges: ordinary, subnormal-wide, a few ulps wide, and near the
-# float range; some of them are too narrow for a given bin count
-_SPANS = [(0.0, 1.0), (-3.0, 7.5), (0.0, 40 * 5e-324), (-5e-324, 1e-300),
-          (1.0, 1.0 + 64 * 2.0**-52), (-1e308, 0.0), (1e300, 1.7e308), (-0.0, 2.0**-1000)]
+# pooled ranges: ordinary, subnormal-wide, a few ulps wide, near or past the
+# float range; some of them are too narrow or too wide for a bin count
+_SPANS = [(0.0, 1.0), (-3.0, 7.5), (0.0, 40 * 5e-324), (0.0, 1e-323), (-5e-324, 1e-300),
+          (1.0, 1.0 + 64 * 2.0**-52), (-1e308, 0.0), (1e300, 1.7e308), (-1e308, 1e308),
+          (-0.0, 2.0**-1000)]
+
+
+def _np_edges(lo, hi, bins):
+    """``np.histogram``'s edges over ``[lo, hi]``, or None where it cannot
+    form them."""
+    if not math.isfinite(hi - lo):
+        return None
+    try:
+        return np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+    except ValueError:
+        return None
 
 
 @st.composite
 def _binned_samples(draw):
     lo, hi = draw(st.sampled_from(_SPANS))
     bins = draw(st.sampled_from([1, 2, 3, 7, 20]))
-    try:
-        edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
-    except ValueError:  # too narrow: refused, see the test below
-        edges = np.array([lo, hi])
+    edges = _np_edges(lo, hi, bins)
+    edges = np.array([lo, hi]) if edges is None else edges
     # values on the edges, one ulp either side of them, and between them
     near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     fracs = np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=30)))
-    inner = lo + fracs * hi - fracs * lo
+    inner = (1.0 - fracs) * lo + fracs * hi
     pool = np.clip(np.concatenate([near, inner]), lo, hi)
     picks = draw(st.lists(st.integers(0, pool.size - 1), min_size=2, max_size=60))
     v = np.concatenate([[lo, hi], pool[picks]])
@@ -315,15 +325,16 @@ def _binned_samples(draw):
 @given(_binned_samples(), st.booleans())
 def test_overlap_counts_off_the_sorted_columns_equal_np_histogram(case, weighted):
     t, c, bins = case
+    w = np.linspace(0.1, 2.0, c.size) if weighted else None
     lo, hi = float(min(t.min(), c.min())), float(max(t.max(), c.max()))
-    try:
-        edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
-    except ValueError:
+    edges = _np_edges(lo, hi, bins)
+    if edges is None:  # where np.histogram cannot bin, the report refuses
+        with pytest.raises(NonFiniteResult):
+            compute_balance(t[:, None], c[:, None], ("x",), control_weights=w, bins=bins)
         return
     for v in (t, c):
         assert np.array_equal(_sorted_counts(np.sort(v), edges),
                               np.histogram(v, bins=bins, range=(lo, hi))[0])
-    w = np.linspace(0.1, 2.0, c.size) if weighted else None
     got = compute_balance(t[:, None], c[:, None], ("x",), control_weights=w, bins=bins)
     assert _bits([got.features[0].overlap]) == _bits([_reference_row(t, c, w, bins)[5]])
 
