@@ -206,6 +206,7 @@ def candidate_pool(control: Dataset, leaf_indices: np.ndarray, weights: np.ndarr
     )
 
 
+@np.errstate(over="ignore")  # a distance past the float range is inf, and sorts last
 def select_candidates(
     pool: CandidatePool,
     treated_features: np.ndarray,
@@ -250,16 +251,14 @@ def select_candidates(
     k = min(max(1, int(psi)), n)
     cols = pool.screen_columns
     gap = pool.screen - mu[cols, None]
-    # distances past the float range are inf, which still orders them last
-    with np.errstate(over="ignore"):
-        partial = (w[cols, None] * gap * gap).sum(axis=0)
-        nearest = np.argpartition(partial, k - 1)[:k]
-        diff = pool.features[nearest] - mu
-        bound = np.sum(w * diff * diff, axis=1).max()
-        survivors = np.flatnonzero(partial <= bound * (1.0 + 4 * p * _EPS))
-        feats = pool.features[survivors]
-        diff = feats - mu
-        dist = np.sqrt(np.sum(w * diff * diff, axis=1))
+    partial = (w[cols, None] * gap * gap).sum(axis=0)
+    nearest = np.argpartition(partial, k - 1)[:k]
+    diff = pool.features[nearest] - mu
+    bound = np.sum(w * diff * diff, axis=1).max()
+    survivors = np.flatnonzero(partial <= bound * (1.0 + 4 * p * _EPS))
+    feats = pool.features[survivors]
+    diff = feats - mu
+    dist = np.sqrt(np.sum(w * diff * diff, axis=1))
     # only entries at or below the k-th smallest distance can be chosen; a
     # stable sort of those, by position, keeps the lower-index tie-break
     near = np.flatnonzero(dist <= dist[np.argpartition(dist, k - 1)[k - 1]])
