@@ -50,6 +50,24 @@ def _wvar(v: np.ndarray, w: np.ndarray, m: float) -> float:
     return float(np.sum(w * (v - m) ** 2) / np.sum(w))
 
 
+def _moments(t: np.ndarray, c: np.ndarray, wc: np.ndarray) -> tuple[float, float, float, float]:
+    """Means and population variances of ``t``, and of ``c`` under the
+    weights ``wc``: ``(mt, mc, vt, vc)``."""
+    mc = _wmean(c, wc)
+    return float(np.mean(t)), mc, float(np.var(t)), _wvar(c, wc, mc)
+
+
+def _scaled_smd_vr(t: np.ndarray, c: np.ndarray, wc: np.ndarray, vr: float) -> tuple[float, float]:
+    """SMD and variance ratio of finite samples whose variances overflow:
+    both come from the moments of ``t`` and ``c`` scaled by one power of
+    two, exact, so that they peak in [0.5, 1). Both are scale-free. A
+    scaled control variance that underflows to zero keeps the unscaled
+    ratio ``vr``."""
+    e = math.frexp(max(float(np.max(np.abs(t))), float(np.max(np.abs(c)))))[1]
+    mt, mc, vt, vc = _moments(np.ldexp(t, -e), np.ldexp(c, -e), wc)
+    return _smd(mt, mc, vt, vc), (vt / vc if vc > 0.0 else vr)
+
+
 def _smd(mt: float, mc: float, vt: float, vc: float) -> float:
     denom = math.sqrt((vt + vc) / 2.0)
     if denom == 0.0:
@@ -194,7 +212,9 @@ def compute_balance(
     ratio. The SMD is ``|mean_t - mean_c| / sqrt((var_t + var_c) / 2)`` with
     population variances: 0 for equal means and ``inf`` for unequal ones
     when both variances are zero. The variance ratio is treated over
-    control, ``nan`` when the control variance is zero. The KS
+    control, ``nan`` when the control variance is zero. When the variances
+    of finite values overflow, both come from the moments of the two sides
+    scaled by one power of two; the reported means keep their values. The KS
     distance is the largest vertical gap between the two empirical CDFs. The
     overlap is ``sum_b min(p_b, q_b)`` of the bin proportions of ``bins``
     equal-width bins over the pooled range: 1 for identical distributions
@@ -222,15 +242,18 @@ def compute_balance(
         cs, ccum = _control_cdf(c, w_cdf)
         # a range that cannot be binned is refused before its moments overflow
         overlap = _overlap(name, ts, cs, bins, None if w_cdf is None else (c, wc))
-        mt, mc = float(np.mean(t)), _wmean(c, wc)
-        vt, vc = float(np.var(t)), _wvar(c, wc, mc)
+        with np.errstate(over="ignore", invalid="ignore"):  # redone below
+            mt, mc, vt, vc = _moments(t, c, wc)
+        smd, vr = _smd(mt, mc, vt, vc), _vr(vt, vc)
+        if not math.isfinite(vt + vc) and np.isfinite(t).all() and np.isfinite(c).all():
+            smd, vr = _scaled_smd_vr(t, c, wc, vr)
         rows.append(
             FeatureBalance(
                 name=name,
                 mean_treated=mt,
                 mean_control=mc,
-                smd=_smd(mt, mc, vt, vc),
-                variance_ratio=_vr(vt, vc),
+                smd=smd,
+                variance_ratio=vr,
                 ks=_ks_sorted(ts, cs, ccum),
                 overlap=overlap,
             )

@@ -264,6 +264,7 @@ def _summary_text(report: AttReport, method: str, d: Dataset) -> str:
 def cmd_estimate(args: argparse.Namespace) -> int:
     import dataclasses
 
+    from .dataset import normalize_min_max
     from .estimation import ESTIMATORS
     from .tree import export_rules, tree_to_dict
 
@@ -274,7 +275,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.dry_run:
         return _dry_run(args, args.input, detail=f": method={method} config={cfg.as_dict()}")
     t0 = time.perf_counter()
-    d = _load(args)
+    # normalized as it loads, so the raw features, which no artifact reads,
+    # are freed before the fit
+    d = normalize_min_max(_load(args))
     report = ESTIMATORS[method](d, cfg)
     out = _out_dir(args)
     if report.tree is not None:
@@ -384,10 +387,13 @@ def cmd_balance(args: argparse.Namespace) -> int:
     matches = _read_matches(Path(args.audit), d, args.input)
     pre = pre_match_report(d, bins=args.bins)
     post = post_match_report(d, matches, bins=args.bins)
-    out = _out_dir(args)
+    # both texts are formed, and a non-finite number refused, before any file is written
     text = report_to_text(pre) + "\n" + report_to_text(post)
+    blob = _json({"pre": report_to_dict(pre), "post": report_to_dict(post)},
+                 Path(args.out) / "balance.json", indent=2)
+    out = _out_dir(args)
     (out / "balance.txt").write_text(text)
-    _dump_json({"pre": report_to_dict(pre), "post": report_to_dict(post)}, out / "balance.json")
+    (out / "balance.json").write_text(blob + "\n")
     logger.info(
         "balance: pre mean |SMD| %.4f -> post %.4f; artifacts in %s",
         pre.mean_abs_smd, post.mean_abs_smd, out,
@@ -396,14 +402,14 @@ def cmd_balance(args: argparse.Namespace) -> int:
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
+    from .dataset import normalize_min_max
     from .estimation import fit_pipeline
     from .tree import export_rules, tree_to_dict
 
     cfg, _ = _resolve_config(args)
     if args.dry_run:
         return _dry_run(args, args.input)
-    d = _load(args)
-    fit = fit_pipeline(d, cfg)
+    fit = fit_pipeline(normalize_min_max(_load(args)), cfg)
     out = _out_dir(args)
     blob = tree_to_dict(fit.tree)
     blob["feature_scaling"] = [list(pair) for pair in (fit.control.scaling or ())]

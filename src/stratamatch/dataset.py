@@ -556,10 +556,12 @@ def load_dataset(
 
     t_idx, y_idx, feat_idx = _columns(header, treatment_col, outcome_col)
     names = tuple(header[j] for j in feat_idx)
+    t, y = table[:, t_idx].astype(np.int64), table[:, y_idx].copy()
     # take, not table[:, feat_idx]: that would be Fortran-ordered, and
     # freezing it would copy it again
-    t, x, y = table[:, t_idx], table.take(feat_idx, axis=1), table[:, y_idx].copy()
-    d = _checked_dataset(t.astype(np.int64), x, y, names)
+    x = table.take(feat_idx, axis=1)
+    del table  # no view of it is kept, so the checks run on the copies alone
+    d = _checked_dataset(t, x, y, names)
     logger.info(
         "loaded %s: n=%d (treated=%d, control=%d), p=%d",
         path, d.n, d.n_treated, d.n_control, d.p,

@@ -210,6 +210,12 @@ def build_tree(
     if theta is None:
         theta = default_theta(p)
     nodes: list[TreeNode] = []
+    if n < p + 2:
+        logger.warning(
+            "control set too small for any split (n=%d < p+2=%d); single-leaf tree", n, p + 2
+        )
+    # the root's fit, and its temporaries, come and go before order is allocated
+    root_fit = ols_fit(x, y)
     # order[j, lo:hi] lists one node's rows by ascending feature j, ties in
     # row order. A split stable-partitions its node's span, left child first,
     # so each child's span is its parent's order filtered by membership, and
@@ -256,11 +262,7 @@ def build_tree(
         nodes[node_id] = node
         return node_id
 
-    if n < p + 2:
-        logger.warning(
-            "control set too small for any split (n=%d < p+2=%d); single-leaf tree", n, p + 2
-        )
-    grow(np.arange(n), 0, ols_fit(x, y), 0)
+    grow(np.arange(n), 0, root_fit, 0)
     model = TreeModel(
         nodes=nodes,
         root=0,

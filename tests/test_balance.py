@@ -355,3 +355,34 @@ def test_a_range_that_cannot_be_binned_is_a_data_error(column, bins):
 def test_matched_pool_unknown_row_raises(toy):
     with pytest.raises(KeyError):
         matched_pool(toy, [(0, (1, toy.n + 5))])
+
+
+def _exact_smd_vr(t, c, w):
+    """SMD and variance ratio from the exact rational moments."""
+    from fractions import Fraction
+
+    def moments(v, w):
+        v, w = [Fraction(a) for a in v], [Fraction(b) for b in w]
+        m = sum(a * b for a, b in zip(v, w)) / sum(w)
+        return m, sum(b * (a - m) ** 2 for a, b in zip(v, w)) / sum(w)
+
+    mt, vt = moments(t, [1.0] * len(t))
+    mc, vc = moments(c, w)
+    return math.sqrt(float((mt - mc) ** 2 / ((vt + vc) / 2))), vt / vc
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("control, weights, vr", [
+    ([0.0, 1.0, 2.0, 0.5], None, math.inf),  # only the treated variance overflows
+    ([-1e200, 1e200, 0.0, 0.0], [1.0, 1.0, 3.0, 4.0], None),  # both do
+], ids=["treated", "both"])
+def test_smd_of_variances_that_overflow_is_scale_free(control, weights, vr):
+    t = [-1e200, 1e200, 3e199]
+    row = _row(t, control, None if weights is None else np.array(weights))
+    smd, exact_vr = _exact_smd_vr(t, control, weights or [1.0] * len(control))
+    assert row.smd == pytest.approx(smd, rel=1e-12)
+    assert not row.smd_good
+    if vr is None:  # the exact ratio is within the float range
+        vr = pytest.approx(float(exact_vr), rel=1e-12)
+    assert row.variance_ratio == vr
+    assert row.mean_treated == 1e199

@@ -447,6 +447,20 @@ def test_balance_of_a_range_that_cannot_be_binned_exit_3(tmp_path, name, span):
     assert not (tmp_path / "balance").exists()
 
 
+def test_balance_with_a_non_finite_number_writes_no_file(tmp_path):
+    # the treated mean of column a is inf; the text report has no means
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text("t,y,a\n1,1,1e308\n1,2,1e308\n0,1,0\n0,2,1\n0,3,0.5\n0,1,0.2\n")
+    audit = tmp_path / "audit.jsonl"
+    audit.write_text('{"treated_row": 0, "matched_rows": [2]}\n'
+                     '{"treated_row": 1, "matched_rows": [3, 4]}\n')
+    r = run_cli("balance", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                "--audit", str(audit), "--out", str(tmp_path / "balance"))
+    _assert_one_line_data_error(r, "balance.json", "Out of range float")
+    assert "Warning" not in r.stderr
+    assert not (tmp_path / "balance").exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "tree"])
 def test_outcomes_near_1e200_fit_a_finite_r2(tmp_path, command):
     # the outcomes' sums of squares pass the float range, their ratio does not:
@@ -723,6 +737,35 @@ def test_estimate_grows_the_tree_once(tmp_path, data_csv, monkeypatch, method):
     ])
     assert rc == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [("estimate", "--method", "m5c-mf"),
+                                  ("estimate", "--method", "m5c-m"),
+                                  ("estimate", "--method", "strategies"),
+                                  ("tree",)], ids=lambda a: a[-1])
+def test_raw_features_are_freed_before_the_tree_grows(tmp_path, data_csv, monkeypatch, argv):
+    import weakref
+
+    from stratamatch import cli, dataset, estimation
+
+    raw = []
+    load_dataset, build_tree = dataset.load_dataset, estimation.build_tree
+
+    def loading(*args, **kwargs):
+        d = load_dataset(*args, **kwargs)
+        raw.append(weakref.ref(d.x))
+        return d
+
+    def building(*args, **kwargs):
+        gc.collect()
+        assert raw and raw[0]() is None, "the raw feature matrix is still alive"
+        return build_tree(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "load_dataset", loading)
+    monkeypatch.setattr(estimation, "build_tree", building)
+    rc = cli.main([*argv, "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 0
 
 
 def _leaf_ids(node):

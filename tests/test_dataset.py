@@ -326,6 +326,35 @@ def test_load_dataset_encode_all_numeric_takes_the_c_reader(tmp_path, monkeypatc
     _same_dataset(got, want)
 
 
+@pytest.mark.parametrize("reader, text", [
+    ("_c_table", "t,y,a,b\n0,1,2,3\n1,3,4,5\n"),
+    ("_csv_table", 't,y,a,b\n0,1,"2",3\n1,3,4,5\n'),  # a quoted cell: the csv reader
+], ids=["c_reader", "csv_reader"])
+def test_load_dataset_frees_the_table_before_the_checks(tmp_path, monkeypatch, reader, text):
+    import gc
+    import weakref
+
+    p = tmp_path / "data.csv"
+    p.write_text(text)
+    tables = []
+    read, checked_dataset = getattr(dataset, reader), dataset._checked_dataset
+
+    def reading(*args):
+        table = read(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    def checking(*args):
+        gc.collect()
+        assert tables and tables[0]() is None, "the float table is still alive"
+        return checked_dataset(*args)
+
+    monkeypatch.setattr(dataset, reader, reading)
+    monkeypatch.setattr(dataset, "_checked_dataset", checking)
+    d = load_dataset(p, treatment_col="t", outcome_col="y")
+    assert d.x.tolist() == [[2.0, 3.0], [4.0, 5.0]]
+
+
 # the csv reader reads the header on either path, so names quoted as R's
 # write.csv quotes them leave the data rows to the C reader
 @pytest.mark.parametrize("text, c_read", [
