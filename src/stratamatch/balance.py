@@ -41,8 +41,20 @@ def _weights(v: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     return w
 
 
-def _wmean(v: np.ndarray, w: np.ndarray) -> float:
-    return float(np.sum(w * v) / np.sum(w))
+def _wmean(v: np.ndarray, w: np.ndarray | None = None) -> float:
+    """The mean of ``v``, under the weights ``w`` if given, unless that
+    overflows on finite values: then the mean of ``v / s`` times ``s``, a
+    power of two above ``len(v)``, as ``regression._mean`` computes it, with
+    the weights scaled to sum to one, so no partial sum can pass the float
+    range. Every finite mean keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):  # redone below
+        m = float(np.mean(v) if w is None else np.sum(w * v) / np.sum(w))
+    if math.isfinite(m) or not np.isfinite(v).all():
+        return m
+    s = math.ldexp(1.0, len(v).bit_length())
+    if w is None:
+        return float(np.mean(v / s)) * s
+    return float(np.sum(w / np.sum(w) * (v / s))) * s
 
 
 def _wvar(v: np.ndarray, w: np.ndarray, m: float) -> float:
@@ -54,7 +66,7 @@ def _moments(t: np.ndarray, c: np.ndarray, wc: np.ndarray) -> tuple[float, float
     """Means and population variances of ``t``, and of ``c`` under the
     weights ``wc``: ``(mt, mc, vt, vc)``."""
     mc = _wmean(c, wc)
-    return float(np.mean(t)), mc, float(np.var(t)), _wvar(c, wc, mc)
+    return _wmean(t), mc, float(np.var(t)), _wvar(c, wc, mc)
 
 
 def _scaled_smd_vr(t: np.ndarray, c: np.ndarray, wc: np.ndarray, vr: float) -> tuple[float, float]:
@@ -214,7 +226,8 @@ def compute_balance(
     when both variances are zero. The variance ratio is treated over
     control, ``nan`` when the control variance is zero. When the variances
     of finite values overflow, both come from the moments of the two sides
-    scaled by one power of two; the reported means keep their values. The KS
+    scaled by one power of two. A mean of finite values is finite: when its
+    sum overflows, it is taken over the values scaled by a power of two. The KS
     distance is the largest vertical gap between the two empirical CDFs. The
     overlap is ``sum_b min(p_b, q_b)`` of the bin proportions of ``bins``
     equal-width bins over the pooled range: 1 for identical distributions

@@ -212,8 +212,8 @@ def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(_json(obj, path, indent=2) + "\n")
 
 
-def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig, method: str,
-                    d: Dataset) -> dict:
+def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig,
+                    method: str) -> dict:
     """``iatt`` holds the ``dataclasses.asdict`` of each ``report.iatt`` record."""
     import dataclasses
 
@@ -221,11 +221,11 @@ def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig, me
         "method": method,
         "config": {**cfg.as_dict(), "method": method},
         "dataset": {
-            "n": d.n,
-            "p": d.p,
-            "n_treated": d.n_treated,
-            "n_control": d.n_control,
-            "feature_names": list(d.feature_names),
+            "n": report.n_treated + report.n_control,
+            "p": len(report.feature_names),
+            "n_treated": report.n_treated,
+            "n_control": report.n_control,
+            "feature_names": list(report.feature_names),
         },
         "att": report.att,
         "n_used": report.n_used,
@@ -243,13 +243,14 @@ def _write_audit(report: AttReport, iatt: list[dict], path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _summary_text(report: AttReport, method: str, d: Dataset) -> str:
+def _summary_text(report: AttReport, method: str) -> str:
+    nt, nc = report.n_treated, report.n_control
     lines = [
         f"method        {method}",
         f"att           {report.att!r}",
-        f"treated used  {report.n_used} of {report.n_treated}",
+        f"treated used  {report.n_used} of {nt}",
         f"skipped       {len(report.skipped)}",
-        f"dataset       n={d.n} p={d.p} treated={d.n_treated} control={d.n_control}",
+        f"dataset       n={nt + nc} p={len(report.feature_names)} treated={nt} control={nc}",
     ]
     matched = [r for r in report.iatt if r.matched_rows]
     if matched:
@@ -275,18 +276,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.dry_run:
         return _dry_run(args, args.input, detail=f": method={method} config={cfg.as_dict()}")
     t0 = time.perf_counter()
-    # normalized as it loads, so the raw features, which no artifact reads,
-    # are freed before the fit
-    d = normalize_min_max(_load(args))
-    report = ESTIMATORS[method](d, cfg)
+    # normalized as it loads, and bound to no name: the raw features die at
+    # normalization and the normalized ones once the estimator has split them,
+    # before the tree grows; the artifacts read the dataset's facts off the report
+    report = ESTIMATORS[method](normalize_min_max(_load(args)), cfg)
     out = _out_dir(args)
     if report.tree is not None:
         _dump_json(tree_to_dict(report.tree), out / "tree.json")
         (out / "tree_rules.txt").write_text(export_rules(report.tree))
     iatt = [dataclasses.asdict(r) for r in report.iatt]
     _write_audit(report, iatt, out / "audit.jsonl")
-    (out / "summary.txt").write_text(_summary_text(report, method, d))
-    payload = _report_payload(report, iatt, cfg, method, d)
+    (out / "summary.txt").write_text(_summary_text(report, method))
+    payload = _report_payload(report, iatt, cfg, method)
     meta = {
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "runtime_s": time.perf_counter() - t0,

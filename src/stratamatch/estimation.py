@@ -152,9 +152,11 @@ class AttReport:
     """Estimate plus its unit-level decomposition.
 
     ``att`` is always the plain mean of the ``iatt`` values, so the
-    decomposition reproduces the headline number exactly. ``tree`` is the
-    tree the estimate was fitted with (``None`` for the naive baseline); it
-    is exported beside the report, never serialised into it.
+    decomposition reproduces the headline number exactly. ``n_treated``,
+    ``n_control`` and ``feature_names`` describe the input dataset, so the
+    artifacts describe it without holding it. ``tree`` is the tree the
+    estimate was fitted with (``None`` for the naive baseline); it is
+    exported beside the report, never serialised into it.
     """
 
     method: str
@@ -162,6 +164,8 @@ class AttReport:
     iatt: tuple[IattRecord, ...]
     skipped: tuple[SkipRecord, ...]
     n_treated: int
+    n_control: int
+    feature_names: tuple[str, ...]
     strata: tuple[dict, ...] = ()
     tree: TreeModel | None = field(default=None, compare=False, repr=False)
 
@@ -171,9 +175,10 @@ class AttReport:
 
 
 def _finish(method: str, records: list[IattRecord], skipped: list[SkipRecord],
-            n_treated: int, strata: tuple[dict, ...] = (),
-            tree: TreeModel | None = None) -> AttReport:
-    """The report of ``records``, whose mean is the ``att``.
+            n_treated: int, n_control: int, feature_names: tuple[str, ...],
+            strata: tuple[dict, ...] = (), tree: TreeModel | None = None) -> AttReport:
+    """The report of ``records``, whose mean is the ``att``, on a dataset of
+    ``n_treated`` treated and ``n_control`` control units.
 
     Raises:
         EstimationImpossible: when there is no record.
@@ -201,6 +206,8 @@ def _finish(method: str, records: list[IattRecord], skipped: list[SkipRecord],
         iatt=tuple(records),
         skipped=tuple(sorted(skipped, key=lambda r: r.treated_row)),
         n_treated=n_treated,
+        n_control=n_control,
+        feature_names=feature_names,
         strata=strata,
         tree=tree,
     )
@@ -223,22 +230,45 @@ class PipelineFit:
     leaf_ids: tuple[int, ...]
 
 
-def fit_pipeline(d: Dataset, cfg: PipelineConfig) -> PipelineFit:
-    """Validate ``cfg``, normalize ``d``, split it by treatment, compute the
-    feature weights, grow the tree on the controls and route every treated
-    unit to its leaf."""
+def _normalize_and_split(d: Dataset, cfg: PipelineConfig
+                         ) -> tuple[Dataset, Dataset, np.ndarray]:
+    """The steps that read the whole dataset: validate ``cfg``, normalize
+    ``d`` (a pass-through if it is normalized), split it by treatment and
+    compute the feature weights. Returns ``(control, treated, weights)``,
+    which share no array with ``d``."""
     cfg.validate()
     dn = normalize_min_max(d)
     control, treated = split_by_treatment(dn)
-    w = feature_weights(dn)
-    tree = build_tree(control, cfg.lambda_, cfg.theta_for(d.p), cfg.max_depth)
+    return control, treated, feature_weights(dn)
+
+
+def _grow(control: Dataset, treated: Dataset, weights: np.ndarray,
+          cfg: PipelineConfig) -> PipelineFit:
+    """Grow the tree on ``control`` and route every unit of ``treated``."""
+    tree = build_tree(control, cfg.lambda_, cfg.theta_for(control.p), cfg.max_depth)
     return PipelineFit(
         control=control,
         treated=treated,
-        weights=w,
+        weights=weights,
         tree=tree,
         leaf_ids=tuple(assign_leaf(tree, x) for x in treated.x),
     )
+
+
+def fit_pipeline(d: Dataset, cfg: PipelineConfig) -> PipelineFit:
+    """Validate ``cfg``, normalize ``d``, split it by treatment, compute the
+    feature weights, grow the tree on the controls and route every treated
+    unit to its leaf.
+
+    Only the control and treated copies, the weights and the tree are held
+    while the tree grows: this call drops its reference to ``d`` after the
+    split, so a dataset that the caller passed without keeping it, such as
+    ``fit_pipeline(normalize_min_max(load_dataset(...)), cfg)``, is freed
+    before :func:`build_tree` runs. A dataset the caller keeps stays alive.
+    """
+    parts = _normalize_and_split(d, cfg)
+    del d
+    return _grow(*parts, cfg)
 
 
 def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
@@ -253,13 +283,19 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     no usable candidates are skipped and reported; if all units are skipped,
     estimation fails.
 
+    Through the tree and the match the run holds the control and treated
+    copies, not ``d``: a dataset its caller did not keep is freed before the
+    tree grows, as in :func:`fit_pipeline`.
+
     Raises:
         EstimationImpossible: when no treated unit could be matched.
     """
     from .matching import candidate_pool, select_candidates, solve_match
 
     cfg = cfg or PipelineConfig()
-    fit = fit_pipeline(d, cfg)
+    parts = _normalize_and_split(d, cfg)
+    del d
+    fit = _grow(*parts, cfg)
     control, treated = fit.control, fit.treated
     by_leaf: dict[int, list[int]] = {}
     for k, leaf_id in enumerate(fit.leaf_ids):
@@ -293,19 +329,25 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
             objective=sol.objective,
             nodes=sol.nodes,
         ))
-    return _finish("m5c-mf", records, skipped, treated.n, tree=fit.tree)
+    return _finish("m5c-mf", records, skipped, treated.n, control.n, control.feature_names,
+                   tree=fit.tree)
 
 
 def estimate_m5c_m(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     """Model-form estimator: the leaf's linear fit predicts the counterfactual.
 
     Treated units landing in a leaf whose fit has no residual degrees of
-    freedom (fewer than ``p + 2`` controls) are skipped with a reason.
+    freedom (fewer than ``p + 2`` controls) are skipped with a reason. A
+    dataset the caller did not keep is freed before the tree grows, as in
+    :func:`fit_pipeline`.
 
     Raises:
         EstimationImpossible: when every treated unit was skipped.
     """
-    fit = fit_pipeline(d, cfg or PipelineConfig())
+    cfg = cfg or PipelineConfig()
+    parts = _normalize_and_split(d, cfg)
+    del d
+    fit = _grow(*parts, cfg)
     treated = fit.treated
     records: list[IattRecord] = []
     skipped: list[SkipRecord] = []
@@ -319,7 +361,8 @@ def estimate_m5c_m(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
         records.append(
             IattRecord(treated_row=row, leaf=leaf_id, iatt=float(treated.y[k]) - pred)
         )
-    return _finish("m5c-m", records, skipped, treated.n, tree=fit.tree)
+    return _finish("m5c-m", records, skipped, treated.n, fit.control.n,
+                   fit.control.feature_names, tree=fit.tree)
 
 
 def estimate_naive(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
@@ -331,7 +374,7 @@ def estimate_naive(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
         IattRecord(treated_row=int(rows[k]), leaf=-1, iatt=float(d.y[k]) - control_mean)
         for k in np.nonzero(d.t == 1)[0]
     ]
-    return _finish("naive", records, [], len(records))
+    return _finish("naive", records, [], len(records), d.n_control, d.feature_names)
 
 
 def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
@@ -341,15 +384,20 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
     in its leaf (the 1:k strategy, which coincides with the group-mean k:k
     strategy), and stratum effects aggregate with treated-count weights. The
     per-stratum detail table carries all three strategy values; the 1:1 value
-    is included when outcomes are binary.
+    is included when outcomes are binary, which is read off ``d`` before a
+    dataset the caller did not keep is freed, ahead of the tree, as in
+    :func:`fit_pipeline`.
     """
-    fit = fit_pipeline(d, cfg or PipelineConfig())
+    cfg = cfg or PipelineConfig()
+    binary = bool(np.all((d.y == 0) | (d.y == 1)))
+    parts = _normalize_and_split(d, cfg)
+    del d
+    fit = _grow(*parts, cfg)
     control, treated = fit.control, fit.treated
     by_leaf: dict[int, list[int]] = {}
     for k, leaf_id in enumerate(fit.leaf_ids):
         by_leaf.setdefault(leaf_id, []).append(k)
 
-    binary = bool(np.all((d.y == 0) | (d.y == 1)))
     records: list[IattRecord] = []
     strata: list[dict] = []
     for leaf_id in sorted(by_leaf):
@@ -381,7 +429,8 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
         if binary:
             detail["att_1to1"] = robust_att_1to1(s)
         strata.append(detail)
-    return _finish("strategy-1:k", records, [], treated.n, strata=tuple(strata), tree=fit.tree)
+    return _finish("strategy-1:k", records, [], treated.n, control.n, control.feature_names,
+                   strata=tuple(strata), tree=fit.tree)
 
 
 ESTIMATORS = {

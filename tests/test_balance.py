@@ -386,3 +386,30 @@ def test_smd_of_variances_that_overflow_is_scale_free(control, weights, vr):
         vr = pytest.approx(float(exact_vr), rel=1e-12)
     assert row.variance_ratio == vr
     assert row.mean_treated == 1e199
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("treated, control, weights", [
+    ([1e308, 1e308], [0.0, 1.0, 0.5, 0.2], None),  # the treated sum overflows
+    ([1e308, 1e308], [1e308, 1e308, 0.0], [3.0, 3.0, 1.0]),  # and the weighted control sum
+    ([-1.7e308, -1.7e308, -1.0], [-1e308, -9e307], [0.5, 2.5]),
+], ids=["treated", "weighted", "negative"])
+def test_means_whose_sums_overflow_are_finite(treated, control, weights):
+    from fractions import Fraction
+
+    def exact(v, w):
+        w = [Fraction(b) for b in w]
+        return float(sum(Fraction(a) * b for a, b in zip(v, w)) / sum(w))
+
+    row = _row(treated, control, None if weights is None else np.array(weights))
+    assert row.mean_treated == pytest.approx(exact(treated, [1.0] * len(treated)), rel=1e-15)
+    assert row.mean_control == pytest.approx(exact(control, weights or [1.0] * len(control)),
+                                             rel=1e-15)
+
+
+def test_finite_means_keep_their_bits():
+    rng = np.random.default_rng(5)
+    t, c, w = rng.normal(size=37), rng.normal(size=53), rng.uniform(0.1, 3.0, size=53)
+    row = _row(t, c, w)
+    assert row.mean_treated == float(np.mean(t))
+    assert row.mean_control == float(np.sum(w * c) / np.sum(w))

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -447,17 +448,42 @@ def test_balance_of_a_range_that_cannot_be_binned_exit_3(tmp_path, name, span):
     assert not (tmp_path / "balance").exists()
 
 
-def test_balance_with_a_non_finite_number_writes_no_file(tmp_path):
-    # the treated mean of column a is inf; the text report has no means
+def _treated_at_1e308(tmp_path):
+    """A 6-row ``t,y,a`` file whose two treated rows have ``a = 1e308``, and
+    an audit that matches them: the sum of their ``a`` passes the float
+    range, their mean does not."""
     csv_path = tmp_path / "data.csv"
     csv_path.write_text("t,y,a\n1,1,1e308\n1,2,1e308\n0,1,0\n0,2,1\n0,3,0.5\n0,1,0.2\n")
     audit = tmp_path / "audit.jsonl"
     audit.write_text('{"treated_row": 0, "matched_rows": [2]}\n'
                      '{"treated_row": 1, "matched_rows": [3, 4]}\n')
-    r = run_cli("balance", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
-                "--audit", str(audit), "--out", str(tmp_path / "balance"))
-    _assert_one_line_data_error(r, "balance.json", "Out of range float")
-    assert "Warning" not in r.stderr
+    return ["balance", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+            "--audit", str(audit), "--out", str(tmp_path / "balance")]
+
+
+def test_balance_of_a_finite_mean_whose_sum_overflows_exit_0(tmp_path):
+    r = run_cli(*_treated_at_1e308(tmp_path))
+    assert r.returncode == 0, r.stderr
+    blob = _strict_json((tmp_path / "balance" / "balance.json").read_text())
+    for scope in ("pre", "post"):
+        (row,) = blob[scope]["features"]
+        assert row["mean_treated"] == 1e308
+    assert blob["pre"]["features"][0]["mean_control"] == 0.425
+    assert blob["post"]["features"][0]["mean_control"] == 0.375
+
+
+def test_balance_with_a_non_finite_number_writes_no_file(tmp_path, monkeypatch, caplog):
+    # no finite input gives a non-finite number any more, so a metric is made one
+    from stratamatch import balance, cli
+
+    monkeypatch.setattr(balance, "_ks_sorted", lambda *args: math.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(_treated_at_1e308(tmp_path))
+    assert rc == 3
+    (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert line.startswith("data error: cannot write ")
+    assert "balance.json" in line and "Out of range float" in line
     assert not (tmp_path / "balance").exists()
 
 
@@ -744,28 +770,67 @@ def test_estimate_grows_the_tree_once(tmp_path, data_csv, monkeypatch, method):
                                   ("estimate", "--method", "strategies"),
                                   ("tree",)], ids=lambda a: a[-1])
 def test_raw_features_are_freed_before_the_tree_grows(tmp_path, data_csv, monkeypatch, argv):
+    # neither the loaded nor the normalized feature matrix outlives the split
     import weakref
 
     from stratamatch import cli, dataset, estimation
 
-    raw = []
+    raw, normalized = [], []
     load_dataset, build_tree = dataset.load_dataset, estimation.build_tree
+    normalize_min_max = dataset.normalize_min_max
 
     def loading(*args, **kwargs):
         d = load_dataset(*args, **kwargs)
         raw.append(weakref.ref(d.x))
         return d
 
+    def normalizing(d):
+        dn = normalize_min_max(d)
+        normalized.append(weakref.ref(dn.x))
+        return dn
+
     def building(*args, **kwargs):
         gc.collect()
         assert raw and raw[0]() is None, "the raw feature matrix is still alive"
+        assert normalized and all(ref() is None for ref in normalized), \
+            "the normalized feature matrix is still alive"
         return build_tree(*args, **kwargs)
 
     monkeypatch.setattr(dataset, "load_dataset", loading)
+    monkeypatch.setattr(dataset, "normalize_min_max", normalizing)
+    monkeypatch.setattr(estimation, "normalize_min_max", normalizing)
     monkeypatch.setattr(estimation, "build_tree", building)
     rc = cli.main([*argv, "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
                    "--out", str(tmp_path / "run")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("method", ["m5c-mf", "m5c-m", "naive", "strategies"])
+def test_artifacts_describe_the_input_dataset(tmp_path, data_csv, method):
+    # the report carries the dataset's facts that the artifacts print; on
+    # 0/1 outcomes every stratum of the strategies also holds the 1:1 effect
+    from stratamatch import cli
+
+    rows = [line.split(",") for line in data_csv.read_text().splitlines()]
+    header, body = rows[0], rows[1:]
+    ys = sorted(float(row[1]) for row in body)
+    for row in body:
+        row[1] = "1" if float(row[1]) > ys[len(ys) // 2] else "0"
+    csv_path = tmp_path / "binary.csv"
+    csv_path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    n_treated = sum(row[0] == "1" for row in body)
+    out = tmp_path / "run"
+    assert cli.main(["estimate", "--input", str(csv_path), "--treatment", "t", "--outcome", "y",
+                     "--method", method, "--out", str(out)]) == 0
+    payload = _strict_json((out / "report.json").read_text())["payload"]
+    assert payload["dataset"] == {
+        "n": len(body), "p": len(header) - 2, "n_treated": n_treated,
+        "n_control": len(body) - n_treated, "feature_names": header[2:],
+    }
+    assert (f"dataset       n={len(body)} p={len(header) - 2} treated={n_treated} "
+            f"control={len(body) - n_treated}\n") in (out / "summary.txt").read_text()
+    if method == "strategies":
+        assert payload["strata"] and all("att_1to1" in s for s in payload["strata"])
 
 
 def _leaf_ids(node):
