@@ -70,14 +70,23 @@ def _moments(t: np.ndarray, c: np.ndarray, wc: np.ndarray) -> tuple[float, float
 
 
 def _scaled_smd_vr(t: np.ndarray, c: np.ndarray, wc: np.ndarray, vr: float) -> tuple[float, float]:
-    """SMD and variance ratio of finite samples whose variances overflow:
-    both come from the moments of ``t`` and ``c`` scaled by one power of
-    two, exact, so that they peak in [0.5, 1). Both are scale-free. A
-    scaled control variance that underflows to zero keeps the unscaled
-    ratio ``vr``."""
-    e = math.frexp(max(float(np.max(np.abs(t))), float(np.max(np.abs(c)))))[1]
-    mt, mc, vt, vc = _moments(np.ldexp(t, -e), np.ldexp(c, -e), wc)
-    return _smd(mt, mc, vt, vc), (vt / vc if vc > 0.0 else vr)
+    """SMD and variance ratio of finite samples whose variances overflow.
+
+    The SMD comes from the moments of ``t`` and ``c`` scaled by one power of
+    two, exact, so that they peak in [0.5, 1); it is scale-free. For the
+    ratio each side is scaled by its own power of two, ``2**-e_t`` and
+    ``2**-e_c``, so neither variance underflows for the other side's
+    magnitude, and the quotient is scaled back by ``2**(2 * (e_t - e_c))``.
+    A control variance of zero at its own scale keeps the unscaled ratio
+    ``vr``."""
+    et, ec = (math.frexp(float(np.max(np.abs(v))))[1] for v in (t, c))
+    e = max(et, ec)
+    smd = _smd(*_moments(np.ldexp(t, -e), np.ldexp(c, -e), wc))
+    _, _, vt, vc = _moments(np.ldexp(t, -et), np.ldexp(c, -ec), wc)
+    if vc == 0.0:
+        return smd, vr
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        return smd, float(np.ldexp(vt / vc, 2 * (et - ec)))
 
 
 def _smd(mt: float, mc: float, vt: float, vc: float) -> float:
@@ -225,9 +234,10 @@ def compute_balance(
     population variances: 0 for equal means and ``inf`` for unequal ones
     when both variances are zero. The variance ratio is treated over
     control, ``nan`` when the control variance is zero. When the variances
-    of finite values overflow, both come from the moments of the two sides
-    scaled by one power of two. A mean of finite values is finite: when its
-    sum overflows, it is taken over the values scaled by a power of two. The KS
+    of finite values overflow, the SMD comes from the moments of the two
+    sides scaled by one power of two, and the variance ratio from each side
+    scaled by its own. A mean of finite values is finite: when its sum
+    overflows, it is taken over the values scaled by a power of two. The KS
     distance is the largest vertical gap between the two empirical CDFs. The
     overlap is ``sum_b min(p_b, q_b)`` of the bin proportions of ``bins``
     equal-width bins over the pooled range: 1 for identical distributions
@@ -369,5 +379,10 @@ def report_to_text(report: BalanceReport) -> str:
             f"{f.name:<16} {smd:>9} {sflag:>5} {vr:>9} {vflag:>5} {f.ks:7.4f} {f.overlap:7.4f}"
         )
     lines.append("-" * len(cols))
-    lines.append(f"mean |SMD| = {report.mean_abs_smd:.4f}   worst = {report.worst_smd:.4f}")
+    lines.append(f"mean |SMD| = {_fmt(report.mean_abs_smd)}   worst = {_fmt(report.worst_smd)}")
     return "\n".join(lines) + "\n"
+
+
+def _fmt(v: float) -> str:
+    """``v`` to four decimals, ``inf`` if infinite, ``n/a`` if undefined (NaN)."""
+    return "n/a" if math.isnan(v) else f"{v:.4f}"

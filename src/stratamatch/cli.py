@@ -380,7 +380,7 @@ def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, t
 
 
 def cmd_balance(args: argparse.Namespace) -> int:
-    from .balance import post_match_report, pre_match_report, report_to_dict, report_to_text
+    from .balance import _fmt, post_match_report, pre_match_report, report_to_dict, report_to_text
 
     if args.dry_run:
         return _dry_run(args, args.input, args.audit)
@@ -396,8 +396,8 @@ def cmd_balance(args: argparse.Namespace) -> int:
     (out / "balance.txt").write_text(text)
     (out / "balance.json").write_text(blob + "\n")
     logger.info(
-        "balance: pre mean |SMD| %.4f -> post %.4f; artifacts in %s",
-        pre.mean_abs_smd, post.mean_abs_smd, out,
+        "balance: pre mean |SMD| %s -> post %s; artifacts in %s",
+        _fmt(pre.mean_abs_smd), _fmt(post.mean_abs_smd), out,
     )
     return 0
 

@@ -17,13 +17,16 @@ absolute deviation. The optimum is found by a level-synchronous
 of partial subsets is held as feature-major numpy arrays and decided one
 candidate at a time, largest total deviation first, every include child is
 scored as a complete subset, and states whose lower bound passes the
-incumbent are pruned. Up to ``_BATCH`` problems share one frontier, so the
-per-step call overhead is paid once for all of them; each problem still
-sees exactly the states and thresholds it would see alone. A problem's
-frontier wider than a fixed cap is searched in depth-first chunks, so memory
-stays bounded for any pool size. The search always runs to the end, so every
-solution is a certified optimum; ``psi`` candidates bound a problem's work
-by its ``2**psi`` subsets.
+incumbent are pruned. Every state of a frontier sits at the same decision,
+and each state carries its include decisions as bits of ``uint64`` words,
+so a found subset needs no path back through earlier frontiers. Up to
+``_BATCH`` problems share one frontier, so the per-step call overhead is
+paid once for all of them; each problem still sees exactly the states and
+thresholds it would see alone. A problem's frontier wider than a fixed cap
+is searched in depth-first chunks, so memory stays bounded for any pool
+size. The search always runs to the end, so every solution is a certified
+optimum; ``psi`` candidates bound a problem's work by its ``2**psi``
+subsets.
 Set-up (deviations, suffix bounds) and incumbent seeding from all singletons
 and pairs, scored a block of rows at a time, also run in numpy. Found
 subsets are re-scored in ascending candidate order, so the decision order
@@ -438,30 +441,9 @@ def _scale_shift(dev: np.ndarray, weight: float) -> int:
     return -math.frexp(top)[1]
 
 
-def _take(trail, index):
-    """The trail of the frontier states picked by ``index``. A root frontier
-    has no trail (``None``)."""
-    if trail is None:
-        return None
-    parent, flag, k, up = trail
-    return parent[index], flag[index], k, up
-
-
-def _included(trail, j: int, g: int) -> list[int]:
-    """Decision positions that state ``j`` of the frontier with this trail
-    included, from the last decision back; ``g`` is the state's problem."""
-    out = []
-    while trail is not None:
-        parent, flag, k, trail = trail
-        if flag[j]:
-            out.append(int(k[g]))
-        j = parent[j]
-    return out
-
-
-def _pick(sums: np.ndarray, caps: np.ndarray, g: np.ndarray, trail, index: np.ndarray):
-    """The frontier states picked by ``index``: sums, caps, problems, trail."""
-    return np.take(sums, index, axis=1), caps[index], g[index], _take(trail, index)
+def _pick(sums: np.ndarray, caps: np.ndarray, g: np.ndarray, chosen: np.ndarray, index: np.ndarray):
+    """The frontier states picked by ``index``: sums, caps, problems, masks."""
+    return np.take(sums, index, axis=1), caps[index], g[index], chosen[index]
 
 
 def _rank_in_problem(g: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -514,15 +496,18 @@ def _search(
     reported ``eps`` and ``a`` add in ascending position order whatever the
     decision order.
 
-    A state records only its parent's index in the previous frontier and
-    whether it included the candidate, so any pool size works. A problem
-    whose frontier is wider than ``_FRONTIER_MAX`` has it split into chunks
-    searched depth-first one after another, and frontier ``i`` holds chunk
-    ``i`` of every such problem. Each problem therefore sees exactly the
-    states and thresholds it would see alone: its states keep their order
-    within every frontier, a frontier holds at most one of its chunks, and
-    the chunks are popped in the order a search of that problem alone pops
-    them.
+    Every state of a frontier sits at the same decision ``k``, the
+    frontier's depth. A state carries its include decisions as little-endian
+    ``uint64`` words, ``ceil(N / 64)`` of them for ``N`` padded candidates,
+    bit ``j`` set when decision ``j`` included its candidate, so any pool
+    size works; a hit's words unpack to its decision positions at the end.
+    A problem whose frontier is wider than ``_FRONTIER_MAX`` has it split
+    into chunks searched depth-first one after another, and frontier ``i``
+    holds chunk ``i`` of every such problem. Each problem therefore sees
+    exactly the states and thresholds it would see alone: its states keep
+    their order within every frontier, a frontier holds at most one of its
+    chunks, and the chunks are popped in the order a search of that problem
+    alone pops them.
     """
     G = len(probs)
     n = np.array([prob.n_candidates for prob in probs])
@@ -563,13 +548,12 @@ def _search(
     base = np.arange(G) * N
     thr = best + slack + 1e-12 * np.abs(best)
     nodes = np.zeros(G, dtype=np.int64)
-    # (trail, positions in the expanded frontier, their problems, k, scores)
-    # of the include children that scored within their threshold
+    # (include masks, problems, scores) of the include children that scored
+    # within their threshold
     found = []
-    # a frontier: next candidate k per problem, sums (features x states),
-    # caps, the problem g of each state, and its trail, which is (parent index
-    # per state, include flag per state, the parent frontier's k, parent
-    # trail).
+    # a frontier: its depth k, the next decision of every state; sums
+    # (features x states), caps, the problem g of each state, and its include
+    # decisions, bit k of little-endian uint64 words (states x words).
     # A seed with a = 0 is final: only candidates with dev 0 reach it, every
     # set of them scores 0 on both eps and a, and the seed has offered each
     # of them alone, which beats every larger set of them on the id
@@ -579,12 +563,12 @@ def _search(
     roots = np.array([g for g, inc in enumerate(incs) if inc.a > 0.0], dtype=np.int64)
     stack = []
     if roots.size:
-        stack.append((np.zeros(G, dtype=np.int64), np.zeros((P, roots.size)),
-                      np.full(roots.size, -np.inf), roots, None))
+        stack.append((0, np.zeros((P, roots.size)), np.full(roots.size, -np.inf), roots,
+                      np.zeros((roots.size, (N + 63) // 64), dtype="<u8")))
     while stack:
-        k, sums, caps, g, trail = stack.pop()
+        k, sums, caps, g, chosen = stack.pop()
         # prune the states whose every completion scores above the threshold
-        col = (base + k)[g]
+        col = base[g] + k
         lo = sums + np.take(sneg, col, axis=1)
         hi = sums + np.take(spos, col, axis=1)
         np.negative(hi, out=hi)
@@ -593,7 +577,7 @@ def _search(
         a_lb = np.where(caps < 0.0, min_dev[col], caps)
         keep = wa * a_lb + we[g] * eps_lb <= thr[g]
         if not keep.all():
-            sums, caps, g, trail = _pick(sums, caps, g, trail, np.flatnonzero(keep))
+            sums, caps, g, chosen = _pick(sums, caps, g, chosen, np.flatnonzero(keep))
         if not g.size:
             continue
         width = np.bincount(g, minlength=G)
@@ -602,11 +586,11 @@ def _search(
             # before its next chunk starts
             chunk = _rank_in_problem(g, width) // _FRONTIER_MAX
             for c in range(int(chunk.max()), 0, -1):
-                stack.append((k, *_pick(sums, caps, g, trail, np.flatnonzero(chunk == c))))
-            sums, caps, g, trail = _pick(sums, caps, g, trail, np.flatnonzero(chunk == 0))
+                stack.append((k, *_pick(sums, caps, g, chosen, np.flatnonzero(chunk == c))))
+            sums, caps, g, chosen = _pick(sums, caps, g, chosen, np.flatnonzero(chunk == 0))
             width = np.minimum(width, _FRONTIER_MAX)
         nodes += width
-        col = (base + k)[g]
+        col = base[g] + k
         in_sums = sums + np.take(dcols, col, axis=1)
         in_caps = np.maximum(caps, dev[col])
         score = wa * in_caps + we[g] * np.abs(in_sums).max(axis=0)
@@ -615,24 +599,26 @@ def _search(
             thr = best + slack + 1e-12 * np.abs(best)
         hit = np.flatnonzero(score <= thr[g])
         if hit.size:
-            found.append((trail, hit, g[hit], k, score[hit]))
+            masks = chosen[hit]
+            masks[:, k // 64] |= 1 << k % 64
+            found.append((masks, g[hit], score[hit]))
         # only problems with undecided candidates go on
-        more = (k + 1 < n)[g]
+        more = n[g] > k + 1
         if not more.all():
             keep = np.flatnonzero(more)
             in_sums, in_caps = np.take(in_sums, keep, axis=1), in_caps[keep]
-            sums, caps, g, trail = _pick(sums, caps, g, trail, keep)
+            sums, caps, g, chosen = _pick(sums, caps, g, chosen, keep)
         if g.size:
-            r = np.arange(g.size)
+            chosen = np.concatenate((chosen, chosen))
+            chosen[:g.size, k // 64] |= 1 << k % 64
             stack.append((k + 1, np.concatenate((in_sums, sums), axis=1),
-                          np.concatenate((in_caps, caps)), np.concatenate((g, g)),
-                          (np.concatenate((r, r)), np.arange(2 * g.size) < g.size, k, trail)))
+                          np.concatenate((in_caps, caps)), np.concatenate((g, g)), chosen))
 
-    for trail, hit, gh, k, score in found:
+    for masks, gh, score in found:
         ok = score <= thr[gh]
-        for j, g in zip(hit[ok].tolist(), gh[ok].tolist()):
-            picked = orders[g][_included(trail, j, g) + [int(k[g])]]
-            incs[g].offer(tuple(sorted(picked.tolist())))
+        bits = np.unpackbits(masks[ok].view(np.uint8), axis=1, bitorder="little")
+        for row, g in zip(bits, gh[ok].tolist()):
+            incs[g].offer(tuple(sorted(orders[g][np.flatnonzero(row)].tolist())))
     for inc, shift in zip(incs, shifts):
         if shift:  # past the float range, eps or a scales back to inf
             inc.eps, inc.a = float(np.ldexp(inc.eps, -shift)), float(np.ldexp(inc.a, -shift))
@@ -688,38 +674,28 @@ def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
     n = prob.n_candidates
     if n > _ORACLE_MAX:
         raise OracleTooLarge(f"oracle enumerates at most 2^{_ORACLE_MAX} subsets (got n={n})")
-    delta, dev, ids, _, p = _prep(prob)
+    delta, dev, ids, _, _ = _prep(prob)
     m2 = prob.m2
 
     delta_np = np.asarray(delta, dtype=np.float64)
     dev_np = np.asarray(dev, dtype=np.float64)
     shifts = np.arange(n, dtype=np.uint32)
-    total = 1 << n
+    masks = np.arange(1, 1 << n, dtype=np.uint32)
+    # every mask's score, at most 8 MB for n = 20, formed a chunk at a time
+    vals = np.empty(masks.size)
     chunk = 1 << 14
-
-    def screen(masks: np.ndarray) -> np.ndarray:
-        bits = ((masks[:, None] >> shifts) & 1).astype(np.float64)
-        sums = bits @ delta_np
-        eps = np.abs(sums).max(axis=1)
+    for start in range(0, masks.size, chunk):
+        bits = ((masks[start:start + chunk, None] >> shifts) & 1).astype(np.float64)
+        eps = np.abs(bits @ delta_np).max(axis=1)
         a = (bits * dev_np).max(axis=1)
-        return a + m2 * eps
+        vals[start:start + chunk] = a + m2 * eps
 
-    best_v = np.inf
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        vals = screen(masks)
-        v = float(vals.min())
-        if v < best_v:
-            best_v = v
-
+    best_v = float(vals.min())
     margin = 1e-9 * (1.0 + abs(best_v))
     inc = _Incumbent(_by_objective(m2), delta, dev, ids)
-    for start in range(1, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        vals = screen(masks)
-        for mask in masks[vals <= best_v + margin]:
-            inc.offer(tuple(i for i in range(n) if (int(mask) >> i) & 1))
-    return _solution(prob, inc, total - 1)
+    for mask in masks[vals <= best_v + margin].tolist():
+        inc.offer(tuple(i for i in range(n) if (mask >> i) & 1))
+    return _solution(prob, inc, masks.size)
 
 
 def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:

@@ -1,6 +1,7 @@
 import argparse
 import gc
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -470,6 +471,35 @@ def test_balance_of_a_finite_mean_whose_sum_overflows_exit_0(tmp_path):
         assert row["mean_treated"] == 1e308
     assert blob["pre"]["features"][0]["mean_control"] == 0.425
     assert blob["post"]["features"][0]["mean_control"] == 0.375
+
+
+def test_balance_variance_ratio_of_a_constant_side_at_1e308_is_zero(tmp_path):
+    # the treated a = [1e308, 1e308] has variance 0, so the ratio is 0, though
+    # np.var overflows and the control variance underflows at the treated scale
+    r = run_cli(*_treated_at_1e308(tmp_path))
+    assert r.returncode == 0, r.stderr
+    blob = _strict_json((tmp_path / "balance" / "balance.json").read_text())
+    for scope in ("pre", "post"):
+        (row,) = blob[scope]["features"]
+        assert (row["variance_ratio"], row["vr_in_range"]) == (0.0, False)
+    text = (tmp_path / "balance" / "balance.txt").read_text()
+    assert text.count("   0.0000   OUT ") == 2
+
+
+def test_balance_of_no_finite_smd_prints_n_a(tmp_path, caplog):
+    # both reports' only SMD is infinite: their mean |SMD| is undefined, which
+    # the JSON writes as null and the text and the log as n/a, not nan
+    from stratamatch import cli
+
+    caplog.set_level(logging.INFO)
+    assert cli.main(_treated_at_1e308(tmp_path)) == 0
+    blob = _strict_json((tmp_path / "balance" / "balance.json").read_text())
+    for scope in ("pre", "post"):
+        assert (blob[scope]["mean_abs_smd"], blob[scope]["worst_smd"]) == (None, "inf")
+    text = (tmp_path / "balance" / "balance.txt").read_text()
+    assert text.count("mean |SMD| = n/a   worst = inf\n") == 2
+    assert "nan" not in text
+    assert any("pre mean |SMD| n/a -> post n/a;" in r.getMessage() for r in caplog.records)
 
 
 def test_balance_with_a_non_finite_number_writes_no_file(tmp_path, monkeypatch, caplog):

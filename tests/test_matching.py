@@ -334,14 +334,17 @@ def test_exact_twins_end_the_search():
     assert sol.nodes == 0
 
 
-def test_exhaustive_search_past_64_candidates():
+def _past_64_problem():
     # only the last three of 100 candidates cancel (1 + 2 - 3 = 0, a = 3);
     # every other one lies 10 or more to one side, so any set holding it
-    # scores at least 10. The optimum needs positions past 63, which an
-    # int64 subset bitmask cannot hold, and three members, which the
+    # scores at least 10. The optimum needs positions past 63, which a
+    # state keeps in its second mask word, and three members, which the
     # singleton and pair seeding cannot find
-    prob = _problem(0.0, np.r_[10.0 + np.arange(97.0), 1.0, 2.0, -3.0])
-    sol = solve_match(prob)
+    return _problem(0.0, np.r_[10.0 + np.arange(97.0), 1.0, 2.0, -3.0])
+
+
+def test_exhaustive_search_past_64_candidates():
+    sol = solve_match(_past_64_problem())
     assert sol.selected == (97, 98, 99)
     assert (sol.epsilon, sol.a, sol.objective) == (0.0, 3.0, 3.0)
 
@@ -358,9 +361,14 @@ MILP_PSI = [24, 28, 32, 36, 40]
 @pytest.mark.parametrize("cap", [2, 16])
 def test_frontier_cap_does_not_change_results(monkeypatch, cap):
     # a frontier wider than the cap is searched in depth-first chunks: the
-    # states expanded change, the result must not, in either search order
+    # states expanded change, the result must not, in either search order.
+    # The last two problems decide their small candidates past position 63,
+    # in a second mask word; the last one's frontier there is wider than the
+    # cap, so those words pass through the chunks as well as the batch
     pinned = [_pinned_problem(seed) for seed in range(len(PINNED_EXHAUSTIVE))]
     probs = pinned + [_milp_instance(psi, seed) for psi in MILP_PSI for seed in range(2)]
+    small = np.round(np.random.default_rng(1).uniform(-1, 1, 10), 3)
+    probs += [_past_64_problem(), _problem(0.0, np.r_[10.0 + np.arange(90.0), small])]
 
     def results(batched):
         sols = solve_match(probs) if batched else [solve_match(prob) for prob in probs]
