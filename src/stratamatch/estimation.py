@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -36,6 +40,8 @@ from .tree import TreeModel, assign_leaf, build_tree
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .matching import CandidatePool, MatchSolution
 
 logger = logging.getLogger(__name__)
 
@@ -271,15 +277,110 @@ def fit_pipeline(d: Dataset, cfg: PipelineConfig) -> PipelineFit:
     return _grow(*parts, cfg)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on; 1 where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _match(pools: dict[int, CandidatePool], items: list[tuple[int, int]], x: np.ndarray,
+           psi: int, m2: float) -> list[MatchSolution]:
+    """Shortlist treated unit ``k`` (row ``x[k]``) in ``pools[leaf]`` and
+    solve its match problem, for every ``(leaf, k)`` of ``items``; the
+    solutions come in the order of ``items``.
+
+    With ``w = min(CPUs available, len(items) // matching._BATCH)`` of at
+    least 2, ``w - 1`` forked children each take the strided share
+    ``items[i::w]`` and this process takes share 0. A child pickles its
+    solutions into its own pipe and leaves through ``os._exit``, so it never
+    flushes this process's stdio buffers or runs its exit handlers. Each
+    problem's solution, ``nodes`` included, does not depend on which problems
+    share its :func:`solve_match` call, so the split changes no bit. Every
+    share runs with warnings raised as errors. Any failure (a warning, an
+    exception, a child that exits non-zero or sends a short payload) kills
+    and reaps every child and reruns all of ``items`` here, so the results,
+    exceptions and messages are those of the serial run. The stage stays
+    serial, and forks nothing, on one CPU, below ``2 * _BATCH`` problems,
+    without ``os.fork``, or while another thread runs.
+    """
+    from .matching import _BATCH, select_candidates, solve_match
+
+    def solve(share):
+        return solve_match([select_candidates(pools[leaf], x[k], psi, m2) for leaf, k in share])
+
+    w = min(_cpu_count(), len(items) // _BATCH)
+    if w < 2 or threading.active_count() > 1:
+        return solve(items)
+    parent = os.getpid()
+    pids: list[int] = []  # children not yet reaped
+    fds: list[int] = []  # pipe ends this process holds
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns after a fork of a process with native (BLAS)
+            # threads; a child calls no BLAS
+            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            for i in range(1, w):
+                r, wr = os.pipe()
+                fds += (r, wr)
+                pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        for fd in fds[:-1]:
+                            os.close(fd)
+                        warnings.simplefilter("error")
+                        with open(wr, "wb") as out:
+                            out.write(pickle.dumps(solve(items[i::w]), pickle.HIGHEST_PROTOCOL))
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+                os.close(fds.pop())
+        solutions: list[MatchSolution] = [None] * len(items)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solutions[::w] = solve(items[::w])
+        for i, (pid, r) in enumerate(zip(list(pids), list(fds)), start=1):
+            with open(r, "rb") as src:
+                fds.remove(r)
+                payload = src.read()
+            status = os.waitpid(pid, 0)[1]
+            pids.remove(pid)
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise ChildProcessError(f"match worker {i} exited with status {status}")
+            solutions[i::w] = pickle.loads(payload)
+        return solutions
+    except BaseException as exc:
+        if os.getpid() != parent:  # a child that left its share early
+            os._exit(1)
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        pids.clear()
+        if not isinstance(exc, Exception):
+            raise
+    finally:
+        for fd in fds:
+            os.close(fd)
+    return solve(items)
+
+
 def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     """Match-form estimator: tree leaves stratify, one exact subset solve per
     treated unit picks its controls.
 
     Each leaf's controls are prepared once as a candidate pool. For each
     treated unit, the unit is routed to its leaf and the ``psi`` nearest pool
-    controls by weighted distance become candidates. Every unit's match
-    problem then goes to one :func:`solve_match` call, and each selected
-    subset's mean outcome serves as the counterfactual. Units with
+    controls by weighted distance become candidates, and :func:`solve_match`
+    picks the subset whose mean outcome serves as the counterfactual. The
+    shortlists and solves are split across one forked process per available
+    CPU (see :func:`_match`); the split changes no reported bit. Units with
     no usable candidates are skipped and reported; if all units are skipped,
     estimation fails.
 
@@ -290,7 +391,7 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     Raises:
         EstimationImpossible: when no treated unit could be matched.
     """
-    from .matching import candidate_pool, select_candidates, solve_match
+    from .matching import candidate_pool
 
     cfg = cfg or PipelineConfig()
     parts = _normalize_and_split(d, cfg)
@@ -302,18 +403,18 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
         by_leaf.setdefault(leaf_id, []).append(k)
     skipped: list[SkipRecord] = []
     matched: list[tuple[int, int]] = []  # (leaf, treated position) per problem
-    problems = []
+    pools = {}
     for leaf_id, units in by_leaf.items():
         try:
-            pool = candidate_pool(control, fit.tree.node(leaf_id).control_indices, fit.weights)
+            pools[leaf_id] = candidate_pool(control, fit.tree.node(leaf_id).control_indices,
+                                            fit.weights)
         except NoCandidates:
             skipped.extend(SkipRecord(treated_row=int(treated.rows()[k]), reason="no_candidates")
                            for k in units)
             continue
-        for k in units:
-            matched.append((leaf_id, k))
-            problems.append(select_candidates(pool, treated.x[k], cfg.psi, cfg.m2))
-    solutions = solve_match(problems)
+        matched.extend((leaf_id, k) for k in units)
+    solutions = _match(pools, matched, treated.x, cfg.psi, cfg.m2)
+    del pools
     pos = _row_positions(control.rows(), [r for sol in solutions for r in sol.selected_ids])
     ends = np.cumsum([len(sol.selected_ids) for sol in solutions])[:-1]
     records: list[IattRecord] = []

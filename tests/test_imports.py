@@ -3,7 +3,9 @@ loads its public names on first access. Only ``bench`` and ``gen`` load
 ``numpy.random``, whose import alone adds about 6 MB to a process.
 
 Every check runs in a fresh interpreter and reads ``sys.modules`` there, so
-it sees what one command loads; no timing is asserted.
+it sees what one command loads; no timing is asserted. No estimate loads
+``multiprocessing`` or ``concurrent.futures``: the match stage's workers
+need only ``os.fork`` and ``pickle``.
 """
 
 import json
@@ -17,14 +19,24 @@ from stratamatch import cli
 _PROBE = """
 import sys
 from stratamatch import cli
+{before}
 try:
     rc = cli.main(sys.argv[1:])
 except SystemExit as exc:
     rc = exc.code
+{after}
 modules = sorted(sys.modules)
 import json
-print(json.dumps({"rc": rc, "modules": modules}))
+print(json.dumps({{"rc": rc, "modules": modules}}))
 """
+# the match stage forks one worker whatever the CPU count
+_TWO_WORKERS = {
+    "before": "import os\nfrom stratamatch import estimation\n"
+              "estimation._cpu_count = lambda: 2\nforks, fork = [], os.fork\n"
+              "os.fork = lambda: forks.append(1) or fork()",
+    "after": "assert forks == [1], forks",
+}
+_NO_POOLS = {"multiprocessing", "concurrent.futures"}
 
 
 def _python(code, *argv):
@@ -34,21 +46,23 @@ def _python(code, *argv):
     return json.loads(r.stdout.splitlines()[-1])
 
 
-def _command(*argv):
-    """``cli.main(argv)`` in a fresh interpreter: its exit code, the
-    ``stratamatch`` modules and all the modules loaded by the end."""
-    out = _python(_PROBE, *argv)
+def _command(*argv, before="", after=""):
+    """``cli.main(argv)`` in a fresh interpreter, after the code ``before``
+    and before the code ``after``: its exit code, the ``stratamatch``
+    modules and all the modules loaded by the end."""
+    out = _python(_PROBE.format(before=before, after=after), *argv)
     modules = set(out["modules"])
     return out["rc"], {m for m in modules if m.split(".")[0] == "stratamatch"}, modules
 
 
 @pytest.fixture(scope="module")
 def run(tmp_path_factory):
-    """A small data file and the audit of a default estimate on it."""
+    """A small data file, with enough treated units for two match workers,
+    and the audit of a default estimate on it."""
     root = tmp_path_factory.mktemp("imports")
     csv = root / "data.csv"
-    assert cli.main(["gen", "--preset", "hyb20var-desk", "--n-treated", "12", "--n-control",
-                     "240", "--seed", "3", "--out", str(csv)]) == 0
+    assert cli.main(["gen", "--preset", "hyb20var-desk", "--n-treated", "40", "--n-control",
+                     "800", "--seed", "3", "--out", str(csv)]) == 0
     io = ["--input", str(csv), "--treatment", "t", "--outcome", "y"]
     assert cli.main(["estimate", *io, "--out", str(root / "est")]) == 0
     return root, io
@@ -66,10 +80,12 @@ def test_balance_loads_only_the_loader_and_the_metrics(run):
 
 def test_estimate_loads_no_balance_or_bench(run):
     root, io = run
-    rc, loaded, _ = _command("estimate", *io, "--method", "m5c-m", "--out", str(root / "m"))
+    rc, loaded, modules = _command("estimate", *io, "--method", "m5c-m",
+                                   "--out", str(root / "m"))
     assert rc == 0
     assert "stratamatch.estimation" in loaded
     assert not loaded & {"stratamatch.balance", "stratamatch.bench"}
+    assert not modules & _NO_POOLS
 
 
 def test_version_loads_no_numpy():
@@ -87,11 +103,13 @@ def test_version_loads_no_numpy():
                                   ("tree",)], ids=lambda a: a[-1])
 def test_only_the_match_form_loads_the_matcher_and_only_strategies_fractions(run, argv):
     root, io = run
-    rc, loaded, modules = _command(*argv, *io, "--out", str(root / "-".join(argv)))
+    probe = _TWO_WORKERS if argv[-1] == "m5c-mf" else {}
+    rc, loaded, modules = _command(*argv, *io, "--out", str(root / "-".join(argv)), **probe)
     assert rc == 0
     assert ("stratamatch.matching" in loaded) == (argv[-1] == "m5c-mf")
     assert ("fractions" in modules) == (argv[-1] == "strategies")
     assert "numpy.random" not in modules
+    assert not modules & _NO_POOLS
 
 
 def test_package_names_resolve_on_first_access():
