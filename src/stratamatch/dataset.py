@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _fork
 from .errors import (
     ConfigError,
     EmptyInput,
@@ -333,19 +334,54 @@ def _columns(
     return t_idx, y_idx, [j for j in range(len(header)) if j not in (t_idx, y_idx)]
 
 
-def _plain_lines(raw: bytes) -> bool:
-    """Whether ``raw`` holds no ``"`` byte after its first line end (a quoted
-    header is read by the csv reader) and no line that, with its line end,
-    is longer than ``csv.field_size_limit()``."""
+def _line_ends(raw: bytes) -> np.ndarray | None:
+    """The offset of every line feed in ``raw``, or ``None`` when ``raw``
+    holds a ``"`` byte after its first line end (a quoted header is read by
+    the csv reader) or a line that, with its line end, is longer than
+    ``csv.field_size_limit()``."""
     if raw.find(b'"', raw.find(b"\n") + 1) != -1:
-        return False
+        return None
     ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord("\n"))
-    return np.diff(ends, prepend=-1, append=len(raw)).max() <= csv.field_size_limit()
+    if np.diff(ends, prepend=-1, append=len(raw)).max() > csv.field_size_limit():
+        return None
+    return ends
 
 
-def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int) -> np.ndarray | None:
-    """Every data row as one float array, read by numpy's C text reader, or
-    ``None`` when the csv reader must read the file.
+def _c_part(raw: bytes, start: int, stop: int, delimiter: str, width: int,
+            t_idx: int) -> np.ndarray | None:
+    """The data rows of ``raw[start:stop]`` as one float array, read by
+    numpy's C text reader, or ``None`` unless they have the header's width,
+    at least one row, only finite cells and every treatment 0 or 1.
+
+    The part from byte 0 holds the header: a UTF-8 byte-order mark is
+    dropped, and the blank lines and the header are skipped as
+    :func:`_read_table` skips them. Every other part starts after a line
+    feed.
+    """
+    if stop < len(raw):
+        stream = io.BytesIO(raw[start:stop])
+    else:  # the last part reads raw's own bytes, uncopied
+        stream = io.BytesIO(raw)
+        stream.seek(start)
+    encoding = "utf-8-sig" if start == 0 else "utf-8"
+    with io.TextIOWrapper(stream, encoding=encoding, newline="") as fh:
+        if start == 0:
+            # without quotes each line is one record: skip blank lines and
+            # the header as _read_table does, and parse from the line after it
+            rows = csv.reader(fh, delimiter=delimiter)
+            next(row for row in rows if any(cell.strip() for cell in row))
+        table = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64)
+    if table.shape[1] != width or len(table) == 0 or not np.isfinite(table).all():
+        return None
+    t = table[:, t_idx]
+    return table if ((t == 0.0) | (t == 1.0)).all() else None
+
+
+def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int
+             ) -> list[np.ndarray] | None:
+    """Every data row as float arrays of consecutive rows, in file order,
+    read by numpy's C text reader, or ``None`` when the csv reader must read
+    the file.
 
     The C reader accepts a subset of what the csv reader and ``float`` do,
     and reads each cell it accepts to the same bits. Two kinds of file fall
@@ -356,29 +392,45 @@ def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int) -> np.nda
     result is also refused unless it has at least one row, the header's
     width, only finite cells and every treatment 0 or 1. ``None`` says
     nothing about the file: the csv reader decides what is wrong.
+
+    The file's bytes are read once, and stay in memory through the parse.
+    With ``w = min(CPUs available, lines // _CHUNK_ROWS)`` of at least 2,
+    where ``lines`` counts the line feeds after the first, the bytes are
+    cut after line feeds into ``w`` parts of nearly equal line counts, and
+    :func:`_fork.run` parses them at once: this process the last part, a
+    forked child each other one, each with its own checks (see
+    :func:`_c_part`). A cut after a line feed ends no line early and joins
+    no two, so each line reaches the same reader as in one pass, and
+    pickling keeps every float's bits: the parts hold the serial table's
+    rows. Any failure of a part, a refused part or a warning among them (a
+    part of blank lines gives "input contained no data"), reruns the parse
+    in one process. The parse stays in one process, and forks nothing, on
+    one CPU, below ``2 * _CHUNK_ROWS`` lines, without ``os.fork``, or while
+    another thread runs.
     """
     try:
         with open(path, "rb") as binary:
-            # the bytes are freed before the parse, which reads them again
-            if not _plain_lines(binary.read()):
-                return None
-            binary.seek(0)
-            fh = io.TextIOWrapper(binary, encoding="utf-8-sig", newline="")
-            # without quotes each line is one record: skip blank lines and
-            # the header as _read_table does, and parse from the line after it
-            rows = csv.reader(fh, delimiter=delimiter)
-            next(row for row in rows if any(cell.strip() for cell in row))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data" among them
-                table = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2,
-                                   dtype=np.float64)
+            raw = binary.read()
+        ends = _line_ends(raw)
+        if ends is None:
+            return None
+        lines = len(ends) - 1
+        w = _fork.processes(lines // _CHUNK_ROWS)
+        cuts = [0, *(int(ends[i * lines // w]) + 1 for i in range(1, w)), len(raw)]
+        del ends
+        # share i is part w - 1 - i, so that this process, share 0, parses
+        # the last part straight from raw's bytes
+        parts = _fork.run(w, lambda i: _c_part(raw, cuts[w - 1 - i], cuts[w - i], delimiter,
+                                               width, t_idx))
+        if parts is not None and all(part is not None for part in parts):
+            return parts[::-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" among them
+            table = _c_part(raw, 0, len(raw), delimiter, width, t_idx)
     except Exception as exc:  # whatever the fault, the csv reader names it
         logger.debug("%s: read by the csv reader: %s", path, exc)
         return None
-    if table.shape[1] != width or len(table) == 0 or not np.isfinite(table).all():
-        return None
-    t = table[:, t_idx]
-    return table if ((t == 0.0) | (t == 1.0)).all() else None
+    return None if table is None else [table]
 
 
 def _csv_table(
@@ -475,10 +527,14 @@ def load_dataset(
     The header is read by the csv reader, and checked, first; its names may
     be quoted. A file without a ``"`` byte after the header line and without
     a line longer than ``csv.field_size_limit()`` is then read by numpy's C
-    text reader in one call; its table is kept if it has the header's width,
-    at least one row, only finite cells and treatments 0 or 1. Such a table
-    is the one the csv reader gives, bit for bit, and with ``encode=True``
-    it has no text column to expand.
+    text reader; its table is kept if it has the header's width, at least
+    one row, only finite cells and treatments 0 or 1. Such a table is the
+    one the csv reader gives, bit for bit, and with ``encode=True`` it has
+    no text column to expand. With two CPUs or more and at least
+    ``2 * _CHUNK_ROWS`` lines, the C reader parses the file in parts cut at
+    line feeds, one forked process each (see :func:`_c_table`); any failure
+    of that split parse reruns it in one process, so the table, errors and
+    messages are those of a one-process load.
 
     Every other file, and every file the C reader refuses, is read on by
     the csv reader, and every error below comes from it. It skips
@@ -489,8 +545,9 @@ def load_dataset(
     run on each chunk's array. Only when one of these steps fails are the
     cells of that chunk scanned one by one, to name the first bad cell.
     Errors give the physical file line (1-based, the header is line 1) on
-    which the offending row ends. Either reader gives one float table, which
-    is split once into the treatment, feature and outcome arrays.
+    which the offending row ends. Either reader gives float rows, in one
+    table or in the C reader's parts, which are split once into the
+    treatment, feature and outcome arrays.
 
     When a file has several faults, the reader's errors come first: an
     unreadable, non-UTF-8 or csv-refused file, no data rows, or a row of the
@@ -534,11 +591,11 @@ def load_dataset(
         _drain(chunks)
         raise EmptyInput("input has no feature columns")
 
-    table = _c_table(path, delimiter, len(header), header.index(treatment_col))
-    if table is not None:
+    parts = _c_table(path, delimiter, len(header), header.index(treatment_col))
+    if parts is not None:
         chunks.close()
     elif not encode:
-        table = _csv_table(header, chunks, treatment_col, outcome_col)
+        parts = [_csv_table(header, chunks, treatment_col, outcome_col)]
     else:
         rows: list[list[str]] = []
         lines: list[int] = []
@@ -548,19 +605,25 @@ def load_dataset(
         # one conversion shows that no column is text; the per-column
         # detection runs only when it fails
         try:
-            table = _csv_table(header, iter([(rows, lines)]), treatment_col, outcome_col)
+            parts = [_csv_table(header, iter([(rows, lines)]), treatment_col, outcome_col)]
         except ParseFailure:
             header, rows = encode_categoricals(header, rows, skip=(treatment_col, outcome_col))
-            table = _csv_table(header, iter([(rows, lines)]), treatment_col, outcome_col)
+            parts = [_csv_table(header, iter([(rows, lines)]), treatment_col, outcome_col)]
         del rows, lines
 
     t_idx, y_idx, feat_idx = _columns(header, treatment_col, outcome_col)
     names = tuple(header[j] for j in feat_idx)
-    t, y = table[:, t_idx].astype(np.int64), table[:, y_idx].copy()
-    # take, not table[:, feat_idx]: that would be Fortran-ordered, and
-    # freezing it would copy it again
-    x = table.take(feat_idx, axis=1)
-    del table  # no view of it is kept, so the checks run on the copies alone
+    n = sum(len(part) for part in parts)
+    t, y, x = np.empty(n, np.int64), np.empty(n), np.empty((n, len(feat_idx)))
+    at = 0
+    for part in parts:
+        span = slice(at, at + len(part))
+        t[span], y[span] = part[:, t_idx], part[:, y_idx]
+        # straight into x's rows: part[:, feat_idx] would copy them twice,
+        # and take's default mode "raise" buffers its output
+        part.take(feat_idx, axis=1, out=x[span], mode="clip")
+        at += len(part)
+    del parts, part  # no view of them is kept, so the checks run on the copies alone
     d = _checked_dataset(t, x, y, names)
     logger.info(
         "loaded %s: n=%d (treated=%d, control=%d), p=%d",

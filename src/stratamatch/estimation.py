@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import pickle
-import threading
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _fork
 from .config import PipelineConfig
 from .dataset import Dataset, _row_positions, normalize_min_max, split_by_treatment
 from .errors import (
@@ -277,14 +274,6 @@ def fit_pipeline(d: Dataset, cfg: PipelineConfig) -> PipelineFit:
     return _grow(*parts, cfg)
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on; 1 where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def _match(pools: dict[int, CandidatePool], items: list[tuple[int, int]], x: np.ndarray,
            psi: int, m2: float) -> list[MatchSolution]:
     """Shortlist treated unit ``k`` (row ``x[k]``) in ``pools[leaf]`` and
@@ -292,83 +281,27 @@ def _match(pools: dict[int, CandidatePool], items: list[tuple[int, int]], x: np.
     solutions come in the order of ``items``.
 
     With ``w = min(CPUs available, len(items) // matching._BATCH)`` of at
-    least 2, ``w - 1`` forked children each take the strided share
-    ``items[i::w]`` and this process takes share 0. A child pickles its
-    solutions into its own pipe and leaves through ``os._exit``, so it never
-    flushes this process's stdio buffers or runs its exit handlers. Each
-    problem's solution, ``nodes`` included, does not depend on which problems
-    share its :func:`solve_match` call, so the split changes no bit. Every
-    share runs with warnings raised as errors. Any failure (a warning, an
-    exception, a child that exits non-zero or sends a short payload) kills
-    and reaps every child and reruns all of ``items`` here, so the results,
-    exceptions and messages are those of the serial run. The stage stays
-    serial, and forks nothing, on one CPU, below ``2 * _BATCH`` problems,
-    without ``os.fork``, or while another thread runs.
+    least 2, :func:`_fork.run` gives share ``i``, the strided
+    ``items[i::w]``, to process ``i`` of ``w``. Each problem's solution,
+    ``nodes`` included, does not depend on which problems share its
+    :func:`solve_match` call, and pickling keeps every float's bits, so the
+    split changes no bit. A failed share reruns all of ``items`` here. The
+    stage stays serial, and forks nothing, on one CPU, below ``2 * _BATCH``
+    problems, without ``os.fork``, or while another thread runs.
     """
     from .matching import _BATCH, select_candidates, solve_match
 
     def solve(share):
         return solve_match([select_candidates(pools[leaf], x[k], psi, m2) for leaf, k in share])
 
-    w = min(_cpu_count(), len(items) // _BATCH)
-    if w < 2 or threading.active_count() > 1:
+    w = _fork.processes(len(items) // _BATCH)
+    shares = _fork.run(w, lambda i: solve(items[i::w]))
+    if shares is None:
         return solve(items)
-    parent = os.getpid()
-    pids: list[int] = []  # children not yet reaped
-    fds: list[int] = []  # pipe ends this process holds
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns after a fork of a process with native (BLAS)
-            # threads; a child calls no BLAS
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            for i in range(1, w):
-                r, wr = os.pipe()
-                fds += (r, wr)
-                pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        for fd in fds[:-1]:
-                            os.close(fd)
-                        warnings.simplefilter("error")
-                        with open(wr, "wb") as out:
-                            out.write(pickle.dumps(solve(items[i::w]), pickle.HIGHEST_PROTOCOL))
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-                os.close(fds.pop())
-        solutions: list[MatchSolution] = [None] * len(items)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            solutions[::w] = solve(items[::w])
-        for i, (pid, r) in enumerate(zip(list(pids), list(fds)), start=1):
-            with open(r, "rb") as src:
-                fds.remove(r)
-                payload = src.read()
-            status = os.waitpid(pid, 0)[1]
-            pids.remove(pid)
-            if os.waitstatus_to_exitcode(status) != 0:
-                raise ChildProcessError(f"match worker {i} exited with status {status}")
-            solutions[i::w] = pickle.loads(payload)
-        return solutions
-    except BaseException as exc:
-        if os.getpid() != parent:  # a child that left its share early
-            os._exit(1)
-        import signal
-
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pid in pids:
-            os.waitpid(pid, 0)
-        pids.clear()
-        if not isinstance(exc, Exception):
-            raise
-    finally:
-        for fd in fds:
-            os.close(fd)
-    return solve(items)
+    solutions: list[MatchSolution] = [None] * len(items)
+    for i, share in enumerate(shares):
+        solutions[i::w] = share
+    return solutions
 
 
 def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:

@@ -12,6 +12,33 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
+def in_children(monkeypatch, module, name, marks, broken, when=lambda: True):
+    """Replace ``module.name`` by ``broken(original, *args)`` in forked
+    children while ``when()`` holds, each of which appends a line to
+    ``marks``; this process keeps the original."""
+    parent, original = os.getpid(), getattr(module, name)
+
+    def replaced(*args, **kwargs):
+        if os.getpid() == parent or not when():
+            return original(*args, **kwargs)
+        with open(marks, "a") as f:
+            f.write("child\n")
+        return broken(original, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, replaced)
+
+
+def exit_1(original, *args, **kwargs):
+    """A broken call for :func:`in_children`: the child exits with status 1."""
+    os._exit(1)
+
+
+def half_payload(dumps, obj, *args):
+    """A broken ``pickle.dumps`` for :func:`in_children`: half the bytes."""
+    data = dumps(obj, *args)
+    return data[:len(data) // 2]
+
+
 def control_only(x: np.ndarray, y: np.ndarray) -> Dataset:
     """Assemble an all-control dataset, bypassing positivity validation."""
     x = np.asarray(x, dtype=np.float64)

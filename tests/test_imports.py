@@ -3,9 +3,10 @@ loads its public names on first access. Only ``bench`` and ``gen`` load
 ``numpy.random``, whose import alone adds about 6 MB to a process.
 
 Every check runs in a fresh interpreter and reads ``sys.modules`` there, so
-it sees what one command loads; no timing is asserted. No estimate loads
-``multiprocessing`` or ``concurrent.futures``: the match stage's workers
-need only ``os.fork`` and ``pickle``.
+it sees what one command loads; no timing is asserted. No estimate or
+``balance`` loads ``multiprocessing`` or ``concurrent.futures``: the
+workers of the loader and of the match stage need only ``os.fork`` and
+``pickle``, through the private ``stratamatch._fork``.
 """
 
 import json
@@ -29,10 +30,11 @@ modules = sorted(sys.modules)
 import json
 print(json.dumps({{"rc": rc, "modules": modules}}))
 """
-# the match stage forks one worker whatever the CPU count
+# the match stage forks one worker whatever the CPU count; the probe file's
+# 840 lines are too few for the loader to fork
 _TWO_WORKERS = {
-    "before": "import os\nfrom stratamatch import estimation\n"
-              "estimation._cpu_count = lambda: 2\nforks, fork = [], os.fork\n"
+    "before": "import os\nfrom stratamatch import _fork\n"
+              "_fork._cpu_count = lambda: 2\nforks, fork = [], os.fork\n"
               "os.fork = lambda: forks.append(1) or fork()",
     "after": "assert forks == [1], forks",
 }
@@ -74,8 +76,9 @@ def test_balance_loads_only_the_loader_and_the_metrics(run):
                                    "--out", str(root / "bal"))
     assert rc == 0
     assert loaded == {"stratamatch", "stratamatch.cli", "stratamatch.errors",
-                      "stratamatch.dataset", "stratamatch.balance"}
+                      "stratamatch.dataset", "stratamatch._fork", "stratamatch.balance"}
     assert "numpy.random" not in modules
+    assert not modules & _NO_POOLS
 
 
 def test_estimate_loads_no_balance_or_bench(run):

@@ -3,8 +3,11 @@
 ``estimate_m5c_mf`` shortlists and solves its units in one process per
 available CPU. Any process count must give the serial run's bytes, and a
 failed worker must give the serial run's result, exception and message.
-The count is forced by replacing ``estimation._cpu_count``, so these tests
-also fork on a one-CPU machine. After every run no child may be left.
+The count is forced by replacing ``_fork._cpu_count``, so these tests also
+fork on a one-CPU machine. The loader forks too (desk's 5 000 data lines
+make two parts of at least ``_CHUNK_ROWS``), so forks are counted per
+stage, and a broken worker breaks only the match stage's children. After
+every run no child may be left, and no file or pipe may be left open.
 """
 
 import json
@@ -15,8 +18,15 @@ import warnings
 
 import pytest
 
-from stratamatch import cli, estimation, matching
+from conftest import exit_1, half_payload, in_children
+from stratamatch import _fork, cli, estimation, matching
 from stratamatch.dataset import load_dataset
+
+pytestmark = [pytest.mark.filterwarnings("error::ResourceWarning"),
+              pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
+
+# the stage that forks next: a child knows the stage that forked it
+_STAGE = ["load"]
 
 
 @pytest.fixture(scope="module")
@@ -30,25 +40,38 @@ def _io(csv):
     return ["--input", str(csv), "--treatment", "t", "--outcome", "y"]
 
 
+def _forks(processes):
+    """The children a default ``estimate`` of desk forks per stage: the
+    loader makes at most two parts of desk, the match stage one share per
+    process."""
+    return {"load": min(processes, 2) - 1, "match": processes - 1}
+
+
 def _run(csv, out, processes):
     """Exit code of a default ``estimate`` with ``processes`` CPUs, and the
-    number of children it forked; no child may outlive the call."""
-    forks = []
-    fork = os.fork
+    number of children each stage forked; no child may outlive the call."""
+    forks = {"load": 0, "match": 0}
+    fork, match = os.fork, estimation._match
 
     def counting():
         pid = fork()
         if pid:
-            forks.append(pid)
+            forks[_STAGE[0]] += 1
         return pid
 
+    def matching_stage(*args):
+        _STAGE[0] = "match"
+        return match(*args)
+
+    _STAGE[0] = "load"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimation, "_cpu_count", lambda: processes)
+        mp.setattr(_fork, "_cpu_count", lambda: processes)
         mp.setattr(os, "fork", counting)
+        mp.setattr(estimation, "_match", matching_stage)
         rc = cli.main(["estimate", *_io(csv), "--out", str(out)])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return rc, len(forks)
+    return rc, forks
 
 
 def _artifacts(csv, out):
@@ -66,48 +89,25 @@ def _artifacts(csv, out):
 @pytest.fixture(scope="module")
 def serial(desk, tmp_path_factory):
     out = tmp_path_factory.mktemp("serial") / "run"
-    assert _run(desk, out, 1) == (0, 0)
+    assert _run(desk, out, 1) == (0, _forks(1))
     return _artifacts(desk, out)
 
 
 @pytest.mark.parametrize("processes", [2, 3])
 def test_every_process_count_writes_the_serial_bytes(desk, serial, tmp_path, processes):
-    assert _run(desk, tmp_path / "run", processes) == (0, processes - 1)
+    assert _run(desk, tmp_path / "run", processes) == (0, _forks(processes))
     assert _artifacts(desk, tmp_path / "run") == serial
 
 
-def _in_child_only(monkeypatch, module, name, marks, broken):
-    """Replace ``module.name`` by ``broken(original, *args)`` in forked
-    children, each of which appends a line to ``marks``."""
-    parent, original = os.getpid(), getattr(module, name)
-
-    def replaced(*args, **kwargs):
-        if os.getpid() == parent:
-            return original(*args, **kwargs)
-        with open(marks, "a") as f:
-            f.write("child\n")
-        return broken(original, *args, **kwargs)
-
-    monkeypatch.setattr(module, name, replaced)
-
-
-def _exit_1(solve_match, problems):
-    os._exit(1)
-
-
-def _half(dumps, obj, *args):
-    data = dumps(obj, *args)
-    return data[:len(data) // 2]
-
-
-@pytest.mark.parametrize("module, name, broken", [(matching, "solve_match", _exit_1),
-                                                  (pickle, "dumps", _half)],
+@pytest.mark.parametrize("module, name, broken", [(matching, "solve_match", exit_1),
+                                                  (pickle, "dumps", half_payload)],
                          ids=["worker_exits_1", "short_payload"])
 def test_a_failed_worker_gives_the_serial_report(desk, serial, tmp_path, monkeypatch,
                                                  module, name, broken):
     marks = tmp_path / "marks"
-    _in_child_only(monkeypatch, module, name, marks, broken)
-    assert _run(desk, tmp_path / "run", 3) == (0, 2)
+    # only the match stage's children break; the loader's run as they are
+    in_children(monkeypatch, module, name, marks, broken, when=lambda: _STAGE[0] == "match")
+    assert _run(desk, tmp_path / "run", 3) == (0, _forks(3))
     # a worker failed; the parent may kill the other before it gets as far
     assert marks.read_text() in ("child\n", "child\n" * 2)
     assert _artifacts(desk, tmp_path / "run") == serial
@@ -124,7 +124,7 @@ def _second_problem(desk, tmp_path, monkeypatch):
         return select_candidates(pool, treated_features, *args)
 
     monkeypatch.setattr(matching, "select_candidates", recording)
-    assert _run(desk, tmp_path / "order", 1) == (0, 0)
+    assert _run(desk, tmp_path / "order", 1) == (0, _forks(1))
     monkeypatch.setattr(matching, "select_candidates", select_candidates)
     return seen[1]
 
@@ -161,7 +161,7 @@ def test_a_non_finite_result_in_a_worker_exits_3_with_the_serial_message(
     errors = []
     for processes in (1, 2, 3):
         caplog.clear()
-        assert _run(desk, tmp_path / f"run{processes}", processes) == (3, processes - 1)
+        assert _run(desk, tmp_path / f"run{processes}", processes) == (3, _forks(processes))
         errors.append([r.getMessage() for r in caplog.records if r.levelname == "ERROR"])
     assert errors[0] == ["data error: the shortlist of one unit is not a finite number"]
     assert errors[1] == errors[2] == errors[0]
@@ -175,7 +175,7 @@ def test_a_warning_in_a_worker_is_the_serial_runs_warning(desk, serial, tmp_path
     for processes in (1, 2, 3):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _run(desk, tmp_path / f"run{processes}", processes) == (0, processes - 1)
+            assert _run(desk, tmp_path / f"run{processes}", processes) == (0, _forks(processes))
         assert [str(w.message) for w in caught] == ["one unit warns"]
         assert _artifacts(desk, tmp_path / f"run{processes}") == serial
     assert marks.read_text().split() == _SERIAL_THEN_FORKED
@@ -191,7 +191,7 @@ def test_an_interrupt_kills_and_reaps_every_worker(desk, monkeypatch):
         return solve_match(problems)
 
     monkeypatch.setattr(matching, "solve_match", interrupted)
-    monkeypatch.setattr(estimation, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(_fork, "_cpu_count", lambda: 3)
     with pytest.raises(KeyboardInterrupt):
         estimation.estimate_m5c_mf(d)
     with pytest.raises(ChildProcessError):
@@ -204,7 +204,7 @@ def test_fewer_than_two_batches_of_problems_stay_serial(tmp_path, n_treated, for
     assert cli.main(["gen", "--preset", "hyb20var-desk", "--n-treated", str(n_treated),
                      "--n-control", "600", "--seed", "5", "--out", str(csv)]) == 0
     assert matching._BATCH == 16
-    assert _run(csv, tmp_path / "run", 2) == (0, forks)
+    assert _run(csv, tmp_path / "run", 2) == (0, {"load": 0, "match": forks})
 
 
 def test_a_running_thread_keeps_the_stage_serial(desk, serial, tmp_path):
@@ -212,7 +212,7 @@ def test_a_running_thread_keeps_the_stage_serial(desk, serial, tmp_path):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert _run(desk, tmp_path / "run", 2) == (0, 0)
+        assert _run(desk, tmp_path / "run", 2) == (0, {"load": 0, "match": 0})
     finally:
         release.set()
         thread.join()
