@@ -1,15 +1,17 @@
 """The shares of one stage, run in forked processes: the fork core of the
-loader and of the match stage.
+loader, the tree and the match stage.
 
 A stage splits its work into ``w`` shares and calls :func:`run`. This
 process does share 0; each other share runs in a child made by
 ``os.fork``, which pickles its result into its own pipe and leaves through
 ``os._exit``, so it never flushes this process's stdio buffers or runs its
-exit handlers. Every share runs with warnings raised as errors. Any failure
-(a warning, an exception, a child that exits non-zero or sends a short
-payload) kills and reaps every child, and :func:`run` returns ``None``: the
-caller then runs the whole stage serially, so its results, exceptions and
-messages are those of a serial run. No child outlives the call.
+exit handlers. While they run, the shares can talk through ``exchange``
+(see :func:`run`). Every share runs with warnings raised as errors. Any
+failure (a warning, an exception, a child that exits non-zero, ends its
+output early or sends a short payload) kills and reaps every child, and
+:func:`run` returns ``None``: the caller then runs the whole stage serially,
+so its results, exceptions and messages are those of a serial run. No child
+outlives the call.
 
 Only ``os.fork`` and ``pickle`` are used: a spawned worker would pay a fresh
 interpreter and ``import numpy`` before any work, and ``multiprocessing``
@@ -23,9 +25,11 @@ import pickle
 import threading
 import warnings
 from collections.abc import Callable
-from typing import TypeVar
+from typing import BinaryIO, TypeVar
 
 T = TypeVar("T")
+
+Exchange = Callable[[object], list]
 
 
 def _cpu_count() -> int:
@@ -36,18 +40,68 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def processes(shares: int) -> int:
+def _threads() -> int:
+    """The threads of this process, native ones included (1 where ``/proc``
+    is missing)."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 1
+
+
+def processes(shares: int, blas: bool = False) -> int:
     """How many processes a stage of at most ``shares`` shares runs in: the
     CPUs available, but no more than ``shares``, and 1 while another thread
-    runs, so that a threaded caller never forks."""
-    if threading.active_count() > 1:
+    runs, so that a threaded caller never forks.
+
+    A stage whose shares call BLAS (``blas``) also stays in one process
+    while this process runs any native thread besides its own, such as the
+    thread pool of a BLAS that runs on several threads: each process would
+    then run such a pool, whose threads spin between calls and share the
+    CPUs with every other process's work.
+    """
+    if threading.active_count() > 1 or (blas and _threads() > 1):
         return 1
     return max(1, min(_cpu_count(), shares))
 
 
-def run(w: int, share: Callable[[int], T]) -> list[T] | None:
-    """``[share(0), ..., share(w - 1)]``, with share 0 run here and share
-    ``i`` in forked child ``i``; ``None`` when ``w < 2`` or any share fails.
+def alone(obj: object) -> list:
+    """The exchange of a stage run in one process: ``[obj]``."""
+    return [obj]
+
+
+def _send(outs: list[BinaryIO], obj: object) -> None:
+    """Write ``obj``, pickled once, to each of ``outs`` behind its length, so
+    that a short message fails its reader at once instead of leaving it
+    waiting for bytes that never come."""
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    for out in outs:
+        out.write(len(data).to_bytes(8, "little"))
+        out.write(data)
+        out.flush()
+
+
+def _receive(src: BinaryIO) -> object:
+    """The next object :func:`_send` wrote to ``src``."""
+    head = src.read(8)
+    size = int.from_bytes(head, "little")
+    data = src.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise EOFError("a share ended its output early")
+    return pickle.loads(data)
+
+
+def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
+    """``[share(0, exchange), ..., share(w - 1, exchange)]``, with share 0
+    run here and share ``i`` in forked child ``i``; ``None`` when ``w < 2``
+    or any share fails.
+
+    ``exchange(obj)`` gathers one object from every share and gives each the
+    list of them, in share order; every share must call it equally often.
+    Each child has one pipe to this process and one from it, made before it
+    is forked, and each process closes every end it does not use, so a dead
+    peer reads as the end of its output and fails the run. A stage run in
+    one process passes :func:`alone` as its exchange.
 
     On ``KeyboardInterrupt`` (or any other ``BaseException`` that is not an
     ``Exception``) every child is killed and reaped, and it is re-raised.
@@ -56,38 +110,37 @@ def run(w: int, share: Callable[[int], T]) -> list[T] | None:
         return None
     parent = os.getpid()
     pids: list[int] = []  # children not yet reaped
-    fds: list[int] = []  # pipe ends this process holds
+    links: list[tuple[BinaryIO, BinaryIO]] = []  # per child: its output, its input
+    spare: list[int] = []  # the newest child's pipe ends, until it is forked
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns after a fork of a process with native (BLAS)
-            # threads; a child calls no BLAS
+            # Python 3.12+ warns after a fork of a process with native threads,
+            # such as a BLAS pool's: only a stage whose children call no BLAS
+            # forks such a process (see processes)
             warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
                                     DeprecationWarning)
             for i in range(1, w):
-                r, wr = os.pipe()
-                fds += (r, wr)
+                (up, up_w), (down_r, down) = os.pipe(), os.pipe()
+                spare += (up_w, down_r)
+                links.append((open(up, "rb"), open(down, "wb")))
                 pid = os.fork()
                 if pid == 0:
-                    code = 1
-                    try:
-                        for fd in fds[:-1]:
-                            os.close(fd)
-                        warnings.simplefilter("error")
-                        with open(wr, "wb") as out:
-                            out.write(pickle.dumps(share(i), pickle.HIGHEST_PROTOCOL))
-                        code = 0
-                    finally:
-                        os._exit(code)
+                    _child(i, share, links, up_w, down_r)
                 pids.append(pid)
-                os.close(fds.pop())
+                while spare:
+                    os.close(spare.pop())
+
+        def exchange(obj: object) -> list:
+            objs = [obj, *(_receive(src) for src, _ in links)]
+            _send([out for _, out in links], objs)
+            return objs
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = [share(0)]
-        for i, (pid, r) in enumerate(zip(list(pids), list(fds)), start=1):
-            with open(r, "rb") as src:
-                fds.remove(r)
-                # one allocation per array: no copy of the whole payload
-                result = pickle.load(src)
+            results = [share(0, exchange)]
+        for i, (pid, (src, _)) in enumerate(zip(list(pids), links), start=1):
+            # one allocation per array: no copy of the whole payload
+            result = pickle.load(src)
             status = os.waitpid(pid, 0)[1]
             pids.remove(pid)
             if os.waitstatus_to_exitcode(status) != 0:
@@ -108,5 +161,34 @@ def run(w: int, share: Callable[[int], T]) -> list[T] | None:
             raise
         return None
     finally:
-        for fd in fds:
+        for fd in spare:
             os.close(fd)
+        for src, out in links:
+            src.close()
+            try:
+                out.close()
+            except OSError:  # a killed child left unsent bytes behind
+                pass
+
+
+def _child(i: int, share: Callable[[int, Exchange], object],
+           links: list[tuple[BinaryIO, BinaryIO]], up: int, down: int) -> None:
+    """Run share ``i`` in a forked child, whose output is ``up`` and input
+    ``down``, and leave through ``os._exit``; ``links`` are the parent's
+    ends, closed here first."""
+    code = 1
+    try:
+        for src, out in links:
+            src.close()
+            out.close()
+        warnings.simplefilter("error")
+        with open(up, "wb") as out, open(down, "rb") as src:
+
+            def exchange(obj: object) -> list:
+                _send([out], obj)
+                return _receive(src)  # type: ignore[return-value]
+
+            out.write(pickle.dumps(share(i, exchange), pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)

@@ -15,15 +15,16 @@ loads the tree or the matcher, and ``--version`` loads no numpy, ``json``,
 ``csv`` or ``dataclasses``.
 
 :func:`main` is the in-process API. :func:`run` is the program's entry
-point: it runs :func:`main` and exits with its code, after moving every live
-object out of reach of the interpreter's final garbage collections.
+point: it runs :func:`main`, flushes the logs and the standard streams, and
+leaves through ``os._exit`` with its code, so the interpreter does not visit
+every live object on the way out.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -527,18 +528,31 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> None:
     """Run :func:`main` on the command line and exit with its code.
 
-    ``gc.freeze()`` moves every live object to the permanent generation,
-    which the collections at interpreter exit skip, so the operating system
-    reclaims the memory at once instead of the interpreter visiting the
-    objects. The rest of the exit is as usual: atexit handlers run, output
-    is flushed, and ``SystemExit`` from argparse and any traceback pass
-    through unchanged.
+    After :func:`main` returns, or raises ``SystemExit`` (argparse does, for
+    ``--help``, ``--version`` and usage errors), the logs are shut down and
+    the standard streams flushed, and the process leaves through
+    ``os._exit``: the interpreter's teardown, which would visit every live
+    object, is skipped. A ``SystemExit`` code that is not an int or ``None``
+    is printed to stderr and exits 1, as the interpreter does. Any other
+    exception passes through unchanged, with its traceback and exit 1, and
+    so does a failed flush, which the interpreter then reports as usual.
     """
     try:
         code = main()
-    finally:
-        gc.freeze()
-    sys.exit(code)
+    except SystemExit as exc:
+        code = exc.code
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    try:
+        logging.shutdown()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -420,8 +420,8 @@ def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int
         del ends
         # share i is part w - 1 - i, so that this process, share 0, parses
         # the last part straight from raw's bytes
-        parts = _fork.run(w, lambda i: _c_part(raw, cuts[w - 1 - i], cuts[w - i], delimiter,
-                                               width, t_idx))
+        parts = _fork.run(w, lambda i, _: _c_part(raw, cuts[w - 1 - i], cuts[w - i], delimiter,
+                                                  width, t_idx))
         if parts is not None and all(part is not None for part in parts):
             return parts[::-1]
         with warnings.catch_warnings():

@@ -295,7 +295,7 @@ def _match(pools: dict[int, CandidatePool], items: list[tuple[int, int]], x: np.
         return solve_match([select_candidates(pools[leaf], x[k], psi, m2) for leaf, k in share])
 
     w = _fork.processes(len(items) // _BATCH)
-    shares = _fork.run(w, lambda i: solve(items[i::w]))
+    shares = _fork.run(w, lambda i, _: solve(items[i::w]))
     if shares is None:
         return solve(items)
     solutions: list[MatchSolution] = [None] * len(items)

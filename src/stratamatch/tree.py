@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _fork, dataset
 from .dataset import Dataset
 from .regression import LinearFit, _std, ols_fit
 
@@ -92,17 +93,17 @@ def best_split(x: np.ndarray, y: np.ndarray) -> SplitCandidate | None:
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] < 2:
         return None
-    return _scan(x, y, np.argsort(x, axis=0, kind="stable").T, _std(y))
+    return _scan(x, y, range(x.shape[1]), np.argsort(x, axis=0, kind="stable").T, _std(y))
 
 
 @np.errstate(over="ignore")  # an overflowing sum of squares is redone below
-def _scan(x: np.ndarray, y: np.ndarray, orders: np.ndarray,
+def _scan(x: np.ndarray, y: np.ndarray, features: range, orders: np.ndarray,
           sd_parent: float) -> SplitCandidate | None:
-    """:func:`best_split` over the rows ``orders[j]`` of ``x`` and ``y``, where
-    ``orders[j]`` lists one node's rows by ascending ``x[:, j]``, ties in
+    """:func:`best_split` over the ascending ``features``, where ``orders[k]``
+    lists one node's rows by ascending ``x[:, features[k]]``, ties in
     ascending row order, and ``sd_parent`` is the node's outcome deviation."""
     best: SplitCandidate | None = None
-    for j, order in enumerate(orders):
+    for j, order in zip(features, orders):
         xs = x[order, j]
         ys = y.take(order)
         cut = np.nonzero(xs[:-1] < xs[1:])[0]
@@ -204,30 +205,98 @@ def build_tree(
 
     A control set smaller than ``p + 2`` yields a single-leaf tree with a
     warning.
+
+    With ``w = min(CPUs available, n // (2 * _CHUNK_ROWS))`` of at least 2,
+    :func:`_fork.run` grows the tree in ``w`` processes at once, each
+    running the same recursion over the same nodes (see :func:`_grow`):
+    process ``i`` presorts, scans and partitions only the features
+    ``i, i + w, ...``, and each fit is made in one process and sent to all.
+    Every process so takes the serial run's split, from the same sums, and
+    the serial run's decision, from fits of the same rows by the same
+    :func:`ols_fit`; pickling keeps every float's bits. Only this process
+    keeps the nodes. A failed process, or a warning in any, regrows the
+    tree here in one process. The tree grows in one process, and forks
+    nothing, on one CPU, below ``4 * _CHUNK_ROWS`` (8 192) controls, without
+    ``os.fork``, while another thread runs, or while this process runs a
+    native thread, such as the pool of a BLAS on several threads: each
+    process makes LAPACK calls.
     """
     x, y = control.x, control.y
     n, p = x.shape
     if theta is None:
         theta = default_theta(p)
-    nodes: list[TreeNode] = []
     if n < p + 2:
         logger.warning(
             "control set too small for any split (n=%d < p+2=%d); single-leaf tree", n, p + 2
         )
-    # the root's fit, and its temporaries, come and go before order is allocated
-    root_fit = ols_fit(x, y)
-    # order[j, lo:hi] lists one node's rows by ascending feature j, ties in
-    # row order. A split stable-partitions its node's span, left child first,
-    # so each child's span is its parent's order filtered by membership, and
-    # one array of int32 rows serves the whole tree.
-    order = np.empty((p, n), dtype=np.int32 if n < 2**31 else np.int64)
-    for j in range(p):
-        order[j] = _presort(x[:, j])
-    goes_left = np.zeros(n, dtype=bool)  # membership flags of the node being split
+    w = _fork.processes(n // (2 * dataset._CHUNK_ROWS), blas=True)
+    shares = _fork.run(w, lambda i, exchange: _grow(x, y, lambda_, theta, max_depth,
+                                                    i, w, exchange))
+    nodes = shares[0] if shares is not None else _grow(x, y, lambda_, theta, max_depth,
+                                                       0, 1, _fork.alone)
+    model = TreeModel(
+        nodes=nodes,
+        root=0,
+        lambda_=lambda_,
+        theta=theta,
+        p=p,
+        feature_names=control.feature_names,
+    )
+    logger.info(
+        "tree built: %d nodes, %d leaves, depth<=%d",
+        len(nodes), len(model.leaves()), max(nd.depth for nd in nodes),
+    )
+    return model
 
-    def grow(indices: np.ndarray, depth: int, fit: LinearFit, lo: int) -> int:
+
+def _grow(x: np.ndarray, y: np.ndarray, lambda_: float, theta: int, max_depth: int,
+          share: int, w: int, exchange: _fork.Exchange) -> list[TreeNode] | None:
+    """The node arena of :func:`build_tree`, grown by process ``share`` of
+    ``w``, which talk through ``exchange``; ``None`` in every process but
+    the first.
+
+    Each process runs the same recursion over the same nodes. At each node
+    it scans its own features and the processes exchange their best
+    candidates, so each takes the one the serial scan takes: the largest
+    ``sdr``, then the lowest feature. The node's fits (the children's, and
+    the root's beside them) are dealt to the processes, largest first, each
+    to the one with the fewest rows so far, and exchanged, so every process
+    takes the same :func:`should_split` decision. Each process then
+    partitions its own features' rows.
+    """
+    n, p = x.shape
+    mine = range(share, p, w)
+    # order[k, lo:hi] lists one node's rows by ascending feature mine[k],
+    # ties in row order. A split stable-partitions its node's span, left
+    # child first, so each child's span is its parent's order filtered by
+    # membership, and one array of int32 rows serves the whole tree.
+    order = np.empty((len(mine), n), dtype=np.int32 if n < 2**31 else np.int64)
+    for k, j in enumerate(mine):
+        order[k] = _presort(x[:, j])
+    goes_left = np.zeros(n, dtype=bool)  # membership flags of the node being split
+    nodes: list[TreeNode] = []
+
+    def fits(rows: list[np.ndarray]) -> list[LinearFit]:
+        owners = _deal([r.size for r in rows], w)
+        made = exchange([_fit(x, y, r) if owner == share else None
+                         for r, owner in zip(rows, owners)])
+        return [made[owner][k] for k, owner in enumerate(owners)]
+
+    def grow(indices: np.ndarray, depth: int, fit: LinearFit | None, lo: int) -> int:
         node_id = len(nodes)
         nodes.append(None)  # type: ignore[arg-type]  # reserve slot; filled below
+        span = order[:, lo:lo + indices.size]
+        cand = None
+        if depth < max_depth and indices.size >= p + 2:
+            cand = _best(exchange(_scan(x, y, mine, span, _std(y[indices]))))
+        # the fits this node needs: the root's own, then its children's
+        rows = [] if fit is not None else [indices]
+        if cand is not None:
+            mask = x[indices, cand.feature] <= cand.threshold
+            rows += [indices[mask], indices[~mask]]
+        made = fits(rows) if rows else []
+        if fit is None:
+            fit = made.pop(0)
         node = TreeNode(
             node_id=node_id,
             depth=depth,
@@ -235,16 +304,8 @@ def build_tree(
             r2_adj=fit.r2_adj,
             n=int(indices.size),
         )
-        span = order[:, lo:lo + indices.size]
-        cand = None
-        if depth < max_depth and indices.size >= p + 2:
-            cand = _scan(x, y, span, _std(y[indices]))
         if cand is not None:
-            mask = x[indices, cand.feature] <= cand.threshold
-            lidx = indices[mask]
-            ridx = indices[~mask]
-            lfit = ols_fit(x[lidx], y[lidx])
-            rfit = ols_fit(x[ridx], y[ridx])
+            (lidx, ridx), (lfit, rfit) = rows[-2:], made
             if should_split(fit, lfit, rfit, lidx.size, ridx.size, lambda_, theta):
                 node.split = (cand.feature, cand.threshold)
                 node.sdr = cand.sdr
@@ -262,20 +323,35 @@ def build_tree(
         nodes[node_id] = node
         return node_id
 
-    grow(np.arange(n), 0, root_fit, 0)
-    model = TreeModel(
-        nodes=nodes,
-        root=0,
-        lambda_=lambda_,
-        theta=theta,
-        p=p,
-        feature_names=control.feature_names,
-    )
-    logger.info(
-        "tree built: %d nodes, %d leaves, depth<=%d",
-        len(nodes), len(model.leaves()), max(nd.depth for nd in nodes),
-    )
-    return model
+    grow(np.arange(n), 0, None, 0)
+    return nodes if share == 0 else None
+
+
+def _fit(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> LinearFit:
+    """:func:`ols_fit` on ``rows`` of ``x`` and ``y``; the root, whose rows
+    are all of them, fits ``x`` itself, not a copy."""
+    if rows.size == y.size:
+        return ols_fit(x, y)
+    return ols_fit(x[rows], y[rows])
+
+
+def _deal(sizes: list[int], w: int) -> list[int]:
+    """The process of each of ``w`` that makes each fit: the largest fit
+    first, each to the process with the fewest rows so far, the lowest on
+    a tie."""
+    load = [0] * w
+    owners = [0] * len(sizes)
+    for k in sorted(range(len(sizes)), key=lambda k: -sizes[k]):
+        owners[k] = load.index(min(load))
+        load[owners[k]] += sizes[k]
+    return owners
+
+
+def _best(cands: list[SplitCandidate | None]) -> SplitCandidate | None:
+    """The candidate the serial scan keeps among each process's best: the
+    largest ``sdr``, then the lowest feature, then the lowest threshold."""
+    return min((c for c in cands if c is not None),
+               key=lambda c: (-c.sdr, c.feature, c.threshold), default=None)
 
 
 def assign_leaf(tree: TreeModel, features: np.ndarray) -> int:

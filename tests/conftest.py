@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from stratamatch.dataset import Dataset, _frozen, make_dataset
+from stratamatch.regression import _std, ols_fit
+from stratamatch.tree import TreeNode, _presort, _scan, should_split
 
 # the CLI tests start ``python -m stratamatch`` in child processes; point them
 # at this checkout's sources, as pytest's ``pythonpath`` setting does in-process
@@ -68,6 +70,74 @@ def full_scan_shortlist(control: Dataset, leaf_indices, treated, weights, psi: i
     order = near[np.argsort(dist[near], kind="stable")[:k]]
     chosen = leaf_indices[order]
     return control.rows()[chosen], control.x[chosen]
+
+
+def serial_build_tree(control: Dataset, lambda_: float, theta: int, max_depth: int
+                      ) -> list[TreeNode]:
+    """The nodes of ``build_tree``'s model tree, grown in one process by one
+    recursion: the tree of the serial builder, which each process count of
+    ``build_tree`` must give bit for bit."""
+    x, y = control.x, control.y
+    n, p = x.shape
+    nodes: list[TreeNode] = []
+    root_fit = ols_fit(x, y)
+    order = np.empty((p, n), dtype=np.int32)
+    for j in range(p):
+        order[j] = _presort(x[:, j])
+    goes_left = np.zeros(n, dtype=bool)
+
+    def grow(indices, depth, fit, lo):
+        node_id = len(nodes)
+        nodes.append(None)
+        node = TreeNode(node_id=node_id, depth=depth, control_indices=indices,
+                        r2_adj=fit.r2_adj, n=int(indices.size))
+        span = order[:, lo:lo + indices.size]
+        cand = None
+        if depth < max_depth and indices.size >= p + 2:
+            cand = _scan(x, y, range(p), span, _std(y[indices]))
+        if cand is not None:
+            mask = x[indices, cand.feature] <= cand.threshold
+            lidx = indices[mask]
+            ridx = indices[~mask]
+            lfit = ols_fit(x[lidx], y[lidx])
+            rfit = ols_fit(x[ridx], y[ridx])
+            if should_split(fit, lfit, rfit, lidx.size, ridx.size, lambda_, theta):
+                node.split = (cand.feature, cand.threshold)
+                node.sdr = cand.sdr
+                nodes[node_id] = node
+                goes_left[indices] = mask
+                for row in span:
+                    side = goes_left[row]
+                    left, right = row.compress(side), row.compress(~side)
+                    row[:left.size] = left
+                    row[left.size:] = right
+                node.left = grow(lidx, depth + 1, lfit, lo)
+                node.right = grow(ridx, depth + 1, rfit, lo + lidx.size)
+                return node_id
+        node.leaf_model = fit
+        nodes[node_id] = node
+        return node_id
+
+    grow(np.arange(n), 0, root_fit, 0)
+    return nodes
+
+
+def node_bits(nodes: list[TreeNode]) -> list[tuple]:
+    """Everything a tree's nodes hold, with floats as bits."""
+
+    def bits(v):
+        return None if v is None else float(v).hex()
+
+    out = []
+    for nd in nodes:
+        fit = nd.leaf_model
+        model = None if fit is None else (
+            bits(fit.intercept), fit.coefficients.tobytes(), fit.coefficients.flags.writeable,
+            bits(fit.r2), bits(fit.r2_adj), fit.n_obs, fit.rank_deficient)
+        split = None if nd.split is None else (nd.split[0], bits(nd.split[1]))
+        out.append((nd.node_id, nd.depth, nd.n, nd.control_indices.tobytes(), bits(nd.r2_adj),
+                    split, bits(nd.sdr), nd.left, nd.right, model))
+    return out
 
 
 def solution_bits(sol):

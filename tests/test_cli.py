@@ -3,6 +3,7 @@ import gc
 import json
 import logging
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -1078,22 +1079,34 @@ sys.exit(code)
 """
 
 
-def _entry_and_main(tmp_path, *argv):
+def _entry_and_main(tmp_path, *argv, sink="pipes"):
     """``python -m stratamatch argv`` and ``cli.main(argv)``, each in a fresh
-    interpreter and writing to its own ``out`` directory, with that
-    directory's path replaced by ``OUT`` in their output."""
+    interpreter and writing to its own ``out`` directory: the exit code and
+    the bytes of stdout and stderr, with that directory's path replaced by
+    ``OUT``. ``sink`` sends the two streams to two pipes, to two files, or
+    both to one file (then stdout holds both, in the order written, and
+    stderr is empty). Both run with Python's default buffering of the
+    streams."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     runs = []
     for name, head in (("entry", ["-m", "stratamatch"]), ("main", ["-c", _IN_PROCESS])):
         out = tmp_path / name
         args = [a.replace("{out}", str(out)) for a in argv]
-        r = subprocess.run([sys.executable, *head, *args], capture_output=True, text=True,
-                           timeout=300)
-        runs.append((r.returncode, r.stdout.replace(str(out), "OUT"),
-                     r.stderr.replace(str(out), "OUT")))
+        cmd = [sys.executable, *head, *args]
+        if sink == "pipes":
+            r = subprocess.run(cmd, capture_output=True, env=env, timeout=300)
+            streams = r.stdout, r.stderr
+        else:
+            paths = tmp_path / f"{name}.stdout", tmp_path / f"{name}.stderr"
+            with open(paths[0], "wb") as stdout, open(paths[1], "wb") as stderr:
+                r = subprocess.run(cmd, stdout=stdout, env=env,
+                                   stderr=stdout if sink == "one_file" else stderr, timeout=300)
+            streams = paths[0].read_bytes(), paths[1].read_bytes()
+        runs.append((r.returncode, *(s.replace(str(out).encode(), b"OUT") for s in streams)))
     return runs
 
 
-@pytest.mark.parametrize("argv, code", [
+_EXITS = pytest.mark.parametrize("argv, code", [
     (["--version"], 0),
     (["--help"], 0),
     (["estimate", "--out", "{out}"], 2),
@@ -1102,18 +1115,34 @@ def _entry_and_main(tmp_path, *argv):
     (["estimate", "--input", "{out}/missing.csv", "--treatment", "t", "--outcome", "y",
       "--out", "{out}"], 3),
 ], ids=["version", "help", "usage", "config", "data"])
-def test_entry_point_exits_as_main_returns(tmp_path, data_csv, argv, code):
+
+
+def _exits_as_main_returns(tmp_path, data_csv, argv, code, sink):
     argv = [a.replace("{data}", str(data_csv)) for a in argv]
-    entry, main = _entry_and_main(tmp_path, *argv)
+    entry, main = _entry_and_main(tmp_path, *argv, sink=sink)
     assert entry == main
     assert entry[0] == code
-    assert "Traceback" not in entry[2]
+    assert entry[1] + entry[2]  # every case writes something
+    assert b"Traceback" not in entry[2]
 
 
-def test_entry_point_estimate_writes_what_main_writes(tmp_path, data_csv):
+@_EXITS
+def test_entry_point_exits_as_main_returns(tmp_path, data_csv, argv, code):
+    _exits_as_main_returns(tmp_path, data_csv, argv, code, "pipes")
+
+
+@_EXITS
+@pytest.mark.parametrize("sink", ["files", "one_file"])
+def test_entry_point_writes_to_files_as_main_does(tmp_path, data_csv, argv, code, sink):
+    _exits_as_main_returns(tmp_path, data_csv, argv, code, sink)
+
+
+def _estimate_writes_what_main_writes(tmp_path, data_csv, sink):
     entry, main = _entry_and_main(tmp_path, "estimate", "--input", str(data_csv),
-                                  "--treatment", "t", "--outcome", "y", "--out", "{out}")
+                                  "--treatment", "t", "--outcome", "y", "--out", "{out}",
+                                  sink=sink)
     assert entry == main and entry[0] == 0
+    assert b"att = " in entry[1] + entry[2]
     for name in ("audit.jsonl", "summary.txt", "tree.json", "tree_rules.txt"):
         assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
     payloads = [json.loads((tmp_path / side / "report.json").read_text())["payload"]
@@ -1121,26 +1150,72 @@ def test_entry_point_estimate_writes_what_main_writes(tmp_path, data_csv):
     assert payloads[0] == payloads[1]
 
 
-def test_main_freezes_nothing(tmp_path, data_csv):
+def test_entry_point_estimate_writes_what_main_writes(tmp_path, data_csv):
+    _estimate_writes_what_main_writes(tmp_path, data_csv, "pipes")
+
+
+@pytest.mark.parametrize("sink", ["files", "one_file"])
+def test_entry_point_estimate_writes_to_files_what_main_writes(tmp_path, data_csv, sink):
+    _estimate_writes_what_main_writes(tmp_path, data_csv, sink)
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--no-such-flag"], 2)],
+                         ids=["version", "usage"])
+def test_run_flushes_then_leaves_through_os_exit(monkeypatch, capsys, argv, code):
     from stratamatch import cli
 
-    assert cli.main(["tree", "--input", str(data_csv), "--treatment", "t", "--outcome", "y",
-                     "--out", str(tmp_path / "out")]) == 0
-    assert gc.get_freeze_count() == 0
+    calls = []
+
+    def leaving(status):
+        calls.append(("exit", status))
+        raise _Exited
+
+    monkeypatch.setattr(sys, "argv", ["stratamatch", *argv])
+    monkeypatch.setattr(logging, "shutdown", lambda: calls.append(("logging",)))
+    monkeypatch.setattr(cli.os, "_exit", leaving)
+    with pytest.raises(_Exited):
+        cli.run()
+    assert calls == [("logging",), ("exit", code)]
+    out = capsys.readouterr()
+    assert ("stratamatch" in out.out) == (code == 0)
+    assert ("usage:" in out.err) == (code == 2)
 
 
-def test_run_freezes_before_exiting(monkeypatch, capsys):
+@pytest.mark.parametrize("raised, status, stderr", [(None, 0, ""), (3, 3, ""),
+                                                    ("a message", 1, "a message\n")],
+                         ids=["none", "int", "str"])
+def test_run_exits_with_a_system_exit_code_as_the_interpreter_does(monkeypatch, capsys,
+                                                                   raised, status, stderr):
     from stratamatch import cli
 
-    monkeypatch.setattr(sys, "argv", ["stratamatch", "--version"])
-    try:
-        with pytest.raises(SystemExit) as exc:
-            cli.run()
-        assert exc.value.code == 0
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
-    assert "stratamatch" in capsys.readouterr().out
+    def main():
+        raise SystemExit(raised)
+
+    def leaving(code):
+        raise _Exited(code)
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli.os, "_exit", leaving)
+    with pytest.raises(_Exited) as exc:
+        cli.run()
+    assert exc.value.args == (status,)
+    assert capsys.readouterr().err == stderr
+
+
+def test_run_passes_any_other_exception_through(monkeypatch):
+    from stratamatch import cli
+
+    def main():
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli.os, "_exit", lambda code: pytest.fail("os._exit was called"))
+    with pytest.raises(RuntimeError, match="a bug"):
+        cli.run()
 
 
 def test_installed_command_runs_the_entry_function():

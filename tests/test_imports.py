@@ -30,13 +30,22 @@ modules = sorted(sys.modules)
 import json
 print(json.dumps({{"rc": rc, "modules": modules}}))
 """
-# the match stage forks one worker whatever the CPU count; the probe file's
-# 840 lines are too few for the loader to fork
+# with two CPUs the match stage forks one worker; the probe file's 840 lines
+# are too few for the loader to fork, and its 800 controls too few for the
+# tree. Forks are counted per stage: the tree's run while it grows.
 _TWO_WORKERS = {
-    "before": "import os\nfrom stratamatch import _fork\n"
+    "before": "import os\nfrom stratamatch import _fork, tree\n"
               "_fork._cpu_count = lambda: 2\nforks, fork = [], os.fork\n"
-              "os.fork = lambda: forks.append(1) or fork()",
-    "after": "assert forks == [1], forks",
+              "stage, build_tree = ['load'], tree.build_tree\n"
+              "os.fork = lambda: forks.append(stage[0]) or fork()\n"
+              "def growing(*args):\n"
+              "    stage[0] = 'tree'\n"
+              "    try:\n"
+              "        return build_tree(*args)\n"
+              "    finally:\n"
+              "        stage[0] = 'match'\n"
+              "tree.build_tree = growing",
+    "after": "assert forks == ['match'], forks",
 }
 _NO_POOLS = {"multiprocessing", "concurrent.futures"}
 

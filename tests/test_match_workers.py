@@ -5,8 +5,9 @@ available CPU. Any process count must give the serial run's bytes, and a
 failed worker must give the serial run's result, exception and message.
 The count is forced by replacing ``_fork._cpu_count``, so these tests also
 fork on a one-CPU machine. The loader forks too (desk's 5 000 data lines
-make two parts of at least ``_CHUNK_ROWS``), so forks are counted per
-stage, and a broken worker breaks only the match stage's children. After
+make two parts of at least ``_CHUNK_ROWS``), and so would the tree on a
+larger control set, so forks are counted per stage, and a broken worker
+breaks only the match stage's children. After
 every run no child may be left, and no file or pipe may be left open.
 """
 
@@ -42,22 +43,27 @@ def _io(csv):
 
 def _forks(processes):
     """The children a default ``estimate`` of desk forks per stage: the
-    loader makes at most two parts of desk, the match stage one share per
-    process."""
-    return {"load": min(processes, 2) - 1, "match": processes - 1}
+    loader makes at most two parts of desk, the tree grows in one process
+    (desk's 4 900 controls are below its cutoff), and the match stage runs
+    one share per process."""
+    return {"load": min(processes, 2) - 1, "tree": 0, "match": processes - 1}
 
 
 def _run(csv, out, processes):
     """Exit code of a default ``estimate`` with ``processes`` CPUs, and the
     number of children each stage forked; no child may outlive the call."""
-    forks = {"load": 0, "match": 0}
-    fork, match = os.fork, estimation._match
+    forks = {"load": 0, "tree": 0, "match": 0}
+    fork, build_tree, match = os.fork, estimation.build_tree, estimation._match
 
     def counting():
         pid = fork()
         if pid:
             forks[_STAGE[0]] += 1
         return pid
+
+    def tree_stage(*args):
+        _STAGE[0] = "tree"
+        return build_tree(*args)
 
     def matching_stage(*args):
         _STAGE[0] = "match"
@@ -67,6 +73,7 @@ def _run(csv, out, processes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_fork, "_cpu_count", lambda: processes)
         mp.setattr(os, "fork", counting)
+        mp.setattr(estimation, "build_tree", tree_stage)
         mp.setattr(estimation, "_match", matching_stage)
         rc = cli.main(["estimate", *_io(csv), "--out", str(out)])
     with pytest.raises(ChildProcessError):
@@ -204,7 +211,7 @@ def test_fewer_than_two_batches_of_problems_stay_serial(tmp_path, n_treated, for
     assert cli.main(["gen", "--preset", "hyb20var-desk", "--n-treated", str(n_treated),
                      "--n-control", "600", "--seed", "5", "--out", str(csv)]) == 0
     assert matching._BATCH == 16
-    assert _run(csv, tmp_path / "run", 2) == (0, {"load": 0, "match": forks})
+    assert _run(csv, tmp_path / "run", 2) == (0, {"load": 0, "tree": 0, "match": forks})
 
 
 def test_a_running_thread_keeps_the_stage_serial(desk, serial, tmp_path):
@@ -212,7 +219,7 @@ def test_a_running_thread_keeps_the_stage_serial(desk, serial, tmp_path):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert _run(desk, tmp_path / "run", 2) == (0, {"load": 0, "match": 0})
+        assert _run(desk, tmp_path / "run", 2) == (0, {"load": 0, "tree": 0, "match": 0})
     finally:
         release.set()
         thread.join()
