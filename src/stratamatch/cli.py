@@ -550,7 +550,7 @@ def run() -> None:
         logging.shutdown()
         sys.stdout.flush()
         sys.stderr.flush()
-    except Exception:
+    except (OSError, ValueError):  # a closed pipe, a closed stream
         sys.exit(code)
     os._exit(code)
 

@@ -259,13 +259,17 @@ def _grow(x: np.ndarray, y: np.ndarray, lambda_: float, theta: int, max_depth: i
     it scans its own features and the processes exchange their best
     candidates, so each takes the one the serial scan takes: the largest
     ``sdr``, then the lowest feature. The node's fits (the children's, and
-    the root's beside them) are dealt to the processes, largest first, each
-    to the one with the fewest rows so far, and exchanged, so every process
-    takes the same :func:`should_split` decision. Each process then
-    partitions its own features' rows.
+    the root's beside them) are dealt to the processes (see :func:`_deal`)
+    and exchanged, so every process takes the same :func:`should_split`
+    decision. Each process then partitions its own features' rows.
     """
     n, p = x.shape
     mine = range(share, p, w)
+    # alone, this process fits the root before it allocates order, so that
+    # the fit's temporaries come and go first; several processes deal the
+    # root's fit beside its children's, to a child (see _deal)
+    root_rows = np.arange(n)
+    root_fit = _fit(x, y, root_rows) if w == 1 else None
     # order[k, lo:hi] lists one node's rows by ascending feature mine[k],
     # ties in row order. A split stable-partitions its node's span, left
     # child first, so each child's span is its parent's order filtered by
@@ -323,7 +327,8 @@ def _grow(x: np.ndarray, y: np.ndarray, lambda_: float, theta: int, max_depth: i
         nodes[node_id] = node
         return node_id
 
-    grow(np.arange(n), 0, None, 0)
+    grow(root_rows, 0, root_fit, 0)
+    del grow  # its closure refers to itself: order dies now, not at a later collection
     return nodes if share == 0 else None
 
 
@@ -336,13 +341,15 @@ def _fit(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> LinearFit:
 
 
 def _deal(sizes: list[int], w: int) -> list[int]:
-    """The process of each of ``w`` that makes each fit: the largest fit
-    first, each to the process with the fewest rows so far, the lowest on
-    a tie."""
+    """For fits of ``sizes`` rows, the process of ``w`` that makes each: the
+    largest fit first, each to the process with the fewest rows so far, the
+    last on a tie. So the first process, which holds the run's other data
+    and keeps the nodes, makes the smaller fits, and its peak memory stays
+    below the serial run's."""
     load = [0] * w
     owners = [0] * len(sizes)
     for k in sorted(range(len(sizes)), key=lambda k: -sizes[k]):
-        owners[k] = load.index(min(load))
+        owners[k] = min(reversed(range(w)), key=load.__getitem__)
         load[owners[k]] += sizes[k]
     return owners
 

@@ -132,14 +132,13 @@ def test_an_exception_in_this_process_gives_the_serial_tree(grown, monkeypatch):
 def test_a_warning_in_a_worker_is_the_serial_runs_warning(grown, tmp_path, monkeypatch):
     control, serial = grown
     parent, fit = os.getpid(), tree._fit
-    left = build_tree(control).nodes[1].control_indices
     marks = tmp_path / "marks"
 
     def warning(x, y, rows):
-        if np.array_equal(rows, left):  # the root's left side, fitted once per build
+        if rows.size == y.size:  # the root's fit, made once per build
             with open(marks, "a") as f:
                 f.write("parent\n" if os.getpid() == parent else "child\n")
-            warnings.warn("one fit warns", RuntimeWarning)
+            warnings.warn("the root's fit warns", RuntimeWarning)
         return fit(x, y, rows)
 
     monkeypatch.setattr(tree, "_fit", warning)
@@ -147,9 +146,9 @@ def test_a_warning_in_a_worker_is_the_serial_runs_warning(grown, tmp_path, monke
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert _build(control, processes) == (serial, min(processes, 2) - 1, grew)
-        assert [str(w.message) for w in caught] == ["one fit warns"]
-    # the serial build warns here; each forked one in a child (the root's
-    # sides are dealt away from the root's own fit), then in the serial rerun
+        assert [str(w.message) for w in caught] == ["the root's fit warns"]
+    # the serial build warns here; each forked one in a child (the largest
+    # fit goes to the last process), then in the serial rerun
     assert marks.read_text().split() == ["parent", "child", "parent", "child", "parent"]
 
 
