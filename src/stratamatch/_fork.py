@@ -11,7 +11,9 @@ failure (a warning, an exception, a child that exits non-zero, ends its
 output early or sends a short payload) kills and reaps every child, and
 :func:`run` returns ``None``: the caller then runs the whole stage serially,
 so its results, exceptions and messages are those of a serial run. No child
-outlives the call.
+outlives the call. The loader's and the match stage's children call no BLAS;
+the tree's make LAPACK fits, so the tree forks only a process that runs no
+native thread, such as a BLAS pool (see :func:`processes`).
 
 Only ``os.fork`` and ``pickle`` are used: a spawned worker would pay a fresh
 interpreter and ``import numpy`` before any work, and ``multiprocessing``
@@ -65,11 +67,6 @@ def processes(shares: int, blas: bool = False) -> int:
     return max(1, min(_cpu_count(), shares))
 
 
-def alone(obj: object) -> list:
-    """The exchange of a stage run in one process: ``[obj]``."""
-    return [obj]
-
-
 def _send(outs: list[BinaryIO], obj: object) -> None:
     """Write ``obj``, pickled once, to each of ``outs`` behind its length, so
     that a short message fails its reader at once instead of leaving it
@@ -100,8 +97,8 @@ def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
     list of them, in share order; every share must call it equally often.
     Each child has one pipe to this process and one from it, made before it
     is forked, and each process closes every end it does not use, so a dead
-    peer reads as the end of its output and fails the run. A stage run in
-    one process passes :func:`alone` as its exchange.
+    peer reads as the end of its output and fails the run. In a stage run
+    in one process, the exchange of ``obj`` is ``[obj]``.
 
     On ``KeyboardInterrupt`` (or any other ``BaseException`` that is not an
     ``Exception``) every child is killed and reaped, and it is re-raised.

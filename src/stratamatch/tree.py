@@ -233,7 +233,7 @@ def build_tree(
     shares = _fork.run(w, lambda i, exchange: _grow(x, y, lambda_, theta, max_depth,
                                                     i, w, exchange))
     nodes = shares[0] if shares is not None else _grow(x, y, lambda_, theta, max_depth,
-                                                       0, 1, _fork.alone)
+                                                       0, 1, lambda obj: [obj])
     model = TreeModel(
         nodes=nodes,
         root=0,
