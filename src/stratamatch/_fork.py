@@ -1,19 +1,28 @@
 """The shares of one stage, run in forked processes: the fork core of the
 loader, the tree and the match stage.
 
-A stage splits its work into ``w`` shares and calls :func:`run`. This
-process does share 0; each other share runs in a child made by
-``os.fork``, which pickles its result into its own pipe and leaves through
-``os._exit``, so it never flushes this process's stdio buffers or runs its
-exit handlers. While they run, the shares can talk through ``exchange``
-(see :func:`run`). Every share runs with warnings raised as errors. Any
-failure (a warning, an exception, a child that exits non-zero, ends its
-output early or sends a short payload) kills and reaps every child, and
-:func:`run` returns ``None``: the caller then runs the whole stage serially,
-so its results, exceptions and messages are those of a serial run. No child
-outlives the call. The loader's and the match stage's children call no BLAS;
-the tree's make LAPACK fits, so the tree forks only a process that runs no
-native thread, such as a BLAS pool (see :func:`processes`).
+A stage calls :func:`run` with the most shares its work splits into and
+a function that does share ``i`` of ``w``. :func:`run` picks ``w``: the
+CPUs this process may run on, but no more than the shares. This process
+does share 0; each other share runs in a child made by ``os.fork``, which
+pickles its result into its own pipe and leaves through ``os._exit``, so
+it never flushes this process's stdio buffers or runs its exit handlers.
+While they run, the shares can talk through ``exchange`` (see :func:`run`).
+In a forked run every share runs with warnings raised as errors.
+
+A stage runs serially, as one share ``share(0, 1, ...)`` in this process,
+in two cases. It forks nothing below two shares, on one CPU, where
+``os.fork`` or ``os.sched_getaffinity`` is missing, while another Python
+thread runs, and, for a stage whose shares call BLAS, while this process
+runs any native thread, such as the thread pool of a BLAS that runs on
+several threads (each process would then run such a pool, whose threads
+spin between calls and share the CPUs with every other process's work).
+And any failure of a forked run (a warning, an exception, a child that
+exits non-zero, ends its output early or sends a short payload) kills and
+reaps every child and reruns the stage serially under the caller's own
+warning filters, so its results, exceptions and warnings are those of a
+serial run. No child outlives the call. The loader's and the match stage's
+children call no BLAS; the tree's make LAPACK fits.
 
 Only ``os.fork`` and ``pickle`` are used: a spawned worker would pay a fresh
 interpreter and ``import numpy`` before any work, and ``multiprocessing``
@@ -51,22 +60,6 @@ def _threads() -> int:
         return 1
 
 
-def processes(shares: int, blas: bool = False) -> int:
-    """How many processes a stage of at most ``shares`` shares runs in: the
-    CPUs available, but no more than ``shares``, and 1 while another thread
-    runs, so that a threaded caller never forks.
-
-    A stage whose shares call BLAS (``blas``) also stays in one process
-    while this process runs any native thread besides its own, such as the
-    thread pool of a BLAS that runs on several threads: each process would
-    then run such a pool, whose threads spin between calls and share the
-    CPUs with every other process's work.
-    """
-    if threading.active_count() > 1 or (blas and _threads() > 1):
-        return 1
-    return max(1, min(_cpu_count(), shares))
-
-
 def _send(outs: list[BinaryIO], obj: object) -> None:
     """Write ``obj``, pickled once, to each of ``outs`` behind its length, so
     that a short message fails its reader at once instead of leaving it
@@ -88,10 +81,12 @@ def _receive(src: BinaryIO) -> object:
     return pickle.loads(data)
 
 
-def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
-    """``[share(0, exchange), ..., share(w - 1, exchange)]``, with share 0
-    run here and share ``i`` in forked child ``i``; ``None`` when ``w < 2``
-    or any share fails.
+def run(shares: int, share: Callable[[int, int, Exchange], T], blas: bool = False) -> list[T]:
+    """``[share(0, w, exchange), ..., share(w - 1, w, exchange)]`` for ``w``
+    processes, at most ``shares`` (see the module docstring), with share 0
+    run here and share ``i`` in forked child ``i``; ``[share(0, 1, ...)]``,
+    run here, when ``w`` is 1 or any share fails. ``blas`` says that the
+    shares call BLAS.
 
     ``exchange(obj)`` gathers one object from every share and gives each the
     list of them, in share order; every share must call it equally often.
@@ -103,8 +98,15 @@ def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
     On ``KeyboardInterrupt`` (or any other ``BaseException`` that is not an
     ``Exception``) every child is killed and reaped, and it is re-raised.
     """
-    if w < 2:
-        return None
+    serial = threading.active_count() > 1 or (blas and _threads() > 1)
+    w = 1 if serial else min(_cpu_count(), shares)
+    results = _forked(w, share) if w > 1 else None
+    return results if results is not None else [share(0, 1, lambda obj: [obj])]
+
+
+def _forked(w: int, share: Callable[[int, int, Exchange], T]) -> list[T] | None:
+    """The results of :func:`run`'s ``w`` shares in ``w`` processes, or
+    ``None`` once every child is killed and reaped after any share failed."""
     parent = os.getpid()
     pids: list[int] = []  # children not yet reaped
     links: list[tuple[BinaryIO, BinaryIO]] = []  # per child: its output, its input
@@ -113,7 +115,7 @@ def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
         with warnings.catch_warnings():
             # Python 3.12+ warns after a fork of a process with native threads,
             # such as a BLAS pool's: only a stage whose children call no BLAS
-            # forks such a process (see processes)
+            # forks such a process (see run)
             warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
                                     DeprecationWarning)
             for i in range(1, w):
@@ -122,7 +124,7 @@ def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
                 links.append((open(up, "rb"), open(down, "wb")))
                 pid = os.fork()
                 if pid == 0:
-                    _child(i, share, links, up_w, down_r)
+                    _child(i, w, share, links, up_w, down_r)
                 pids.append(pid)
                 while spare:
                     os.close(spare.pop())
@@ -134,7 +136,7 @@ def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = [share(0, exchange)]
+            results = [share(0, w, exchange)]
         for i, (pid, (src, _)) in enumerate(zip(list(pids), links), start=1):
             # one allocation per array: no copy of the whole payload
             result = pickle.load(src)
@@ -168,11 +170,11 @@ def run(w: int, share: Callable[[int, Exchange], T]) -> list[T] | None:
                 pass
 
 
-def _child(i: int, share: Callable[[int, Exchange], object],
+def _child(i: int, w: int, share: Callable[[int, int, Exchange], object],
            links: list[tuple[BinaryIO, BinaryIO]], up: int, down: int) -> None:
-    """Run share ``i`` in a forked child, whose output is ``up`` and input
-    ``down``, and leave through ``os._exit``; ``links`` are the parent's
-    ends, closed here first."""
+    """Run share ``i`` of ``w`` in a forked child, whose output is ``up``
+    and input ``down``, and leave through ``os._exit``; ``links`` are the
+    parent's ends, closed here first."""
     code = 1
     try:
         for src, out in links:
@@ -185,7 +187,7 @@ def _child(i: int, share: Callable[[int, Exchange], object],
                 _send([out], obj)
                 return _receive(src)  # type: ignore[return-value]
 
-            out.write(pickle.dumps(share(i, exchange), pickle.HIGHEST_PROTOCOL))
+            out.write(pickle.dumps(share(i, w, exchange), pickle.HIGHEST_PROTOCOL))
         code = 0
     finally:
         os._exit(code)

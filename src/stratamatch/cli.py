@@ -7,7 +7,8 @@ the fitted tree), ``gen`` (write a synthetic dataset).
 Logs go to stderr; data artifacts go to files. Exit codes: 0 success,
 2 configuration error, 3 data error, 4 estimation impossible. Report
 payloads exclude timestamps, so the same data and config reproduce them
-byte for byte.
+byte for byte at a fixed BLAS thread count: the last bits of the tree's
+``np.linalg.lstsq`` fits can move with that count on large data.
 
 Each subcommand imports the layers and the standard-library modules it calls
 inside its own function, so a call loads only what it uses: ``balance`` never

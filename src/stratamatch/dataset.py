@@ -348,10 +348,10 @@ def _line_ends(raw: bytes) -> np.ndarray | None:
 
 
 def _c_part(raw: bytes, start: int, stop: int, delimiter: str, width: int,
-            t_idx: int) -> np.ndarray | None:
+            t_idx: int) -> np.ndarray:
     """The data rows of ``raw[start:stop]`` as one float array, read by
-    numpy's C text reader, or ``None`` unless they have the header's width,
-    at least one row, only finite cells and every treatment 0 or 1.
+    numpy's C text reader; ``ValueError`` unless they have the header's
+    width, at least one row, only finite cells and every treatment 0 or 1.
 
     The part from byte 0 holds the header: a UTF-8 byte-order mark is
     dropped, and the blank lines and the header are skipped as
@@ -372,9 +372,11 @@ def _c_part(raw: bytes, start: int, stop: int, delimiter: str, width: int,
             next(row for row in rows if any(cell.strip() for cell in row))
         table = np.loadtxt(fh, delimiter=delimiter, comments=None, ndmin=2, dtype=np.float64)
     if table.shape[1] != width or len(table) == 0 or not np.isfinite(table).all():
-        return None
+        raise ValueError("a row of another width, no row or a non-finite cell")
     t = table[:, t_idx]
-    return table if ((t == 0.0) | (t == 1.0)).all() else None
+    if not ((t == 0.0) | (t == 1.0)).all():
+        raise ValueError("a treatment other than 0 or 1")
+    return table
 
 
 def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int
@@ -394,19 +396,16 @@ def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int
     nothing about the file: the csv reader decides what is wrong.
 
     The file's bytes are read once, and stay in memory through the parse.
-    With ``w = min(CPUs available, lines // _CHUNK_ROWS)`` of at least 2,
-    where ``lines`` counts the line feeds after the first, the bytes are
-    cut after line feeds into ``w`` parts of nearly equal line counts, and
-    :func:`_fork.run` parses them at once: this process the last part, a
-    forked child each other one, each with its own checks (see
-    :func:`_c_part`). A cut after a line feed ends no line early and joins
-    no two, so each line reaches the same reader as in one pass, and
-    pickling keeps every float's bits: the parts hold the serial table's
-    rows. Any failure of a part, a refused part or a warning among them (a
-    part of blank lines gives "input contained no data"), reruns the parse
-    in one process. The parse stays in one process, and forks nothing, on
-    one CPU, below ``2 * _CHUNK_ROWS`` lines, without ``os.fork``, or while
-    another thread runs.
+    :func:`_fork.run` parses them in ``w`` processes at once, at most one
+    per ``_CHUNK_ROWS`` line feeds after the first: the bytes are cut after
+    line feeds into ``w`` parts of nearly equal line counts, this process
+    parses the last part and a forked child each other one, each with its
+    own checks (see :func:`_c_part`). A cut after a line feed ends no line
+    early and joins no two, so each line reaches the same reader as in one
+    pass, and pickling keeps every float's bits: the parts hold the serial
+    table's rows. Warnings are errors throughout, so a part of blank lines
+    ("input contained no data") fails the split parse, as a refused part
+    does, and reruns it in one process (see :mod:`._fork`).
     """
     try:
         with open(path, "rb") as binary:
@@ -415,22 +414,19 @@ def _c_table(path: str | Path, delimiter: str, width: int, t_idx: int
         if ends is None:
             return None
         lines = len(ends) - 1
-        w = _fork.processes(lines // _CHUNK_ROWS)
-        cuts = [0, *(int(ends[i * lines // w]) + 1 for i in range(1, w)), len(raw)]
-        del ends
-        # share i is part w - 1 - i, so that this process, share 0, parses
-        # the last part straight from raw's bytes
-        parts = _fork.run(w, lambda i, _: _c_part(raw, cuts[w - 1 - i], cuts[w - i], delimiter,
-                                                  width, t_idx))
-        if parts is not None and all(part is not None for part in parts):
-            return parts[::-1]
+
+        def part(i: int, w: int, _) -> np.ndarray:
+            # share i is part w - 1 - i, so that this process, share 0,
+            # parses the last part straight from raw's bytes
+            cuts = [0, *(int(ends[k * lines // w]) + 1 for k in range(1, w)), len(raw)]
+            return _c_part(raw, cuts[w - 1 - i], cuts[w - i], delimiter, width, t_idx)
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data" among them
-            table = _c_part(raw, 0, len(raw), delimiter, width, t_idx)
+            return _fork.run(lines // _CHUNK_ROWS, part)[::-1]
     except Exception as exc:  # whatever the fault, the csv reader names it
         logger.debug("%s: read by the csv reader: %s", path, exc)
         return None
-    return None if table is None else [table]
 
 
 def _csv_table(
@@ -530,11 +526,9 @@ def load_dataset(
     text reader; its table is kept if it has the header's width, at least
     one row, only finite cells and treatments 0 or 1. Such a table is the
     one the csv reader gives, bit for bit, and with ``encode=True`` it has
-    no text column to expand. With two CPUs or more and at least
-    ``2 * _CHUNK_ROWS`` lines, the C reader parses the file in parts cut at
-    line feeds, one forked process each (see :func:`_c_table`); any failure
-    of that split parse reruns it in one process, so the table, errors and
-    messages are those of a one-process load.
+    no text column to expand. From ``2 * _CHUNK_ROWS`` lines on, the C
+    reader parses the file in parts cut at line feeds, in forked processes
+    (see :func:`_c_table`), to the bits of a one-process load.
 
     Every other file, and every file the C reader refuses, is read on by
     the csv reader, and every error below comes from it. It skips

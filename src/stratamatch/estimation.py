@@ -280,27 +280,21 @@ def _match(pools: dict[int, CandidatePool], items: list[tuple[int, int]], x: np.
     solve its match problem, for every ``(leaf, k)`` of ``items``; the
     solutions come in the order of ``items``.
 
-    With ``w = min(CPUs available, len(items) // matching._BATCH)`` of at
-    least 2, :func:`_fork.run` gives share ``i``, the strided
-    ``items[i::w]``, to process ``i`` of ``w``. Each problem's solution,
-    ``nodes`` included, does not depend on which problems share its
-    :func:`solve_match` call, and pickling keeps every float's bits, so the
-    split changes no bit. A failed share reruns all of ``items`` here. The
-    stage stays serial, and forks nothing, on one CPU, below ``2 * _BATCH``
-    problems, without ``os.fork``, or while another thread runs.
+    :func:`_fork.run` gives share ``i``, the strided ``items[i::w]``, to
+    process ``i`` of ``w``, at most one per ``matching._BATCH`` problems.
+    Each problem's solution, ``nodes`` included, does not depend on which
+    problems share its :func:`solve_match` call, and pickling keeps every
+    float's bits, so the split changes no bit.
     """
     from .matching import _BATCH, select_candidates, solve_match
 
     def solve(share):
         return solve_match([select_candidates(pools[leaf], x[k], psi, m2) for leaf, k in share])
 
-    w = _fork.processes(len(items) // _BATCH)
-    shares = _fork.run(w, lambda i, _: solve(items[i::w]))
-    if shares is None:
-        return solve(items)
+    shares = _fork.run(len(items) // _BATCH, lambda i, w, _: solve(items[i::w]))
     solutions: list[MatchSolution] = [None] * len(items)
     for i, share in enumerate(shares):
-        solutions[i::w] = share
+        solutions[i::len(shares)] = share
     return solutions
 
 
@@ -312,8 +306,8 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     treated unit, the unit is routed to its leaf and the ``psi`` nearest pool
     controls by weighted distance become candidates, and :func:`solve_match`
     picks the subset whose mean outcome serves as the counterfactual. The
-    shortlists and solves are split across one forked process per available
-    CPU (see :func:`_match`); the split changes no reported bit. Units with
+    shortlists and solves are split across forked processes (see
+    :func:`_match`); the split changes no reported bit. Units with
     no usable candidates are skipped and reported; if all units are skipped,
     estimation fails.
 

@@ -206,20 +206,16 @@ def build_tree(
     A control set smaller than ``p + 2`` yields a single-leaf tree with a
     warning.
 
-    With ``w = min(CPUs available, n // (2 * _CHUNK_ROWS))`` of at least 2,
-    :func:`_fork.run` grows the tree in ``w`` processes at once, each
-    running the same recursion over the same nodes (see :func:`_grow`):
-    process ``i`` presorts, scans and partitions only the features
-    ``i, i + w, ...``, and each fit is made in one process and sent to all.
-    Every process so takes the serial run's split, from the same sums, and
-    the serial run's decision, from fits of the same rows by the same
-    :func:`ols_fit`; pickling keeps every float's bits. Only this process
-    keeps the nodes. A failed process, or a warning in any, regrows the
-    tree here in one process. The tree grows in one process, and forks
-    nothing, on one CPU, below ``4 * _CHUNK_ROWS`` (8 192) controls, without
-    ``os.fork``, while another thread runs, or while this process runs a
-    native thread, such as the pool of a BLAS on several threads: each
-    process makes LAPACK calls.
+    :func:`_fork.run` grows the tree in ``w`` processes at once, at most
+    one per ``2 * _CHUNK_ROWS`` controls, so from 8 192 controls on; each
+    makes LAPACK calls, and :mod:`._fork` says when the tree grows in one
+    process. Every process runs the same recursion over the same nodes (see
+    :func:`_grow`): process ``i`` presorts, scans and partitions only the
+    features ``i, i + w, ...``, and each fit is made in one process and
+    sent to all. Every process so takes the serial run's split, from the
+    same sums, and the serial run's decision, from fits of the same rows by
+    the same :func:`ols_fit`; pickling keeps every float's bits. Only this
+    process keeps the nodes.
     """
     x, y = control.x, control.y
     n, p = x.shape
@@ -229,11 +225,9 @@ def build_tree(
         logger.warning(
             "control set too small for any split (n=%d < p+2=%d); single-leaf tree", n, p + 2
         )
-    w = _fork.processes(n // (2 * dataset._CHUNK_ROWS), blas=True)
-    shares = _fork.run(w, lambda i, exchange: _grow(x, y, lambda_, theta, max_depth,
-                                                    i, w, exchange))
-    nodes = shares[0] if shares is not None else _grow(x, y, lambda_, theta, max_depth,
-                                                       0, 1, lambda obj: [obj])
+    nodes = _fork.run(n // (2 * dataset._CHUNK_ROWS),
+                      lambda i, w, exchange: _grow(x, y, lambda_, theta, max_depth,
+                                                   i, w, exchange), blas=True)[0]
     model = TreeModel(
         nodes=nodes,
         root=0,

@@ -26,9 +26,6 @@ from stratamatch import _fork, dataset  # noqa: E402
 from stratamatch.dataset import load_dataset  # noqa: E402
 from stratamatch.errors import StrataMatchError  # noqa: E402
 
-pytestmark = [pytest.mark.filterwarnings("error::ResourceWarning"),
-              pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
-
 CUTOFF = 2 * dataset._CHUNK_ROWS  # the fewest data lines that fork with two processes
 
 

@@ -23,9 +23,6 @@ from conftest import exit_1, half_payload, in_children
 from stratamatch import _fork, cli, estimation, matching
 from stratamatch.dataset import load_dataset
 
-pytestmark = [pytest.mark.filterwarnings("error::ResourceWarning"),
-              pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
-
 # the stage that forks next: a child knows the stage that forked it
 _STAGE = ["load"]
 

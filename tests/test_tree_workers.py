@@ -34,9 +34,6 @@ from conftest import (  # noqa: E402
 from stratamatch import _fork, dataset, tree  # noqa: E402
 from stratamatch.tree import SplitCandidate, _best, build_tree  # noqa: E402
 
-pytestmark = [pytest.mark.filterwarnings("error::ResourceWarning"),
-              pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
-
 CUTOFF = 4 * dataset._CHUNK_ROWS  # the fewest controls that grow in two processes
 
 
