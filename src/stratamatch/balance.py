@@ -252,7 +252,8 @@ def compute_balance(
     x_control = np.asarray(x_control, dtype=np.float64)
     if x_treated.ndim != 2 or x_control.ndim != 2:
         raise EmptyInput("compute_balance expects two feature matrices")
-    # feature-major copies: each column is one contiguous row
+    # feature-major: each column is one contiguous row; the transpose of a
+    # C-contiguous feature-major array is taken as it is, not copied
     xt, xc = np.ascontiguousarray(x_treated.T), np.ascontiguousarray(x_control.T)
     wc = None
     rows = []
@@ -291,9 +292,22 @@ def compute_balance(
 
 
 def pre_match_report(d: Dataset, bins: int = DEFAULT_BINS) -> BalanceReport:
-    """Balance of all treated units against the full control pool."""
+    """Balance of all treated units against the full control pool.
+
+    Each group's feature-major columns are made in one copy, whose
+    transpose :func:`compute_balance` takes without a second."""
     tmask = d.t == 1
-    return compute_balance(d.x[tmask], d.x[~tmask], d.feature_names, scope="pre", bins=bins)
+    return compute_balance(_feature_major(d.x, tmask).T, _feature_major(d.x, ~tmask).T,
+                           d.feature_names, scope="pre", bins=bins)
+
+
+def _feature_major(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``x[mask].T`` as a C-contiguous array, gathered one feature at a
+    time, so that no row-major copy of the rows is made."""
+    out = np.empty((x.shape[1], int(np.count_nonzero(mask))))
+    for j, col in enumerate(x.T):
+        out[j] = col[mask]
+    return out
 
 
 def matched_pool(

@@ -214,11 +214,21 @@ def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(_json(obj, path, indent=2) + "\n")
 
 
-def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig,
-                    method: str) -> dict:
-    """``iatt`` holds the ``dataclasses.asdict`` of each ``report.iatt`` record."""
+def _by_field(records: tuple) -> list[dict]:
+    """Each of ``records``, instances of one dataclass, as a dict by field:
+    the ``dataclasses.asdict`` of a record whose fields hold numbers,
+    strings and tuples of ints, without its deep copy of every value."""
     import dataclasses
 
+    if not records:
+        return []
+    names = [f.name for f in dataclasses.fields(records[0])]
+    return [{name: getattr(r, name) for name in names} for r in records]
+
+
+def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig,
+                    method: str) -> dict:
+    """``iatt`` holds the :func:`_by_field` dicts of ``report.iatt``."""
     return {
         "method": method,
         "config": {**cfg.as_dict(), "method": method},
@@ -233,7 +243,7 @@ def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig,
         "n_used": report.n_used,
         "n_skipped": len(report.skipped),
         "iatt": iatt,
-        "skipped": [dataclasses.asdict(r) for r in report.skipped],
+        "skipped": _by_field(report.skipped),
         "strata": [dict(s) for s in report.strata],
     }
 
@@ -265,8 +275,6 @@ def _summary_text(report: AttReport, method: str) -> str:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .dataset import normalize_min_max
     from .estimation import ESTIMATORS
     from .tree import export_rules, tree_to_dict
@@ -286,7 +294,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if report.tree is not None:
         _dump_json(tree_to_dict(report.tree), out / "tree.json")
         (out / "tree_rules.txt").write_text(export_rules(report.tree))
-    iatt = [dataclasses.asdict(r) for r in report.iatt]
+    iatt = _by_field(report.iatt)
     _write_audit(report, iatt, out / "audit.jsonl")
     (out / "summary.txt").write_text(_summary_text(report, method))
     payload = _report_payload(report, iatt, cfg, method)

@@ -634,6 +634,9 @@ def normalize_min_max(d: Dataset) -> Dataset:
     first; every other column gets ``(x - min) / (max - min)``. The
     per-feature ``(min, max)`` pairs are recorded on the result. A dataset
     that already carries scaling passes through unchanged.
+
+    The differences and quotients are formed in the one output, so beside
+    ``d`` the call holds a single array of its size.
     """
     if d.scaling is not None:
         return d
@@ -641,10 +644,11 @@ def normalize_min_max(d: Dataset) -> Dataset:
     hi = d.x.max(axis=0)
     with np.errstate(over="ignore"):
         span = hi - lo
+        # a wide column's differences may overflow; they are replaced below
+        out = np.subtract(d.x, lo)
     wide = np.isinf(span)
-    out = np.zeros_like(d.x)
-    nonconst = (span > 0) & ~wide
-    out[:, nonconst] = (d.x[:, nonconst] - lo[nonconst]) / span[nonconst]
+    np.divide(out, span, out=out, where=(span > 0) & ~wide)
+    out[:, span == 0] = 0.0  # a constant column's -0.0 - 0.0 left -0.0
     # a span beyond the float range: every term is halved first, so that no
     # difference overflows
     out[:, wide] = (d.x[:, wide] / 2 - lo[wide] / 2) / (hi[wide] / 2 - lo[wide] / 2)

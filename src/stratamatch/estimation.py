@@ -236,13 +236,18 @@ class PipelineFit:
 def _normalize_and_split(d: Dataset, cfg: PipelineConfig
                          ) -> tuple[Dataset, Dataset, np.ndarray]:
     """The steps that read the whole dataset: validate ``cfg``, normalize
-    ``d`` (a pass-through if it is normalized), split it by treatment and
-    compute the feature weights. Returns ``(control, treated, weights)``,
-    which share no array with ``d``."""
+    ``d`` (a pass-through if it is normalized), compute the feature weights
+    and split it by treatment. Returns ``(control, treated, weights)``,
+    which share no array with ``d``.
+
+    The weights come before the split, so the regression's design and
+    LAPACK's copy of it are freed before the control copy is made: beside
+    ``d`` no two of them are held at once."""
     cfg.validate()
     dn = normalize_min_max(d)
+    weights = feature_weights(dn)
     control, treated = split_by_treatment(dn)
-    return control, treated, feature_weights(dn)
+    return control, treated, weights
 
 
 def _grow(control: Dataset, treated: Dataset, weights: np.ndarray,
@@ -259,8 +264,8 @@ def _grow(control: Dataset, treated: Dataset, weights: np.ndarray,
 
 
 def fit_pipeline(d: Dataset, cfg: PipelineConfig) -> PipelineFit:
-    """Validate ``cfg``, normalize ``d``, split it by treatment, compute the
-    feature weights, grow the tree on the controls and route every treated
+    """Validate ``cfg``, normalize ``d``, compute the feature weights, split
+    ``d`` by treatment, grow the tree on the controls and route every treated
     unit to its leaf.
 
     Only the control and treated copies, the weights and the tree are held

@@ -1,11 +1,12 @@
 """Exact balanced control selection for treated units, one subset each.
 
-Each leaf's controls are prepared once as a candidate pool: the rows, their
-ids, the distance weights and a feature-major copy of the heaviest-weight
-columns. A treated unit's candidates are its ``psi`` nearest pool controls.
-A partial distance search over the heavy columns rules out most rows before
-the full weighted distance runs, and the shortlist is bit-identical to a
-full scan of the leaf.
+Each leaf's controls are prepared once as a candidate pool: their positions
+in the shared control matrix, their ids, the distance weights and a
+feature-major copy of the heaviest-weight columns. A treated unit's
+candidates are its ``psi`` nearest pool controls. A partial distance search
+over the heavy columns rules out most rows before the full weighted
+distance runs, and the shortlist is bit-identical to a full scan of the
+leaf.
 
 Given a treated unit's feature vector and its candidates, the matcher picks
 the non-empty candidate subset minimizing ``a + m2 * eps``: ``eps`` caps,
@@ -163,26 +164,34 @@ def hierarchy_m2_bound(prob: MatchProblem, delta: float = DELTA_PRECISION) -> fl
 class CandidatePool:
     """One leaf's controls, prepared once for every treated unit routed there.
 
-    ``features`` holds the leaf's rows (row-major, in leaf order) and ``ids``
-    their original row ids. ``weights`` are the distance weights after the
+    ``x`` is the whole control feature matrix, shared, not copied, and
+    ``rows`` the leaf's positions in it, in leaf order; ``ids`` are their
+    original row ids. ``weights`` are the distance weights after the
     zero-weight fallback. ``screen`` is a feature-major copy of the
-    ``screen_columns``, the heaviest-weight features, which
-    :func:`select_candidates` sums over every row before it touches the rest.
-    Build one with :func:`candidate_pool`.
+    ``screen_columns``, the heaviest-weight features, over the leaf's rows,
+    which :func:`select_candidates` sums over every row before it gathers
+    the few it scores in full. Build one with :func:`candidate_pool`.
     """
 
-    features: np.ndarray
+    x: np.ndarray
+    rows: np.ndarray
     ids: np.ndarray
     weights: np.ndarray
     screen_columns: np.ndarray
     screen: np.ndarray
 
+    @property
+    def features(self) -> np.ndarray:
+        """The leaf's rows (row-major, in leaf order), as a new array."""
+        return self.x[self.rows]
+
 
 def candidate_pool(control: Dataset, leaf_indices: np.ndarray, weights: np.ndarray) -> CandidatePool:
     """The :class:`CandidatePool` of the controls at positions ``leaf_indices``.
 
-    An all-zero weight vector falls back to unit weights, with one warning
-    per pool.
+    The pool refers to ``control.x`` and copies only the leaf's screen
+    columns, so a leaf's rows are never copied whole. An all-zero weight
+    vector falls back to unit weights, with one warning per pool.
 
     Raises:
         NoCandidates: if ``leaf_indices`` is empty.
@@ -198,14 +207,19 @@ def candidate_pool(control: Dataset, leaf_indices: np.ndarray, weights: np.ndarr
     if np.all(w == 0):
         logger.warning("all feature weights are zero; falling back to unit weights")
         w = np.ones_like(w)
-    feats = control.x[leaf_indices]
     cols = np.argsort(-w, kind="stable")[:_SCREEN_COLUMNS]
+    # one column at a time: a gather of all of them at once would hold
+    # broadcast copies of the indices
+    screen = np.empty((cols.size, leaf_indices.size))
+    for row, j in zip(screen, cols):
+        row[:] = control.x[leaf_indices, j]
     return CandidatePool(
-        features=feats,
+        x=control.x,
+        rows=leaf_indices,
         ids=control.rows()[leaf_indices],
         weights=w,
         screen_columns=cols,
-        screen=np.ascontiguousarray(feats[:, cols].T),
+        screen=screen,
     )
 
 
@@ -250,16 +264,17 @@ def select_candidates(
     """
     mu = np.asarray(treated_features, dtype=np.float64).reshape(-1)
     w = pool.weights
-    n, p = pool.features.shape
+    x, rows = pool.x, pool.rows
+    n, p = rows.size, x.shape[1]
     k = min(max(1, int(psi)), n)
     cols = pool.screen_columns
     gap = pool.screen - mu[cols, None]
     partial = (w[cols, None] * gap * gap).sum(axis=0)
     nearest = np.argpartition(partial, k - 1)[:k]
-    diff = pool.features[nearest] - mu
+    diff = x[rows[nearest]] - mu
     bound = np.sum(w * diff * diff, axis=1).max()
     survivors = np.flatnonzero(partial <= bound * (1.0 + 4 * p * _EPS))
-    feats = pool.features[survivors]
+    feats = x[rows[survivors]]
     diff = feats - mu
     dist = np.sqrt(np.sum(w * diff * diff, axis=1))
     # only entries at or below the k-th smallest distance can be chosen; a

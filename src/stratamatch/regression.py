@@ -88,9 +88,14 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> LinearFit:
         raise EmptyInput("ols_fit needs at least one observation")
     if y.shape[0] != n:
         raise EmptyInput("feature and outcome row counts disagree")
-    p = x.shape[1]
+    return _fit_design(np.column_stack([np.ones(n), x]), y)
 
-    design = np.column_stack([np.ones(n), x])
+
+def _fit_design(design: np.ndarray, y: np.ndarray) -> LinearFit:
+    """:func:`ols_fit` of float64 ``y`` on the C-contiguous float64
+    ``design``, whose first column holds the intercept's ones and whose
+    other columns are the features; both have at least one row."""
+    n, p = design.shape[0], design.shape[1] - 1
     beta, rank_deficient = _solve(design, y)
     mean = _mean(y)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is redone below

@@ -16,12 +16,14 @@ import numpy as np
 
 from . import _fork, dataset
 from .dataset import Dataset
-from .regression import LinearFit, _std, ols_fit
+from .regression import LinearFit, _fit_design, _std
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_LAMBDA = 0.1
 DEFAULT_MAX_DEPTH = 32
+# most floats _fit gathers into a node's design at once
+_GATHER = 1 << 14
 
 
 def default_theta(p: int) -> int:
@@ -214,7 +216,7 @@ def build_tree(
     features ``i, i + w, ...``, and each fit is made in one process and
     sent to all. Every process so takes the serial run's split, from the
     same sums, and the serial run's decision, from fits of the same rows by
-    the same :func:`ols_fit`; pickling keeps every float's bits. Only this
+    the same :func:`_fit`; pickling keeps every float's bits. Only this
     process keeps the nodes.
     """
     x, y = control.x, control.y
@@ -327,19 +329,30 @@ def _grow(x: np.ndarray, y: np.ndarray, lambda_: float, theta: int, max_depth: i
 
 
 def _fit(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> LinearFit:
-    """:func:`ols_fit` on ``rows`` of ``x`` and ``y``; the root, whose rows
-    are all of them, fits ``x`` itself, not a copy."""
-    if rows.size == y.size:
-        return ols_fit(x, y)
-    return ols_fit(x[rows], y[rows])
+    """:func:`ols_fit` on ``rows`` of ``x`` and ``y``, from a design filled
+    straight from ``x``: there is no copy of the rows beside it.
+
+    ``take`` buffers an output that is not contiguous, as the design's
+    feature columns are, so the rows are gathered ``_GATHER`` floats at a
+    time and the buffer stays that small. The design holds the values that
+    ``ols_fit(x[rows], y[rows])`` fits, in the same layout, so the fit keeps
+    every bit."""
+    m, p = rows.size, x.shape[1]
+    design = np.empty((m, p + 1))
+    design[:, 0] = 1.0
+    step = max(1, _GATHER // p)
+    for lo in range(0, m, step):
+        x.take(rows[lo:lo + step], axis=0, out=design[lo:lo + step, 1:], mode="clip")
+    return _fit_design(design, y[rows])
 
 
 def _deal(sizes: list[int], w: int) -> list[int]:
     """For fits of ``sizes`` rows, the process of ``w`` that makes each: the
     largest fit first, each to the process with the fewest rows so far, the
-    last on a tie. So the first process, which holds the run's other data
-    and keeps the nodes, makes the smaller fits, and its peak memory stays
-    below the serial run's."""
+    last on a tie. A fit of ``m`` rows holds its ``m x (p + 1)`` design and
+    LAPACK's copy of it (see :func:`_fit`), so the first process, which
+    holds the run's other data and keeps the nodes, makes the smaller fits,
+    and its peak memory stays below the serial run's."""
     load = [0] * w
     owners = [0] * len(sizes)
     for k in sorted(range(len(sizes)), key=lambda k: -sizes[k]):

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,26 @@ def half_payload(dumps, obj, *args):
     """A broken ``pickle.dumps`` for :func:`in_children`: half the bytes."""
     data = dumps(obj, *args)
     return data[:len(data) // 2]
+
+
+def held_peak(call, *args, **kwargs):
+    """``call(*args, **kwargs)`` and the most bytes that ``tracemalloc`` saw
+    held at once during it, above what was held before it. numpy reports
+    its array buffers to ``tracemalloc``, so the peak counts every array
+    that the call held at one time, its result included; memory that a
+    native library allocates for itself, such as LAPACK's workspace, is not
+    counted."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        out = call(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def control_only(x: np.ndarray, y: np.ndarray) -> Dataset:

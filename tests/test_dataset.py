@@ -19,6 +19,8 @@ from stratamatch.errors import (
     PositivityViolation,
 )
 
+from conftest import held_peak
+
 
 def _simple():
     t = np.array([0, 0, 0, 1])
@@ -95,6 +97,26 @@ def test_normalize_constant_column_goes_to_zero():
     x = np.array([[5.0], [5.0]])
     d = normalize_min_max(make_dataset(t, x, np.zeros(2), ("c",)))
     np.testing.assert_array_equal(d.x, [[0.0], [0.0]])
+
+
+def test_normalize_constant_signed_zeros_go_to_positive_zero():
+    # min picks 0.0 here, and -0.0 - 0.0 is -0.0: the output is still +0.0
+    t = np.array([0, 1, 0])
+    x = np.array([[-0.0], [-0.0], [0.0]])
+    d = normalize_min_max(make_dataset(t, x, np.zeros(3), ("z",)))
+    assert d.x.tobytes() == np.zeros((3, 1)).tobytes()
+
+
+def test_normalize_holds_one_output_beside_its_input():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-5, 5, size=(4000, 10))
+    x[:, 3] = 2.0  # a constant column
+    x[:, 7] = np.where(np.arange(4000) % 2, 1e308, -1e308)  # a span past the float range
+    d = make_dataset(np.arange(4000) % 2, x, np.zeros(4000), [f"x{j}" for j in range(10)])
+    with np.errstate(over="ignore"):
+        dn, peak = held_peak(normalize_min_max, d)
+    # the output, and temporaries of a column or two; no second n x p array
+    assert dn.x.nbytes <= peak < 1.25 * dn.x.nbytes
 
 
 def test_normalize_span_beyond_the_float_range():

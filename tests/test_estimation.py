@@ -5,7 +5,7 @@ import pytest
 
 from stratamatch.bench import generate_hyb20var
 from stratamatch.config import PipelineConfig
-from stratamatch.dataset import make_dataset
+from stratamatch.dataset import make_dataset, normalize_min_max
 from stratamatch.errors import (
     EmptyInput,
     EstimationImpossible,
@@ -14,6 +14,7 @@ from stratamatch.errors import (
 from stratamatch.estimation import (
     ESTIMATORS,
     StratumOutcome,
+    _normalize_and_split,
     aggregate_att,
     estimate_m5c_m,
     estimate_m5c_mf,
@@ -25,8 +26,9 @@ from stratamatch.estimation import (
     robust_att_ktok,
 )
 from stratamatch.matching import candidate_pool, select_candidates, solve_match_bruteforce
+from stratamatch.regression import feature_weights
 
-from conftest import toy_dataset
+from conftest import held_peak, toy_dataset
 
 # five treated units (two successes), seven controls (two successes)
 BINARY_STRATUM = StratumOutcome(
@@ -396,3 +398,14 @@ def test_config_validation_runs():
         estimate_m5c_mf(d, PipelineConfig(psi=0))
     with pytest.raises(ConfigError):
         estimate_m5c_mf(d, PipelineConfig(lambda_=-0.5))
+
+
+def test_normalize_and_split_holds_no_control_copy_beside_the_weights():
+    d = normalize_min_max(toy_dataset(seed=14, n_treated=200, n_control=3800, p=10))
+    _, weights_peak = held_peak(feature_weights, d)
+    (control, treated, weights), peak = held_peak(_normalize_and_split, d, PipelineConfig())
+    result = weights.nbytes + sum(a.nbytes for part in (control, treated)
+                                  for a in (part.t, part.x, part.y, part.row_ids))
+    # the regression's arrays are freed before the split copies the groups,
+    # so the peak is the larger of the two, not their sum
+    assert peak < max(weights_peak, result) + control.x.nbytes / 2

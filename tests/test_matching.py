@@ -27,7 +27,7 @@ from stratamatch.matching import (
     solve_match_lexicographic,
 )
 
-from conftest import control_only, full_scan_shortlist, solution_bits
+from conftest import control_only, full_scan_shortlist, held_peak, solution_bits
 
 
 def _problem(treated, candidates, weights=None, **kw):
@@ -585,6 +585,20 @@ def test_shortlist_equals_full_scan_on_desk_data(psi):
             ids, feats = full_scan_shortlist(fit.control, leaf, fit.treated.x[k], fit.weights, psi)
             assert got.candidate_ids.tolist() == ids.tolist()
             assert got.candidate_features.tobytes() == feats.tobytes()
+
+
+def test_pool_shares_the_control_rows_and_copies_only_its_screen():
+    control = _pool(seed=22, n=4000, p=20)
+    leaf = np.arange(1, 4000, 2)
+    w = np.linspace(0.0, 1.0, 20)
+    pool, peak = held_peak(candidate_pool, control, leaf, w)
+    assert np.shares_memory(pool.x, control.x)
+    assert not np.shares_memory(pool.screen, control.x)
+    assert pool.screen.tobytes() == control.x[leaf][:, pool.screen_columns].T.tobytes()
+    assert pool.features.tobytes() == control.x[leaf].tobytes()
+    # the screen's 5 columns and the ids, one column's gather beside them,
+    # and no copy of the leaf's 20 columns
+    assert peak < pool.screen.nbytes + pool.ids.nbytes + control.x[leaf].nbytes / 5
 
 
 def test_select_candidates_zero_weight_drops_a_feature():

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import control_only, full_scan_shortlist, solution_bits  # noqa: E402
 
+from stratamatch.dataset import Dataset, _frozen  # noqa: E402
 from stratamatch.matching import (  # noqa: E402
     MatchProblem,
     _evaluate,
@@ -122,3 +123,39 @@ def test_shortlist_equals_full_scan(case):
     ids, feats = full_scan_shortlist(control, leaf, treated, weights, psi)
     assert got.candidate_ids.tolist() == ids.tolist()
     assert got.candidate_features.tobytes() == feats.tobytes()
+
+
+def _copied_leaf_pool(control, leaf, weights):
+    """The pool of ``leaf`` built from a copy of its rows: a control set
+    that holds only them, in leaf order, with their row ids."""
+    copy = Dataset(t=control.t[leaf], x=_frozen(control.x[leaf]), y=control.y[leaf],
+                   feature_names=control.feature_names, row_ids=control.rows()[leaf])
+    return candidate_pool(copy, np.arange(leaf.size), weights)
+
+
+def _problem_bits(prob):
+    return (prob.treated_features.tobytes(), prob.candidate_features.tobytes(),
+            prob.weights.tobytes(), prob.m2.hex(), prob.candidate_ids.tobytes())
+
+
+_TIES = control_only(np.array([[1.0], [0.0], [1.0], [1.0], [0.0], [1.0], [2.0]]), np.zeros(7))
+
+
+@CHECKS
+@given(leaves())
+# a one-row leaf at p = 1
+@example((control_only(np.array([[0.25], [0.5]]), np.zeros(2)), np.array([1]), np.array([0.0]),
+          np.array([1.0]), 1))
+# all-zero weights, which fall back to unit weights
+@example((control_only(np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]), np.zeros(3)),
+          np.array([2, 0, 1]), np.array([0.5, 0.5]), np.zeros(2), 2))
+# four rows tied at the cut-off of psi = 3, in a leaf that skips one
+@example((_TIES, np.array([6, 5, 4, 3, 2, 0]), np.array([0.0]), np.array([1.0]), 3))
+def test_pool_of_the_control_rows_equals_a_pool_of_a_copy_of_the_leaf(case):
+    control, leaf, treated, weights, psi = case
+    pool = candidate_pool(control, leaf, weights)
+    copied = _copied_leaf_pool(control, leaf, weights)
+    assert pool.screen.tobytes() == copied.screen.tobytes()
+    assert pool.features.tobytes() == copied.x.tobytes()
+    assert _problem_bits(select_candidates(pool, treated, psi=psi)) == \
+        _problem_bits(select_candidates(copied, treated, psi=psi))

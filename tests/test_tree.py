@@ -9,6 +9,7 @@ from stratamatch.regression import LinearFit, ols_fit
 from stratamatch.tree import (
     TreeModel,
     TreeNode,
+    _fit,
     _presort,
     assign_leaf,
     best_split,
@@ -19,7 +20,7 @@ from stratamatch.tree import (
     tree_to_dict,
 )
 
-from conftest import control_only
+from conftest import control_only, held_peak
 
 
 def test_default_theta_floor():
@@ -284,6 +285,25 @@ def test_assign_leaf_routes_to_matching_regime():
     leaf = tree.node(assign_leaf(tree, np.array([0.9])))
     pred = leaf.leaf_model.intercept + leaf.leaf_model.coefficients[0] * 0.9
     assert pred == pytest.approx(10.0 - 0.9, abs=0.1)
+
+
+def _fit_bits(fit):
+    return (fit.intercept.hex(), fit.coefficients.tobytes(), fit.r2.hex(),
+            None if fit.r2_adj is None else fit.r2_adj.hex(), fit.n_obs, fit.rank_deficient)
+
+
+@pytest.mark.parametrize("select", ["all", "half", "one"])
+def test_fit_of_rows_keeps_the_bits_and_makes_no_copy_of_them(select):
+    rng = np.random.default_rng(6)
+    x, y = rng.uniform(size=(20000, 20)), rng.normal(size=20000)
+    rows = {"all": np.arange(20000), "half": np.flatnonzero(x[:, 0] <= 0.5),
+            "one": np.array([7])}[select]
+    copy = x[rows]
+    want, copy_peak = held_peak(ols_fit, copy, y[rows])
+    got, peak = held_peak(_fit, x, y, rows)
+    assert _fit_bits(got) == _fit_bits(want)
+    # ols_fit's own arrays, y's rows and one gather block: no copy of the rows
+    assert peak < copy_peak + max(copy.nbytes / 4, 1024)
 
 
 def _tree_by_node_search(control, lambda_, theta, max_depth):
