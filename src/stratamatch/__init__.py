@@ -46,13 +46,11 @@ _EXPORTS = {
         "EmptyInput",
         "EstimationImpossible",
         "HierarchyBoundWarning",
-        "InsufficientDegreesOfFreedom",
         "InvalidSample",
         "MalformedInput",
         "NamedColumnAbsent",
         "NoCandidates",
         "NonFiniteResult",
-        "OracleTooLarge",
         "ParseFailure",
         "PositivityViolation",
         "StrataMatchError",
@@ -82,15 +80,13 @@ _EXPORTS = {
         "hierarchy_m2_bound",
         "select_candidates",
         "solve_match",
-        "solve_match_bruteforce",
         "solve_match_lexicographic",
     ),
-    "regression": ("LinearFit", "adjusted_r2", "feature_weights", "ols_fit"),
+    "regression": ("LinearFit", "feature_weights", "ols_fit"),
     "tree": (
         "TreeModel",
         "TreeNode",
         "assign_leaf",
-        "best_split",
         "build_tree",
         "default_theta",
         "export_rules",

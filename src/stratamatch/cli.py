@@ -5,10 +5,11 @@ Subcommands: ``estimate`` (fit and report), ``bench`` (synthetic studies),
 the fitted tree), ``gen`` (write a synthetic dataset).
 
 Logs go to stderr; data artifacts go to files. Exit codes: 0 success,
-2 configuration error, 3 data error, 4 estimation impossible. Report
-payloads exclude timestamps, so the same data and config reproduce them
-byte for byte at a fixed BLAS thread count: the last bits of the tree's
-``np.linalg.lstsq`` fits can move with that count on large data.
+2 configuration error (an ``--out`` that cannot be written included), 3
+data error, 4 estimation impossible. Report payloads exclude timestamps,
+so the same data and config reproduce them byte for byte at a fixed BLAS
+thread count: the last bits of the tree's ``np.linalg.lstsq`` fits can
+move with that count on large data.
 
 Each subcommand imports the layers and the standard-library modules it calls
 inside its own function, so a call loads only what it uses: ``balance`` never
@@ -24,6 +25,7 @@ every live object on the way out.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -193,6 +195,17 @@ def _dry_run(args: argparse.Namespace, *paths: str, detail: str = "") -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _writing(args: argparse.Namespace):
+    """Run the block that makes ``--out`` and writes the artifacts: an
+    ``OSError`` there, such as ``--out`` naming an existing file, is a
+    configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,21 +303,22 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     # normalization and the normalized ones once the estimator has split them,
     # before the tree grows; the artifacts read the dataset's facts off the report
     report = ESTIMATORS[method](normalize_min_max(_load(args)), cfg)
-    out = _out_dir(args)
-    if report.tree is not None:
-        _dump_json(tree_to_dict(report.tree), out / "tree.json")
-        (out / "tree_rules.txt").write_text(export_rules(report.tree))
-    iatt = _by_field(report.iatt)
-    _write_audit(report, iatt, out / "audit.jsonl")
-    (out / "summary.txt").write_text(_summary_text(report, method))
-    payload = _report_payload(report, iatt, cfg, method)
-    meta = {
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "runtime_s": time.perf_counter() - t0,
-        "version": __version__,
-        "input": str(args.input),
-    }
-    _dump_json({"payload": payload, "meta": meta}, out / "report.json")
+    with _writing(args):
+        out = _out_dir(args)
+        if report.tree is not None:
+            _dump_json(tree_to_dict(report.tree), out / "tree.json")
+            (out / "tree_rules.txt").write_text(export_rules(report.tree))
+        iatt = _by_field(report.iatt)
+        _write_audit(report, iatt, out / "audit.jsonl")
+        (out / "summary.txt").write_text(_summary_text(report, method))
+        payload = _report_payload(report, iatt, cfg, method)
+        meta = {
+            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "runtime_s": time.perf_counter() - t0,
+            "version": __version__,
+            "input": str(args.input),
+        }
+        _dump_json({"payload": payload, "meta": meta}, out / "report.json")
     logger.info("att = %r (method %s); artifacts in %s", report.att, method, out)
     return 0
 
@@ -340,9 +354,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         result = run_bootstrap_study(
             d, methods, args.replications, args.treated_sample, seed=args.seed, cfg=cfg
         )
-    out = _out_dir(args)
-    write_records_csv(result, out / "records.csv")
-    _dump_json(summary_to_dict(result), out / "summary.json")
+    with _writing(args):
+        out = _out_dir(args)
+        write_records_csv(result, out / "records.csv")
+        _dump_json(summary_to_dict(result), out / "summary.json")
     for s in result.summaries:
         logger.info(
             "%s: mean estimate %s (n_ok=%d, failed=%d)",
@@ -354,7 +369,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, tuple[int, ...]]]:
     """``(treated row, matched control rows)`` of each audit record that
-    holds a match; every row id must be an integer row of ``d``."""
+    holds a match; every row id must be an integer row of ``d``, the
+    treated row a treated unit and the matched rows control units."""
     import json
 
     try:
@@ -362,6 +378,7 @@ def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, t
     except (OSError, UnicodeDecodeError) as exc:
         raise AuditNotFound(f"cannot read audit log {audit}: {exc}") from None
     known = set(d.rows().tolist())
+    treated = set(d.rows()[d.t == 1].tolist())
     matches = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -383,6 +400,12 @@ def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, t
                 raise AuditNotFound(f"{where}: row id {r!r} is not an integer")
             if r not in known:
                 raise AuditNotFound(f"{where}: row {r} is not in {input_path}")
+        if rec["treated_row"] not in treated:
+            raise AuditNotFound(f"{where}: treated_row {rec['treated_row']} is a control unit "
+                                f"of {input_path}")
+        for r in rows:
+            if r in treated:
+                raise AuditNotFound(f"{where}: matched row {r} is a treated unit of {input_path}")
         matches.append((rec["treated_row"], tuple(rows)))
     if not matches:
         raise AuditNotFound(f"audit log {audit} holds no matched control sets")
@@ -402,9 +425,10 @@ def cmd_balance(args: argparse.Namespace) -> int:
     text = report_to_text(pre) + "\n" + report_to_text(post)
     blob = _json({"pre": report_to_dict(pre), "post": report_to_dict(post)},
                  Path(args.out) / "balance.json", indent=2)
-    out = _out_dir(args)
-    (out / "balance.txt").write_text(text)
-    (out / "balance.json").write_text(blob + "\n")
+    with _writing(args):
+        out = _out_dir(args)
+        (out / "balance.txt").write_text(text)
+        (out / "balance.json").write_text(blob + "\n")
     logger.info(
         "balance: pre mean |SMD| %s -> post %s; artifacts in %s",
         _fmt(pre.mean_abs_smd), _fmt(post.mean_abs_smd), out,
@@ -421,11 +445,12 @@ def cmd_tree(args: argparse.Namespace) -> int:
     if args.dry_run:
         return _dry_run(args, args.input)
     fit = fit_pipeline(normalize_min_max(_load(args)), cfg)
-    out = _out_dir(args)
-    blob = tree_to_dict(fit.tree)
-    blob["feature_scaling"] = [list(pair) for pair in (fit.control.scaling or ())]
-    _dump_json(blob, out / "tree.json")
-    (out / "tree_rules.txt").write_text(export_rules(fit.tree))
+    with _writing(args):
+        out = _out_dir(args)
+        blob = tree_to_dict(fit.tree)
+        blob["feature_scaling"] = [list(pair) for pair in (fit.control.scaling or ())]
+        _dump_json(blob, out / "tree.json")
+        (out / "tree_rules.txt").write_text(export_rules(fit.tree))
     logger.info("tree: %d leaves; artifacts in %s", len(fit.tree.leaves()), out)
     return 0
 
@@ -448,12 +473,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
         return 0
     d = generate(spec, seed=args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t", "y", *d.feature_names])
-        for i in range(d.n):
-            wr.writerow([int(d.t[i]), repr(float(d.y[i])), *(repr(float(v)) for v in d.x[i])])
+    with _writing(args):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        with open(out, "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(["t", "y", *d.feature_names])
+            for i in range(d.n):
+                wr.writerow([int(d.t[i]), repr(float(d.y[i])), *(repr(float(v)) for v in d.x[i])])
     logger.info("wrote %s: n=%d (treated=%d), p=%d", out, d.n, d.n_treated, d.p)
     return 0
 

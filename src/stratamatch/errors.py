@@ -54,16 +54,8 @@ class EmptyInput(StrataMatchError):
     """An operation received an empty vector or matrix."""
 
 
-class InsufficientDegreesOfFreedom(StrataMatchError):
-    """Too few observations for the requested statistic (needs n > p + 1)."""
-
-
 class NoCandidates(StrataMatchError):
     """No control candidates are available for a treated unit."""
-
-
-class OracleTooLarge(StrataMatchError):
-    """The exhaustive oracle was asked to enumerate more than 2^20 subsets."""
 
 
 class StrategyRequiresBinary(StrataMatchError):
@@ -87,7 +79,8 @@ class InvalidSample(StrataMatchError):
 
 class AuditNotFound(StrataMatchError):
     """The per-unit audit log for a completed run could not be read, holds a
-    malformed record or no match, or names a row the input lacks."""
+    malformed record or no match, names a row the input lacks, or names a
+    control unit as treated or a treated unit as matched."""
 
 
 class HierarchyBoundWarning(UserWarning):

@@ -32,8 +32,7 @@ Set-up (deviations, suffix bounds) and incumbent seeding from all singletons
 and pairs, scored a block of rows at a time, also run in numpy. Found
 subsets are re-scored in ascending candidate order, so the decision order
 changes no reported bit. The same search, scored on ``eps`` alone and
-ranked on ``(eps, a)``, gives the strictly hierarchical solution; an
-independent full-enumeration oracle is provided for cross-checking.
+ranked on ``(eps, a)``, gives the strictly hierarchical solution.
 """
 
 from __future__ import annotations
@@ -47,13 +46,12 @@ import numpy as np
 
 from .config import DEFAULT_M2, DEFAULT_PSI
 from .dataset import Dataset
-from .errors import EmptyInput, NoCandidates, NonFiniteResult, OracleTooLarge
+from .errors import EmptyInput, NoCandidates, NonFiniteResult
 
 logger = logging.getLogger(__name__)
 
 DELTA_PRECISION = 1e-9
 
-_ORACLE_MAX = 20
 # most states of one problem that _search expands in one step; a problem's
 # wider frontier is split into chunks searched depth-first, which bounds
 # memory but not the pool size
@@ -131,8 +129,7 @@ class MatchSolution:
     ``selected`` holds positions into the problem's candidate arrays, in
     ascending order; ``selected_ids`` the corresponding original indices.
     ``objective == a + m2 * epsilon`` by construction. ``nodes`` counts the
-    problem's own frontier states expanded (the subsets scored, for the
-    brute-force oracle).
+    problem's own frontier states expanded.
     """
 
     selected: tuple[int, ...]
@@ -179,11 +176,6 @@ class CandidatePool:
     weights: np.ndarray
     screen_columns: np.ndarray
     screen: np.ndarray
-
-    @property
-    def features(self) -> np.ndarray:
-        """The leaf's rows (row-major, in leaf order), as a new array."""
-        return self.x[self.rows]
 
 
 def candidate_pool(control: Dataset, leaf_indices: np.ndarray, weights: np.ndarray) -> CandidatePool:
@@ -299,12 +291,6 @@ def _deviations(prob: MatchProblem) -> tuple[np.ndarray, np.ndarray]:
     candidate's largest absolute one."""
     d = prob.weights * (prob.candidate_features - prob.treated_features)
     return d, np.abs(d).max(axis=1)
-
-
-def _prep(prob: MatchProblem) -> tuple[list[list[float]], list[float], list[int], int, int]:
-    d, dev = _deviations(prob)
-    n, p = d.shape
-    return d.tolist(), dev.tolist(), prob.candidate_ids.tolist(), n, p
 
 
 def _evaluate(delta: list[list[float]], dev: list[float], sel: tuple[int, ...]) -> tuple[float, float]:
@@ -674,43 +660,6 @@ def solve_match(
         for prob, (inc, nodes) in zip(group, results):
             out.append(_solution(prob, inc, nodes))
     return out
-
-
-def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
-    """Independent oracle: evaluate every non-empty subset.
-
-    A vectorized screen finds the near-optimal band, which is then re-scored
-    with the shared exact evaluation so results agree bit-for-bit with
-    :func:`solve_match`. Limited to 20 candidates.
-
-    Raises:
-        OracleTooLarge: for more than 20 candidates.
-    """
-    n = prob.n_candidates
-    if n > _ORACLE_MAX:
-        raise OracleTooLarge(f"oracle enumerates at most 2^{_ORACLE_MAX} subsets (got n={n})")
-    delta, dev, ids, _, _ = _prep(prob)
-    m2 = prob.m2
-
-    delta_np = np.asarray(delta, dtype=np.float64)
-    dev_np = np.asarray(dev, dtype=np.float64)
-    shifts = np.arange(n, dtype=np.uint32)
-    masks = np.arange(1, 1 << n, dtype=np.uint32)
-    # every mask's score, at most 8 MB for n = 20, formed a chunk at a time
-    vals = np.empty(masks.size)
-    chunk = 1 << 14
-    for start in range(0, masks.size, chunk):
-        bits = ((masks[start:start + chunk, None] >> shifts) & 1).astype(np.float64)
-        eps = np.abs(bits @ delta_np).max(axis=1)
-        a = (bits * dev_np).max(axis=1)
-        vals[start:start + chunk] = a + m2 * eps
-
-    best_v = float(vals.min())
-    margin = 1e-9 * (1.0 + abs(best_v))
-    inc = _Incumbent(_by_objective(m2), delta, dev, ids)
-    for mask in masks[vals <= best_v + margin].tolist():
-        inc.offer(tuple(i for i in range(n) if (mask >> i) & 1))
-    return _solution(prob, inc, masks.size)
 
 
 def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyInput, InsufficientDegreesOfFreedom
+from .errors import EmptyInput
 
 logger = logging.getLogger(__name__)
 
@@ -116,7 +116,7 @@ def _fit_design(design: np.ndarray, y: np.ndarray) -> LinearFit:
         centered = ys - math.ldexp(mean, e)
         ssr, sst = float(resid @ resid), float(centered @ centered)
     r2 = 1.0 if sst == 0.0 else 1.0 - ssr / sst
-    r2a = adjusted_r2(r2, n, p) if n > p + 1 else None
+    r2a = 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1) if n > p + 1 else None
     coef = np.asarray(beta[1:], dtype=np.float64)
     coef.setflags(write=False)
     return LinearFit(
@@ -139,17 +139,6 @@ def _solve(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
         logger.warning("lstsq failed to converge; falling back to ridge-regularized normal equations")
         gram = design.T @ design + _RIDGE * np.eye(design.shape[1])
         return np.linalg.solve(gram, design.T @ y), True
-
-
-def adjusted_r2(r2: float, n: int, p: int) -> float:
-    """Adjusted R-squared: ``1 - (1 - r2) * (n - 1) / (n - p - 1)``.
-
-    Raises:
-        InsufficientDegreesOfFreedom: when ``n <= p + 1``.
-    """
-    if n <= p + 1:
-        raise InsufficientDegreesOfFreedom(f"adjusted r2 needs n > p + 1 (got n={n}, p={p})")
-    return 1.0 - (1.0 - r2) * (n - 1) / (n - p - 1)
 
 
 def feature_weights(d: Dataset) -> np.ndarray:

@@ -77,33 +77,19 @@ class TreeModel:
         return [nd for nd in self.nodes if nd.is_leaf]
 
 
-def best_split(x: np.ndarray, y: np.ndarray) -> SplitCandidate | None:
-    """The deviation-reduction-maximizing split over all features and values.
-
-    Candidate rules are ``x_j <= s`` for every unique value ``s`` of every
-    feature, skipping each feature's maximum (which would leave the right
-    side empty). Ties break toward the lower feature index, then the lower
-    threshold. Returns ``None`` when no feature admits a two-sided split.
-
-    Per feature, the scan walks the values in sorted order and evaluates all
-    thresholds from cumulative sums. This function sorts its own input;
-    :func:`build_tree` sorts each feature once at the root and hands every
-    child its parent's order filtered by membership, so a tree costs one
-    O(p n log n) sort plus O(p n) per node.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[0] < 2:
-        return None
-    return _scan(x, y, range(x.shape[1]), np.argsort(x, axis=0, kind="stable").T, _std(y))
-
-
 @np.errstate(over="ignore")  # an overflowing sum of squares is redone below
 def _scan(x: np.ndarray, y: np.ndarray, features: range, orders: np.ndarray,
           sd_parent: float) -> SplitCandidate | None:
-    """:func:`best_split` over the ascending ``features``, where ``orders[k]``
-    lists one node's rows by ascending ``x[:, features[k]]``, ties in
-    ascending row order, and ``sd_parent`` is the node's outcome deviation."""
+    """The deviation-reduction-maximizing split of one node over the
+    ascending ``features``, where ``orders[k]`` lists the node's rows by
+    ascending ``x[:, features[k]]``, ties in ascending row order, and
+    ``sd_parent`` is the node's outcome deviation.
+
+    Candidate rules are ``x_j <= s`` for every unique value ``s`` of a
+    feature but its maximum, which would leave the right side empty. Each
+    feature's thresholds are evaluated from cumulative sums along its order.
+    Ties break toward the lower feature index, then the lower threshold.
+    Returns ``None`` when no feature admits a two-sided split."""
     best: SplitCandidate | None = None
     for j, order in zip(features, orders):
         xs = x[order, j]

@@ -19,6 +19,8 @@ import stratamatch as sm
 from stratamatch.dataset import Dataset, _frozen, normalize_min_max
 from stratamatch.estimation import StratumOutcome
 
+from oracles import solve_match_bruteforce
+
 
 def _verdict(num, desc, ok, detail=""):
     state = "PASS" if ok else "FAIL"
@@ -64,7 +66,7 @@ def test_criterion_01_worked_example():
         weights=np.array([1.0]),
     )
     sol = sm.solve_match(prob)
-    bf = sm.solve_match_bruteforce(prob)
+    bf = solve_match_bruteforce(prob)
     lex = sm.solve_match_lexicographic(prob)
     exact = (
         sol.selected == (1, 3)
@@ -107,7 +109,7 @@ def test_criterion_03_oracle_equivalence_500(instances500):
     mismatches = 0
     for prob in instances500:
         a = sm.solve_match(prob)
-        b = sm.solve_match_bruteforce(prob)
+        b = solve_match_bruteforce(prob)
         if (
             a.objective != b.objective
             or abs(a.epsilon - b.epsilon) > 1e-9

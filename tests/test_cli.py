@@ -910,7 +910,8 @@ def test_balance_missing_audit_exit_3(tmp_path, data_csv):
     assert r.returncode == 3
 
 
-_MATCH = '{"treated_row": 0, "matched_rows": [1, 2]}'
+# rows 13 and 17 of data_csv are treated, rows 0, 1 and 2 controls
+_MATCH = '{"treated_row": 13, "matched_rows": [1, 2]}'
 
 
 @pytest.mark.parametrize("lines, parts", [
@@ -920,6 +921,10 @@ _MATCH = '{"treated_row": 0, "matched_rows": [1, 2]}'
     ([_MATCH, '{"matched_rows": [1]}'], ["line 2", "treated_row"]),
     ([_MATCH, '{"treated_row": 0, "matched_rows": ["x"]}'], ["line 2", "'x'"]),
     (['{"treated_row": 0, "skipped": "no candidates"}'], ["no matched control sets"]),
+    ([_MATCH, '{"treated_row": 0, "matched_rows": [1]}'], ["line 2", "treated_row 0",
+                                                          "control unit"]),
+    ([_MATCH, '{"treated_row": 17, "matched_rows": [1, 13]}'], ["line 2", "matched row 13",
+                                                                "treated unit"]),
 ])
 def test_balance_bad_audit_exit_3(tmp_path, data_csv, lines, parts):
     audit = tmp_path / "audit.jsonl"
@@ -930,6 +935,34 @@ def test_balance_bad_audit_exit_3(tmp_path, data_csv, lines, parts):
     )
     _assert_one_line_data_error(r, str(audit), *parts)
     assert not (tmp_path / "bal").exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    ("estimate", "file"), ("estimate", "file/sub"), ("balance", "file"), ("tree", "file"),
+    ("bench", "file"), ("gen", "dir"),
+])
+def test_unusable_out_exit_2(tmp_path, data_csv, command, out):
+    """An ``--out`` that names an existing file, a path under one or, for
+    ``gen``, a directory ends in one configuration error line."""
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    audit = tmp_path / "audit.jsonl"
+    audit.write_text(_MATCH + "\n")
+    io = ["--input", str(data_csv), "--treatment", "t", "--outcome", "y"]
+    argv = {
+        "estimate": io,
+        "balance": [*io, "--audit", str(audit)],
+        "tree": io,
+        "bench": ["--replications", "1", "--methods", "naive"],
+        "gen": ["--n-treated", "5", "--n-control", "20"],
+    }[command]
+    r = run_cli(command, *argv, "--out", str(tmp_path / out))
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    (line,) = [ln for ln in r.stderr.splitlines() if ln.startswith("ERROR")]
+    assert f"configuration error: cannot write --out {tmp_path / out}" in line
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert not any((tmp_path / "dir").iterdir())
 
 
 def test_tree_export(tmp_path, data_csv):

@@ -25,10 +25,11 @@ from stratamatch.estimation import (
     robust_att_1tok,
     robust_att_ktok,
 )
-from stratamatch.matching import candidate_pool, select_candidates, solve_match_bruteforce
+from stratamatch.matching import candidate_pool, select_candidates
 from stratamatch.regression import feature_weights
 
 from conftest import held_peak, toy_dataset
+from oracles import solve_match_bruteforce
 
 # five treated units (two successes), seven controls (two successes)
 BINARY_STRATUM = StratumOutcome(

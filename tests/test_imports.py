@@ -9,9 +9,11 @@ workers of the loader and of the match stage need only ``os.fork`` and
 ``pickle``, through the private ``stratamatch._fork``.
 """
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +126,26 @@ def test_only_the_match_form_loads_the_matcher_and_only_strategies_fractions(run
     assert not modules & _NO_POOLS
 
 
+# the package's public names, sorted: the pipeline's API and nothing the tests
+# alone call (their oracles live in tests/oracles.py)
+_PUBLIC = [
+    "AttReport", "AuditNotFound", "BalanceReport", "CandidatePool", "ConfigError", "Dataset",
+    "DgpSpec", "ESTIMATORS", "EmptyInput", "EstimationImpossible", "FeatureBalance",
+    "HierarchyBoundWarning", "IattRecord", "InvalidSample", "LinearFit", "MalformedInput",
+    "MatchProblem", "MatchSolution", "NamedColumnAbsent", "NoCandidates", "NonFiniteResult",
+    "PRESETS", "ParseFailure", "PipelineConfig", "PipelineFit", "PositivityViolation",
+    "StrataMatchError", "StrategyRequiresBinary", "StratumOutcome", "StudyResult", "TreeModel",
+    "TreeNode", "aggregate_att", "assign_leaf", "build_tree", "candidate_pool",
+    "compute_balance", "default_theta", "estimate_m5c_m", "estimate_m5c_mf", "estimate_naive",
+    "estimate_strategies", "export_rules", "feature_weights", "fit_pipeline", "generate",
+    "generate_hyb20var", "hierarchy_m2_bound", "load_dataset", "make_dataset",
+    "normalize_min_max", "ols_fit", "post_match_report", "pre_match_report", "robust_att_1to1",
+    "robust_att_1tok", "robust_att_ktok", "run_bias_study", "run_bootstrap_study",
+    "select_candidates", "should_split", "solve_match", "solve_match_lexicographic",
+    "split_by_treatment", "tree_to_dict",
+]
+
+
 def test_package_names_resolve_on_first_access():
     out = _python("""
 import json, sys
@@ -144,6 +166,23 @@ print(json.dumps({"bare": bare, "all": names, "star": sorted(n for n in star if 
                   "missing_raises": missing_raises}))
 """)
     assert out["bare"] == ["stratamatch", "stratamatch.errors"]
-    assert out["all"] == sorted(set(out["all"])) and len(out["all"]) == 70
+    assert out["all"] == _PUBLIC
     assert out["star"] == out["all"]
     assert out["home"] and out["dir"] and out["missing_raises"]
+
+
+def test_package_imports_no_test_module():
+    """No module of the package imports the tests or their oracles, so the
+    package runs without ``tests/`` on the path."""
+    src = Path(cli.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in {"tests", "oracles", "conftest"}, \
+                    f"{path.name}:{node.lineno} imports {name}"

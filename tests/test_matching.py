@@ -13,21 +13,19 @@ from stratamatch.errors import (
     EmptyInput,
     HierarchyBoundWarning,
     NoCandidates,
-    OracleTooLarge,
 )
 from stratamatch.matching import (
     MatchProblem,
     _evaluate,
-    _prep,
     candidate_pool,
     hierarchy_m2_bound,
     select_candidates,
     solve_match,
-    solve_match_bruteforce,
     solve_match_lexicographic,
 )
 
 from conftest import control_only, full_scan_shortlist, held_peak, solution_bits
+from oracles import OracleTooLarge, _prep, solve_match_bruteforce
 
 
 def _problem(treated, candidates, weights=None, **kw):
@@ -595,7 +593,7 @@ def test_pool_shares_the_control_rows_and_copies_only_its_screen():
     assert np.shares_memory(pool.x, control.x)
     assert not np.shares_memory(pool.screen, control.x)
     assert pool.screen.tobytes() == control.x[leaf][:, pool.screen_columns].T.tobytes()
-    assert pool.features.tobytes() == control.x[leaf].tobytes()
+    assert pool.x[pool.rows].tobytes() == control.x[leaf].tobytes()
     # the screen's 5 columns and the ids, one column's gather beside them,
     # and no copy of the leaf's 20 columns
     assert peak < pool.screen.nbytes + pool.ids.nbytes + control.x[leaf].nbytes / 5

@@ -15,16 +15,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from conftest import control_only, full_scan_shortlist, solution_bits  # noqa: E402
+from oracles import _prep, solve_match_bruteforce  # noqa: E402
 
 from stratamatch.dataset import Dataset, _frozen  # noqa: E402
 from stratamatch.matching import (  # noqa: E402
     MatchProblem,
     _evaluate,
-    _prep,
     candidate_pool,
     select_candidates,
     solve_match,
-    solve_match_bruteforce,
     solve_match_lexicographic,
 )
 
@@ -156,6 +155,6 @@ def test_pool_of_the_control_rows_equals_a_pool_of_a_copy_of_the_leaf(case):
     pool = candidate_pool(control, leaf, weights)
     copied = _copied_leaf_pool(control, leaf, weights)
     assert pool.screen.tobytes() == copied.screen.tobytes()
-    assert pool.features.tobytes() == copied.x.tobytes()
+    assert pool.x[pool.rows].tobytes() == copied.x.tobytes()
     assert _problem_bits(select_candidates(pool, treated, psi=psi)) == \
         _problem_bits(select_candidates(copied, treated, psi=psi))

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratamatch.errors import InsufficientDegreesOfFreedom
-from stratamatch.regression import _mean, _std, adjusted_r2, feature_weights, ols_fit
+from stratamatch.regression import _mean, _std, feature_weights, ols_fit
 
 from conftest import control_only
 
@@ -68,17 +67,29 @@ def test_predict_matches_manual():
 
 
 def test_adjusted_r2_known_value():
-    # 1 - (1 - 0.9) * 29 / 27
-    assert adjusted_r2(0.9, 30, 2) == pytest.approx(0.8925925925925926, abs=1e-12)
+    # R^2 = 3/4 on n = 3, p = 1: 1 - (1 - 3/4) * 2 / 1 = 1/2
+    fit = ols_fit(np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 1.0]))
+    assert fit.r2_adj == pytest.approx(0.5, abs=1e-12)
+    assert fit.r2_adj == 1.0 - (1.0 - fit.r2) * 2 / 1
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(30, 2))
+    fit = ols_fit(x, x @ np.array([1.0, -1.0]) + rng.normal(size=30))
+    assert fit.r2_adj == 1.0 - (1.0 - fit.r2) * 29 / 27
 
 
 def test_adjusted_r2_below_r2():
-    assert adjusted_r2(0.9, 30, 2) < 0.9
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(30, 2))
+    fit = ols_fit(x, x[:, 0] + rng.normal(size=30))
+    assert fit.r2 < 1.0
+    assert fit.r2_adj < fit.r2
 
 
 def test_adjusted_r2_needs_dof():
-    with pytest.raises(InsufficientDegreesOfFreedom):
-        adjusted_r2(0.9, 3, 2)
+    # n <= p + 1 leaves no residual degree of freedom
+    for n in (3, 2):
+        fit = ols_fit(np.arange(2.0 * n).reshape(n, 2), np.arange(float(n)))
+        assert fit.r2_adj is None
 
 
 def test_ols_small_n_has_no_adjusted():
@@ -104,8 +115,11 @@ def test_feature_weights_are_abs_coefficients():
 
 
 def test_adjusted_r2_perfect_fit_is_fixed_point():
-    assert adjusted_r2(1.0, 30, 2) == 1.0
-    assert adjusted_r2(1.0, 5, 1) == 1.0
+    # a constant outcome is a perfect fit by convention: R^2 is exactly 1
+    rng = np.random.default_rng(9)
+    for n, p in ((30, 2), (5, 1)):
+        fit = ols_fit(rng.normal(size=(n, p)), np.full(n, 2.5))
+        assert fit.r2 == fit.r2_adj == 1.0
 
 
 def test_std_dev_known_values():

@@ -12,7 +12,6 @@ from stratamatch.tree import (
     _fit,
     _presort,
     assign_leaf,
-    best_split,
     build_tree,
     default_theta,
     export_rules,
@@ -21,6 +20,7 @@ from stratamatch.tree import (
 )
 
 from conftest import control_only, held_peak
+from oracles import best_split
 
 
 def test_default_theta_floor():
