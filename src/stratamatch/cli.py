@@ -206,6 +206,21 @@ def _writing(args: argparse.Namespace):
         raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
 
 
+def _check_out(args: argparse.Namespace) -> None:
+    """Refuse, before any data is loaded or generated, an ``--out``
+    directory that could not be made: one that exists and is not a
+    directory, or whose first existing ancestor is not a directory.
+    Nothing is made here; the artifacts' writer makes ``--out``, and any
+    other failure to write there is still a configuration error (see
+    :func:`_writing`)."""
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"cannot write --out {args.out}: {path} is not a directory")
+            return
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -296,6 +311,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     method = args.method or extras.get("method") or "m5c-mf"
     if method not in ESTIMATORS:
         raise ConfigError(f"unknown method {method!r} (choose from {', '.join(sorted(ESTIMATORS))})")
+    _check_out(args)
     if args.dry_run:
         return _dry_run(args, args.input, detail=f": method={method} config={cfg.as_dict()}")
     t0 = time.perf_counter()
@@ -344,6 +360,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("no methods given")
     if args.study == "bootstrap" and args.treated_sample is None:
         raise ConfigError("bootstrap study needs --treated-sample")
+    _check_out(args)
     if args.dry_run:
         logger.info("dry run ok: %s study, preset=%s, methods=%s", args.study, args.preset, methods)
         return 0
@@ -370,15 +387,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, tuple[int, ...]]]:
     """``(treated row, matched control rows)`` of each audit record that
     holds a match; every row id must be an integer row of ``d``, the
-    treated row a treated unit and the matched rows control units."""
+    treated row a treated unit and the matched rows control units.
+
+    ``d`` is the dataset loaded from ``input_path``, so its row ids are its
+    positions: a row id is checked by its range and read by index."""
     import json
 
     try:
         lines = audit.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise AuditNotFound(f"cannot read audit log {audit}: {exc}") from None
-    known = set(d.rows().tolist())
-    treated = set(d.rows()[d.t == 1].tolist())
     matches = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -398,13 +416,13 @@ def _read_matches(audit: Path, d: Dataset, input_path: str) -> list[tuple[int, t
         for r in (rec["treated_row"], *rows):
             if isinstance(r, bool) or not isinstance(r, int):
                 raise AuditNotFound(f"{where}: row id {r!r} is not an integer")
-            if r not in known:
+            if not 0 <= r < d.n:
                 raise AuditNotFound(f"{where}: row {r} is not in {input_path}")
-        if rec["treated_row"] not in treated:
+        if not d.t[rec["treated_row"]]:
             raise AuditNotFound(f"{where}: treated_row {rec['treated_row']} is a control unit "
                                 f"of {input_path}")
         for r in rows:
-            if r in treated:
+            if d.t[r]:
                 raise AuditNotFound(f"{where}: matched row {r} is a treated unit of {input_path}")
         matches.append((rec["treated_row"], tuple(rows)))
     if not matches:
@@ -442,6 +460,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     from .tree import export_rules, tree_to_dict
 
     cfg, _ = _resolve_config(args)
+    _check_out(args)
     if args.dry_run:
         return _dry_run(args, args.input)
     fit = fit_pipeline(normalize_min_max(_load(args)), cfg)

@@ -25,13 +25,7 @@ import numpy as np
 from . import _fork
 from .config import PipelineConfig
 from .dataset import Dataset, _row_positions, normalize_min_max, split_by_treatment
-from .errors import (
-    EmptyInput,
-    EstimationImpossible,
-    NoCandidates,
-    NonFiniteResult,
-    StrategyRequiresBinary,
-)
+from .errors import EmptyInput, EstimationImpossible, NonFiniteResult, StrategyRequiresBinary
 from .regression import _mean, feature_weights
 from .tree import TreeModel, assign_leaf, build_tree
 
@@ -312,16 +306,19 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     controls by weighted distance become candidates, and :func:`solve_match`
     picks the subset whose mean outcome serves as the counterfactual. The
     shortlists and solves are split across forked processes (see
-    :func:`_match`); the split changes no reported bit. Units with
-    no usable candidates are skipped and reported; if all units are skipped,
-    estimation fails.
+    :func:`_match`); the split changes no reported bit. Every treated unit
+    is matched, none skipped: every leaf holds a control, since the root
+    holds them all and a split only cuts between two values of its rows.
+    Each leaf's pool is built once, and the problems are listed leaf by
+    leaf, the leaves in the order of their first treated unit.
 
     Through the tree and the match the run holds the control and treated
     copies, not ``d``: a dataset its caller did not keep is freed before the
     tree grows, as in :func:`fit_pipeline`.
 
     Raises:
-        EstimationImpossible: when no treated unit could be matched.
+        NonFiniteResult: when a feature weight or a reported number is
+            infinite or NaN.
     """
     from .matching import candidate_pool
 
@@ -333,18 +330,10 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     by_leaf: dict[int, list[int]] = {}
     for k, leaf_id in enumerate(fit.leaf_ids):
         by_leaf.setdefault(leaf_id, []).append(k)
-    skipped: list[SkipRecord] = []
-    matched: list[tuple[int, int]] = []  # (leaf, treated position) per problem
-    pools = {}
-    for leaf_id, units in by_leaf.items():
-        try:
-            pools[leaf_id] = candidate_pool(control, fit.tree.node(leaf_id).control_indices,
-                                            fit.weights)
-        except NoCandidates:
-            skipped.extend(SkipRecord(treated_row=int(treated.rows()[k]), reason="no_candidates")
-                           for k in units)
-            continue
-        matched.extend((leaf_id, k) for k in units)
+    pools = {leaf_id: candidate_pool(control, fit.tree.node(leaf_id).control_indices, fit.weights)
+             for leaf_id in by_leaf}
+    # (leaf, treated position) per problem
+    matched = [(leaf_id, k) for leaf_id, units in by_leaf.items() for k in units]
     solutions = _match(pools, matched, treated.x, cfg.psi, cfg.m2)
     del pools
     pos = _row_positions(control.rows(), [r for sol in solutions for r in sol.selected_ids])
@@ -362,7 +351,7 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
             objective=sol.objective,
             nodes=sol.nodes,
         ))
-    return _finish("m5c-mf", records, skipped, treated.n, control.n, control.feature_names,
+    return _finish("m5c-mf", records, [], treated.n, control.n, control.feature_names,
                    tree=fit.tree)
 
 
@@ -387,7 +376,7 @@ def estimate_m5c_m(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     for k, leaf_id in enumerate(fit.leaf_ids):
         row = int(treated.rows()[k])
         model = fit.tree.node(leaf_id).leaf_model
-        if model is None or model.r2_adj is None:
+        if model.r2_adj is None:
             skipped.append(SkipRecord(treated_row=row, reason="leaf_fit_undefined"))
             continue
         pred = float(model.predict(treated.x[k]))

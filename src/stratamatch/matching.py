@@ -306,8 +306,9 @@ def _evaluate(delta: list[list[float]], dev: list[float], sel: tuple[int, ...]) 
 
 class _Incumbent:
     """The best subset offered so far. Each offered subset is scored through
-    :func:`_evaluate` and ranked by ``rank(eps, a, sorted original ids)``;
-    the first of equally ranked subsets is kept."""
+    :func:`_evaluate` and ranked by ``rank(eps, a, sorted original ids)``,
+    which :func:`_search` derives from its score; the first of equally
+    ranked subsets is kept."""
 
     def __init__(self, rank, delta: list[list[float]], dev: list[float], ids: list[int]):
         self.rank, self.delta, self.dev, self.ids = rank, delta, dev, ids
@@ -320,11 +321,6 @@ class _Incumbent:
         key = self.rank(eps, a, tuple(sorted(self.ids[i] for i in sel)))
         if self.key is None or key < self.key:
             self.sel, self.eps, self.a, self.key = sel, eps, a, key
-
-
-def _by_objective(m2: float):
-    """Rank on ``a + m2 * eps``, then on the sorted original ids."""
-    return lambda eps, a, ids: (a + m2 * eps, ids)
 
 
 def _solution(prob: MatchProblem, inc: _Incumbent, nodes: int) -> MatchSolution:
@@ -457,17 +453,19 @@ def _rank_in_problem(g: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # a score past the float range is inf, which ranks last
-def _search(
-    probs: list[MatchProblem], wa: float, we: list[float], ranks: list
-) -> list[tuple[_Incumbent, int]]:
+def _search(probs: list[MatchProblem], wa: float, we: list[float]) -> list[tuple[_Incumbent, int]]:
     """Level-synchronous branch-and-bound on the score ``wa*a + we*eps``, for
-    several problems at once.
+    several problems at once; ``wa`` is 1 or 0, and ``we`` is given per
+    problem.
 
-    Returns, per problem, the incumbent under its ``rank`` and the frontier
-    states expanded. ``we`` and ``rank`` are given per problem; each
-    ``rank`` orders subsets by the score first. The search is exhaustive:
-    it ends only when every state is expanded or pruned, so the incumbent is
-    the optimum under ``rank``.
+    Returns, per problem, its incumbent and the frontier states expanded.
+    The incumbent ranks subsets by the score, then by the sorted original
+    ids: with ``wa = 1`` on ``(a + we*eps, ids)``, the objective of
+    :func:`solve_match`; with ``wa = 0``, where ``a`` does not enter the
+    score, on ``(eps, a, ids)``, the hierarchy of
+    :func:`solve_match_lexicographic`. The search is exhaustive: it ends
+    only when every state is expanded or pruned, so the incumbent is the
+    optimum under that ranking.
 
     Each problem decides its candidates in descending order of the sum of
     their absolute weighted deviations (stable, so ties keep the lower
@@ -493,7 +491,7 @@ def _search(
     its margin covers the rounding of the bound and of the decision order
     (see :func:`_rounding_slack`). Subsets scoring within the margin of the
     best are mapped back to their candidate positions, sorted, re-scored
-    through :func:`_evaluate` and offered under ``rank`` at the end, so the
+    through :func:`_evaluate` and offered to the incumbent at the end, so the
     reported ``eps`` and ``a`` add in ascending position order whatever the
     decision order.
 
@@ -527,7 +525,9 @@ def _search(
         shift = _scale_shift(dv, wa + we[g])
         if shift:
             d, dv = np.ldexp(d, shift), np.ldexp(dv, shift)
-        inc = _Incumbent(ranks[g], d.tolist(), dv.tolist(), prob.candidate_ids.tolist())
+        rank = ((lambda eps, a, ids, m2=float(we[g]): (a + m2 * eps, ids)) if wa
+                else (lambda eps, a, ids: (eps, a, ids)))
+        inc = _Incumbent(rank, d.tolist(), dv.tolist(), prob.candidate_ids.tolist())
         _seed_incumbent(d, dv, wa, float(we[g]), inc.offer)
         order = np.argsort(-np.abs(d).sum(axis=1), kind="stable")
         dpad[g, :d.shape[0], :d.shape[1]] = d[order]
@@ -655,8 +655,7 @@ def solve_match(
     out = []
     for start in range(0, len(probs), _BATCH):
         group = probs[start:start + _BATCH]
-        results = _search(group, 1.0, [prob.m2 for prob in group],
-                          [_by_objective(prob.m2) for prob in group])
+        results = _search(group, 1.0, [prob.m2 for prob in group])
         for prob, (inc, nodes) in zip(group, results):
             out.append(_solution(prob, inc, nodes))
     return out
@@ -676,5 +675,5 @@ def solve_match_lexicographic(prob: MatchProblem) -> MatchSolution:
     :func:`solve_match` approximates; with ``m2`` above
     :func:`hierarchy_m2_bound` the two agree on ``eps``.
     """
-    [(inc, nodes)] = _search([prob], 0.0, [1.0], [lambda eps, a, ids: (eps, a, ids)])
+    [(inc, nodes)] = _search([prob], 0.0, [1.0])
     return _solution(prob, inc, nodes)

@@ -13,7 +13,6 @@ import numpy as np
 from stratamatch.matching import (
     MatchProblem,
     MatchSolution,
-    _by_objective,
     _deviations,
     _Incumbent,
     _solution,
@@ -66,7 +65,7 @@ def solve_match_bruteforce(prob: MatchProblem) -> MatchSolution:
 
     best_v = float(vals.min())
     margin = 1e-9 * (1.0 + abs(best_v))
-    inc = _Incumbent(_by_objective(m2), delta, dev, ids)
+    inc = _Incumbent(lambda eps, a, ids: (a + m2 * eps, ids), delta, dev, ids)
     for mask in masks[vals <= best_v + margin].tolist():
         inc.offer(tuple(i for i in range(n) if (mask >> i) & 1))
     return _solution(prob, inc, masks.size)

@@ -943,7 +943,9 @@ def test_balance_bad_audit_exit_3(tmp_path, data_csv, lines, parts):
 ])
 def test_unusable_out_exit_2(tmp_path, data_csv, command, out):
     """An ``--out`` that names an existing file, a path under one or, for
-    ``gen``, a directory ends in one configuration error line."""
+    ``gen``, a directory ends in one configuration error line; ``estimate``,
+    ``tree`` and ``bench`` end before they read any input or run any
+    replication."""
     (tmp_path / "file").write_text("kept\n")
     (tmp_path / "dir").mkdir()
     audit = tmp_path / "audit.jsonl"
@@ -961,6 +963,9 @@ def test_unusable_out_exit_2(tmp_path, data_csv, command, out):
     assert "Traceback" not in r.stderr
     (line,) = [ln for ln in r.stderr.splitlines() if ln.startswith("ERROR")]
     assert f"configuration error: cannot write --out {tmp_path / out}" in line
+    if command in ("estimate", "tree", "bench"):
+        assert not [ln for ln in r.stderr.splitlines()
+                    if ln.startswith("INFO") and ("loaded" in ln or "replication" in ln)]
     assert (tmp_path / "file").read_text() == "kept\n"
     assert not any((tmp_path / "dir").iterdir())
 

@@ -21,6 +21,7 @@ from stratamatch.tree import (
 
 from conftest import control_only, held_peak
 from oracles import best_split
+from tree_tables import trees
 
 
 def test_default_theta_floor():
@@ -377,6 +378,26 @@ def test_presorted_tree_equals_a_fresh_sort_at_every_node(control, lambda_, thet
     for a, b in zip(got.nodes, want.nodes):
         assert a.control_indices.dtype == b.control_indices.dtype
         assert a.control_indices.tobytes() == b.control_indices.tobytes()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(trees())
+def test_every_leaf_holds_a_control_and_a_fit_and_every_split_partitions_its_rows(case):
+    # the match form builds a candidate pool in every leaf a treated unit
+    # reaches, and the model form predicts from every leaf's fit
+    control, lambda_, theta, max_depth = case
+    model = build_tree(control, lambda_, theta, max_depth)
+    assert np.array_equal(model.node(model.root).control_indices, np.arange(control.n))
+    for node in model.nodes:
+        rows = node.control_indices
+        if node.is_leaf:
+            assert rows.size >= 1
+            assert isinstance(node.leaf_model, LinearFit)
+            continue
+        f, s = node.split
+        left, right = model.node(node.left).control_indices, model.node(node.right).control_indices
+        assert np.array_equal(np.sort(np.concatenate((left, right))), np.sort(rows))
+        assert np.all(control.x[left, f] <= s) and np.all(control.x[right, f] > s)
 
 
 def test_build_tree_sorts_each_feature_once(monkeypatch):

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 
 from conftest import (  # noqa: E402
     control_only,
@@ -33,6 +33,7 @@ from conftest import (  # noqa: E402
 )
 from stratamatch import _fork, dataset, tree  # noqa: E402
 from stratamatch.tree import SplitCandidate, _best, build_tree  # noqa: E402
+from tree_tables import trees  # noqa: E402
 
 CUTOFF = 4 * dataset._CHUNK_ROWS  # the fewest controls that grow in two processes
 
@@ -220,32 +221,6 @@ def test_the_merge_keeps_the_serial_scans_choice():
 # ---------------------------------------------------------------------------
 # the tree of every process count against the serial builder's, on small
 # tables with ties, two-valued, constant and repeated columns
-
-
-@st.composite
-def trees(draw):
-    """A control set, and the ``lambda_``, ``theta`` and ``max_depth`` to
-    grow it with."""
-    p = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 3 * (p + 2)))
-    value = st.floats(-4, 4, allow_nan=False, width=16)
-    cols = []
-    for j in range(p):
-        kind = draw(st.sampled_from(["floats", "ties", "two", "constant", "repeat"]))
-        if kind == "repeat" and cols:
-            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
-        elif kind == "two":
-            cols.append(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
-        elif kind == "constant":
-            cols.append([draw(value)] * n)
-        else:
-            pool = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) if kind == "ties" else value
-            cols.append(draw(st.lists(pool, min_size=n, max_size=n)))
-    y = draw(st.lists(value, min_size=n, max_size=n))
-    lambda_ = draw(st.sampled_from([-1.0, 0.0, 0.1]))
-    theta = draw(st.sampled_from([2, 30]))
-    max_depth = draw(st.integers(0, 2))
-    return control_only(np.array(cols, dtype=np.float64).T, y), lambda_, theta, max_depth
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)

@@ -1,0 +1,35 @@
+"""The table space of the tree property tests: small control sets with
+continuous, tied, two-valued, constant and repeated columns, and the
+settings to grow them with. Test modules import it as ``from tree_tables
+import trees``, as they import ``conftest``."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+from conftest import control_only
+
+
+@st.composite
+def trees(draw):
+    """A control set, and the ``lambda_``, ``theta`` and ``max_depth`` to
+    grow it with."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 * (p + 2)))
+    value = st.floats(-4, 4, allow_nan=False, width=16)
+    cols = []
+    for j in range(p):
+        kind = draw(st.sampled_from(["floats", "ties", "two", "constant", "repeat"]))
+        if kind == "repeat" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))])
+        elif kind == "two":
+            cols.append(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+        elif kind == "constant":
+            cols.append([draw(value)] * n)
+        else:
+            pool = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) if kind == "ties" else value
+            cols.append(draw(st.lists(pool, min_size=n, max_size=n)))
+    y = draw(st.lists(value, min_size=n, max_size=n))
+    lambda_ = draw(st.sampled_from([-1.0, 0.0, 0.1]))
+    theta = draw(st.sampled_from([2, 30]))
+    max_depth = draw(st.integers(0, 2))
+    return control_only(np.array(cols, dtype=np.float64).T, y), lambda_, theta, max_depth
