@@ -12,6 +12,7 @@ import csv
 import logging
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,48 +170,51 @@ def _summarize(records: list[ReplicationRecord], methods: list[str], with_bias: 
     return tuple(out)
 
 
-def _check_methods(methods: list[str]) -> None:
+def _check(methods: list[str], replications: int) -> None:
     unknown = [m for m in methods if m not in ESTIMATORS]
     if unknown:
         raise ConfigError(f"unknown method(s): {', '.join(unknown)}")
+    if replications < 1:
+        raise ConfigError("replications must be at least 1")
 
 
-def _rep_seeds(base_seed: int, replications: int) -> list[int]:
-    ss = np.random.SeedSequence(base_seed)
-    return [int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(replications)]
-
-
-def _run_methods(
-    d: Dataset,
-    methods: list[str],
-    cfg: PipelineConfig,
-    rep: int,
-    rep_seed: int,
-    true_att: float | None,
-) -> list[ReplicationRecord]:
-    """Time each method once on ``d``. A failure is recorded with its error,
-    never raised; the bias is left out when ``true_att`` is unknown."""
-    records = []
-    for m in methods:
-        t0 = time.perf_counter()
-        try:
-            est = float(ESTIMATORS[m](d, cfg).att)
-            err = None
-        except Exception as exc:  # noqa: BLE001  (recorded, not fatal)
-            est, err = None, f"{type(exc).__name__}: {exc}"
-            logger.warning("replication %d, method %s failed: %s", rep, m, err)
-        records.append(
-            ReplicationRecord(
-                replication=rep,
-                seed=rep_seed,
-                method=m,
-                estimate=est,
-                bias=None if est is None or true_att is None else est - true_att,
-                runtime_s=time.perf_counter() - t0,
-                error=err,
+def _study(kind: str, methods: list[str], replications: int, seed: int, true_att: float | None,
+           cfg: PipelineConfig | None, draw: Callable[[int], Dataset]) -> StudyResult:
+    """Time each method once on ``draw(rep_seed)``, for each replication's
+    seed derived from ``seed``. A failure is recorded with its error, never
+    raised; the bias is left out when ``true_att`` is unknown."""
+    cfg = cfg or PipelineConfig()
+    records: list[ReplicationRecord] = []
+    for rep, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
+        rep_seed = int(child.generate_state(1, dtype=np.uint64)[0])
+        d = draw(rep_seed)
+        for m in methods:
+            t0 = time.perf_counter()
+            try:
+                est = float(ESTIMATORS[m](d, cfg).att)
+                err = None
+            except Exception as exc:  # noqa: BLE001  (recorded, not fatal)
+                est, err = None, f"{type(exc).__name__}: {exc}"
+                logger.warning("replication %d, method %s failed: %s", rep, m, err)
+            records.append(
+                ReplicationRecord(
+                    replication=rep,
+                    seed=rep_seed,
+                    method=m,
+                    estimate=est,
+                    bias=None if est is None or true_att is None else est - true_att,
+                    runtime_s=time.perf_counter() - t0,
+                    error=err,
+                )
             )
-        )
-    return records
+        logger.info("%s study: replication %d/%d done", kind, rep + 1, replications)
+    return StudyResult(
+        kind=kind,
+        replications=replications,
+        true_att=true_att,
+        records=tuple(records),
+        summaries=_summarize(records, methods, with_bias=true_att is not None),
+    )
 
 
 def run_bias_study(
@@ -225,22 +229,9 @@ def run_bias_study(
     regenerated standalone). A method failing on a replication is recorded
     with its error and excluded from that method's summary, never fatal.
     """
-    _check_methods(methods)
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
-    cfg = cfg or PipelineConfig()
-    records: list[ReplicationRecord] = []
-    for rep, rep_seed in enumerate(_rep_seeds(spec.seed, replications)):
-        d = generate(spec, seed=rep_seed)
-        records += _run_methods(d, methods, cfg, rep, rep_seed, spec.true_att)
-        logger.info("bias study: replication %d/%d done", rep + 1, replications)
-    return StudyResult(
-        kind="bias",
-        replications=replications,
-        true_att=spec.true_att,
-        records=tuple(records),
-        summaries=_summarize(records, methods, with_bias=True),
-    )
+    _check(methods, replications)
+    return _study("bias", methods, replications, spec.seed, spec.true_att, cfg,
+                  lambda rep_seed: generate(spec, seed=rep_seed))
 
 
 def run_bootstrap_study(
@@ -260,9 +251,7 @@ def run_bootstrap_study(
     Raises:
         InvalidSample: if ``treated_sample`` exceeds the treated count.
     """
-    _check_methods(methods)
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
+    _check(methods, replications)
     tpos = np.nonzero(d.t == 1)[0]
     if treated_sample > tpos.size:
         raise InvalidSample(
@@ -270,24 +259,15 @@ def run_bootstrap_study(
         )
     if treated_sample < 1:
         raise ConfigError("treated_sample must be at least 1")
-    cfg = cfg or PipelineConfig()
-    records: list[ReplicationRecord] = []
-    for rep, rep_seed in enumerate(_rep_seeds(seed, replications)):
-        rng = np.random.default_rng(rep_seed)
-        chosen = rng.choice(tpos, size=treated_sample, replace=False)
+
+    def draw(rep_seed: int) -> Dataset:
+        chosen = np.random.default_rng(rep_seed).choice(tpos, size=treated_sample, replace=False)
         mask = d.t == 0
         mask[chosen] = True
         idx = np.nonzero(mask)[0]
-        sub = make_dataset(d.t[idx], d.x[idx], d.y[idx], d.feature_names)
-        records += _run_methods(sub, methods, cfg, rep, rep_seed, None)
-        logger.info("bootstrap study: replication %d/%d done", rep + 1, replications)
-    return StudyResult(
-        kind="bootstrap",
-        replications=replications,
-        true_att=None,
-        records=tuple(records),
-        summaries=_summarize(records, methods, with_bias=False),
-    )
+        return make_dataset(d.t[idx], d.x[idx], d.y[idx], d.feature_names)
+
+    return _study("bootstrap", methods, replications, seed, None, cfg, draw)
 
 
 def write_records_csv(result: StudyResult, path: str | Path) -> None:

@@ -46,6 +46,7 @@ if TYPE_CHECKING:
     from .config import PipelineConfig
     from .dataset import Dataset
     from .estimation import AttReport
+    from .tree import TreeModel
 
 logger = logging.getLogger(__name__)
 
@@ -242,6 +243,14 @@ def _dump_json(obj: dict, path: Path) -> None:
     path.write_text(_json(obj, path, indent=2) + "\n")
 
 
+def _write_tree(tree: TreeModel, out: Path) -> None:
+    """``tree.json`` and ``tree_rules.txt`` of ``tree`` in ``out``."""
+    from .tree import export_rules, tree_to_dict
+
+    _dump_json(tree_to_dict(tree), out / "tree.json")
+    (out / "tree_rules.txt").write_text(export_rules(tree))
+
+
 def _by_field(records: tuple) -> list[dict]:
     """Each of ``records``, instances of one dataclass, as a dict by field:
     the ``dataclasses.asdict`` of a record whose fields hold numbers,
@@ -305,7 +314,6 @@ def _summary_text(report: AttReport, method: str) -> str:
 def cmd_estimate(args: argparse.Namespace) -> int:
     from .dataset import normalize_min_max
     from .estimation import ESTIMATORS
-    from .tree import export_rules, tree_to_dict
 
     cfg, extras = _resolve_config(args)
     method = args.method or extras.get("method") or "m5c-mf"
@@ -322,8 +330,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     with _writing(args):
         out = _out_dir(args)
         if report.tree is not None:
-            _dump_json(tree_to_dict(report.tree), out / "tree.json")
-            (out / "tree_rules.txt").write_text(export_rules(report.tree))
+            _write_tree(report.tree, out)
         iatt = _by_field(report.iatt)
         _write_audit(report, iatt, out / "audit.jsonl")
         (out / "summary.txt").write_text(_summary_text(report, method))
@@ -437,8 +444,11 @@ def cmd_balance(args: argparse.Namespace) -> int:
         return _dry_run(args, args.input, args.audit)
     d = _load(args)
     matches = _read_matches(Path(args.audit), d, args.input)
-    pre = pre_match_report(d, bins=args.bins)
-    post = post_match_report(d, matches, bins=args.bins)
+    try:
+        pre = pre_match_report(d, bins=args.bins)
+        post = post_match_report(d, matches, bins=args.bins)
+    except MemoryError:
+        raise ConfigError(f"--bins {args.bins}: too many histogram bins to allocate") from None
     # both texts are formed, and a non-finite number refused, before any file is written
     text = report_to_text(pre) + "\n" + report_to_text(post)
     blob = _json({"pre": report_to_dict(pre), "post": report_to_dict(post)},
@@ -457,7 +467,6 @@ def cmd_balance(args: argparse.Namespace) -> int:
 def cmd_tree(args: argparse.Namespace) -> int:
     from .dataset import normalize_min_max
     from .estimation import fit_pipeline
-    from .tree import export_rules, tree_to_dict
 
     cfg, _ = _resolve_config(args)
     _check_out(args)
@@ -466,10 +475,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
     fit = fit_pipeline(normalize_min_max(_load(args)), cfg)
     with _writing(args):
         out = _out_dir(args)
-        blob = tree_to_dict(fit.tree)
-        blob["feature_scaling"] = [list(pair) for pair in (fit.control.scaling or ())]
-        _dump_json(blob, out / "tree.json")
-        (out / "tree_rules.txt").write_text(export_rules(fit.tree))
+        _write_tree(fit.tree, out)
     logger.info("tree: %d leaves; artifacts in %s", len(fit.tree.leaves()), out)
     return 0
 
@@ -490,7 +496,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.dry_run:
         logger.info("dry run ok: preset=%s seed=%d", args.preset, args.seed)
         return 0
-    d = generate(spec, seed=args.seed)
+    try:
+        d = generate(spec, seed=args.seed)
+    except MemoryError:
+        raise ConfigError(f"--n-treated {spec.n_treated} --n-control {spec.n_control}: "
+                          "too many rows to allocate") from None
     out = Path(args.out)
     with _writing(args):
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -216,15 +216,16 @@ class PipelineFit:
 
     ``control`` and ``treated`` are the min-max normalized groups (both carry
     the scaling pairs), ``weights`` the global feature weights, ``tree`` the
-    control-only model tree, and ``leaf_ids[k]`` the leaf of treated unit
-    ``k``.
+    control-only model tree, and ``leaves`` maps each leaf that a treated
+    unit reaches to the positions in ``treated`` of its treated units, the
+    leaves in the order of their first unit.
     """
 
     control: Dataset
     treated: Dataset
     weights: np.ndarray
     tree: TreeModel
-    leaf_ids: tuple[int, ...]
+    leaves: dict[int, list[int]]
 
 
 def _normalize_and_split(d: Dataset, cfg: PipelineConfig
@@ -248,13 +249,10 @@ def _grow(control: Dataset, treated: Dataset, weights: np.ndarray,
           cfg: PipelineConfig) -> PipelineFit:
     """Grow the tree on ``control`` and route every unit of ``treated``."""
     tree = build_tree(control, cfg.lambda_, cfg.theta_for(control.p), cfg.max_depth)
-    return PipelineFit(
-        control=control,
-        treated=treated,
-        weights=weights,
-        tree=tree,
-        leaf_ids=tuple(assign_leaf(tree, x) for x in treated.x),
-    )
+    leaves: dict[int, list[int]] = {}
+    for k, x in enumerate(treated.x):
+        leaves.setdefault(assign_leaf(tree, x), []).append(k)
+    return PipelineFit(control=control, treated=treated, weights=weights, tree=tree, leaves=leaves)
 
 
 def fit_pipeline(d: Dataset, cfg: PipelineConfig) -> PipelineFit:
@@ -327,13 +325,10 @@ def estimate_m5c_mf(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     del d
     fit = _grow(*parts, cfg)
     control, treated = fit.control, fit.treated
-    by_leaf: dict[int, list[int]] = {}
-    for k, leaf_id in enumerate(fit.leaf_ids):
-        by_leaf.setdefault(leaf_id, []).append(k)
     pools = {leaf_id: candidate_pool(control, fit.tree.node(leaf_id).control_indices, fit.weights)
-             for leaf_id in by_leaf}
+             for leaf_id in fit.leaves}
     # (leaf, treated position) per problem
-    matched = [(leaf_id, k) for leaf_id, units in by_leaf.items() for k in units]
+    matched = [(leaf_id, k) for leaf_id, units in fit.leaves.items() for k in units]
     solutions = _match(pools, matched, treated.x, cfg.psi, cfg.m2)
     del pools
     pos = _row_positions(control.rows(), [r for sol in solutions for r in sol.selected_ids])
@@ -371,18 +366,17 @@ def estimate_m5c_m(d: Dataset, cfg: PipelineConfig | None = None) -> AttReport:
     del d
     fit = _grow(*parts, cfg)
     treated = fit.treated
+    rows = treated.rows()
     records: list[IattRecord] = []
     skipped: list[SkipRecord] = []
-    for k, leaf_id in enumerate(fit.leaf_ids):
-        row = int(treated.rows()[k])
+    for leaf_id, units in fit.leaves.items():
         model = fit.tree.node(leaf_id).leaf_model
         if model.r2_adj is None:
-            skipped.append(SkipRecord(treated_row=row, reason="leaf_fit_undefined"))
+            skipped += [SkipRecord(int(rows[k]), "leaf_fit_undefined") for k in units]
             continue
-        pred = float(model.predict(treated.x[k]))
-        records.append(
-            IattRecord(treated_row=row, leaf=leaf_id, iatt=float(treated.y[k]) - pred)
-        )
+        records += [IattRecord(treated_row=int(rows[k]), leaf=leaf_id,
+                               iatt=float(treated.y[k]) - float(model.predict(treated.x[k])))
+                    for k in units]
     return _finish("m5c-m", records, skipped, treated.n, fit.control.n,
                    fit.control.feature_names, tree=fit.tree)
 
@@ -416,14 +410,9 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
     del d
     fit = _grow(*parts, cfg)
     control, treated = fit.control, fit.treated
-    by_leaf: dict[int, list[int]] = {}
-    for k, leaf_id in enumerate(fit.leaf_ids):
-        by_leaf.setdefault(leaf_id, []).append(k)
-
     records: list[IattRecord] = []
     strata: list[dict] = []
-    for leaf_id in sorted(by_leaf):
-        units = by_leaf[leaf_id]
+    for leaf_id, units in sorted(fit.leaves.items()):
         yc = control.y[fit.tree.node(leaf_id).control_indices]
         s = StratumOutcome(treated=treated.y[units], control=yc, stratum_id=leaf_id)
         cbar = _mean(yc)

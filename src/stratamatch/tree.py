@@ -61,7 +61,9 @@ class TreeNode:
 
 @dataclass
 class TreeModel:
-    """Node arena plus the hyperparameters the tree was grown with."""
+    """Node arena plus the hyperparameters the tree was grown with, and the
+    ``scaling`` of the control set it was grown on (``None`` when that set
+    was not normalized), which maps its thresholds back to raw units."""
 
     nodes: list[TreeNode]
     root: int
@@ -69,6 +71,7 @@ class TreeModel:
     theta: int
     p: int
     feature_names: tuple[str, ...] = field(default_factory=tuple)
+    scaling: tuple[tuple[float, float], ...] | None = None
 
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
@@ -223,6 +226,7 @@ def build_tree(
         theta=theta,
         p=p,
         feature_names=control.feature_names,
+        scaling=control.scaling,
     )
     logger.info(
         "tree built: %d nodes, %d leaves, depth<=%d",
@@ -395,7 +399,9 @@ def export_rules(tree: TreeModel) -> str:
 
 
 def tree_to_dict(tree: TreeModel) -> dict:
-    """Machine-readable nested dump of the whole tree."""
+    """Machine-readable nested dump of the whole tree; ``feature_scaling``
+    holds the per-feature ``(min, max)`` pairs of the tree's ``scaling``,
+    none for a tree grown on an unnormalized control set."""
     names = tree.feature_names or tuple(f"f{j}" for j in range(tree.p))
 
     def walk(node_id: int) -> dict:
@@ -427,4 +433,5 @@ def tree_to_dict(tree: TreeModel) -> dict:
         "theta": tree.theta,
         "p": tree.p,
         "root": walk(tree.root),
+        "feature_scaling": [list(pair) for pair in (tree.scaling or ())],
     }

@@ -9,6 +9,30 @@ from stratamatch.dataset import Dataset, _frozen, make_dataset
 from stratamatch.regression import _std, ols_fit
 from stratamatch.tree import TreeNode, _presort, _scan, should_split
 
+# modules that hold property tests beside plain ones import ``given``,
+# ``settings`` and ``st`` from here: without hypothesis, their property tests
+# are skipped and the rest run
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    class _Strategies:
+        """Stands in for ``hypothesis.strategies`` and every strategy built
+        from it: any attribute or call gives the stand-in again."""
+
+        def __getattr__(self, name):
+            return self
+
+        def __call__(self, *args, **kwargs):
+            return self
+
+    st = _Strategies()
+
+    def settings(*args, **kwargs):
+        return lambda test: test
+
+    def given(*args, **kwargs):
+        return pytest.mark.skip(reason="property test: hypothesis is not installed")
+
 # the CLI tests start ``python -m stratamatch`` in child processes; point them
 # at this checkout's sources, as pytest's ``pythonpath`` setting does in-process
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -178,6 +202,18 @@ def toy_dataset(seed: int = 0, n_treated: int = 8, n_control: int = 60, p: int =
     y = base + t * 1.0 + rng.normal(0, 0.05, n)
     names = tuple(f"x{j + 1}" for j in range(p))
     return make_dataset(t, x, y, names)
+
+
+def partly_skipped() -> Dataset:
+    """One feature, 52 controls and 2 treated units, on which ``m5c-m``
+    skips one unit: the controls lie on ``y = x`` over [0, 0.9] but for two
+    outliers at x = 0.99 and 1.0, which the root splits off into a leaf too
+    small for a fit. Treated row 52 (x = 0.5, y = 2.5) has an effect of 2;
+    treated row 53 (x = 1.0) lands in the small leaf."""
+    line = np.linspace(0.0, 0.9, 50)
+    x = np.concatenate([line, [0.99, 1.0], [0.5, 1.0]])
+    y = np.concatenate([line, [100.0, 101.0], [2.5, 103.0]])
+    return make_dataset(np.array([0] * 52 + [1, 1]), x[:, None], y, ("x",))
 
 
 @pytest.fixture

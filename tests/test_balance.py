@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stratamatch.balance import (
     _sorted_counts,
@@ -16,7 +15,7 @@ from stratamatch.balance import (
 )
 from stratamatch.errors import NonFiniteResult
 
-from conftest import toy_dataset
+from conftest import given, settings, st, toy_dataset
 
 
 def _row(treated, control, control_weights=None):

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+
+from conftest import given, partly_skipped, settings, st
 
 
 def run_cli(*args, cwd=None):
@@ -106,6 +107,27 @@ def test_constant_outcome_estimate_is_certified(tmp_path):
     assert r.returncode == 0, r.stderr
     summary = (out / "summary.txt").read_text()
     assert "\nmatches       100\n" in summary
+
+
+def test_estimate_m5c_m_reports_a_partial_skip(tmp_path):
+    d = partly_skipped()
+    data = tmp_path / "skip.csv"
+    data.write_text("t,y,x\n" + "".join(f"{int(t)},{float(y)!r},{float(x)!r}\n"
+                                        for t, y, x in zip(d.t, d.y, d.x[:, 0])))
+    out = tmp_path / "run"
+    r = run_cli(
+        "estimate", "--input", str(data), "--treatment", "t", "--outcome", "y",
+        "--method", "m5c-m", "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    assert "WARNING stratamatch.estimation: m5c-m: skipped 1 of 2 treated units" in r.stderr
+    audit = [json.loads(line) for line in (out / "audit.jsonl").read_text().splitlines()]
+    assert [rec["treated_row"] for rec in audit] == [52, 53]
+    assert audit[1] == {"treated_row": 53, "skipped": "leaf_fit_undefined"}
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert (payload["n_used"], payload["n_skipped"]) == (1, 1)
+    summary = (out / "summary.txt").read_text()
+    assert "\ntreated used  1 of 2\nskipped       1\n" in summary
 
 
 def test_estimate_naive_skips_tree_artifacts(tmp_path, data_csv):
@@ -621,6 +643,25 @@ def test_bad_seed_or_bins_is_usage_error(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--bins", ["balance", "--bins", "100000000000"]),
+    ("--n-treated", ["gen", "--preset", "hyb20var", "--n-treated", "100000000000"]),
+    ("--n-control", ["gen", "--preset", "hyb20var", "--n-control", "100000000000"]),
+], ids=["bins", "n-treated", "n-control"])
+def test_a_size_too_large_to_allocate_is_a_configuration_error(tmp_path, data_csv, flag, argv):
+    # numpy refuses these sizes before it touches any memory
+    if argv[0] == "balance":
+        io = ["--input", str(data_csv), "--treatment", "t", "--outcome", "y"]
+        assert run_cli("estimate", *io, "--out", str(tmp_path / "run")).returncode == 0
+        argv = [*argv, *io, "--audit", str(tmp_path / "run" / "audit.jsonl")]
+    r = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert r.returncode == 2
+    errors = [line for line in r.stderr.splitlines() if line.startswith("ERROR")]
+    assert len(errors) == 1 and "configuration error" in errors[0] and flag in errors[0]
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_estimate_issues_no_warning(tmp_path, data_csv):
     from stratamatch import cli
 
@@ -980,6 +1021,20 @@ def test_tree_export(tmp_path, data_csv):
     blob = json.loads((out / "tree.json").read_text())
     assert "root" in blob and "feature_scaling" in blob
     assert (out / "tree_rules.txt").read_text().strip()
+
+
+@pytest.mark.parametrize("method", ["m5c-mf", "m5c-m", "strategies"])
+def test_estimate_writes_the_tree_files_that_tree_writes(tmp_path, data_csv, method):
+    # an estimate's thresholds are in normalized units; its tree.json carries
+    # the scaling that maps them back to raw units, as tree's does
+    from stratamatch import cli
+
+    io = ["--input", str(data_csv), "--treatment", "t", "--outcome", "y"]
+    assert cli.main(["tree", *io, "--out", str(tmp_path / "tree")]) == 0
+    assert cli.main(["estimate", *io, "--method", method, "--out", str(tmp_path / "est")]) == 0
+    for name in ("tree.json", "tree_rules.txt"):
+        assert (tmp_path / "est" / name).read_bytes() == (tmp_path / "tree" / name).read_bytes()
+    assert len(json.loads((tmp_path / "est" / "tree.json").read_text())["feature_scaling"]) == 20
 
 
 def test_bench_bias_artifacts(tmp_path):

@@ -13,6 +13,7 @@ from stratamatch.errors import (
 )
 from stratamatch.estimation import (
     ESTIMATORS,
+    SkipRecord,
     StratumOutcome,
     _normalize_and_split,
     aggregate_att,
@@ -28,7 +29,7 @@ from stratamatch.estimation import (
 from stratamatch.matching import candidate_pool, select_candidates
 from stratamatch.regression import feature_weights
 
-from conftest import held_peak, toy_dataset
+from conftest import held_peak, partly_skipped, toy_dataset
 from oracles import solve_match_bruteforce
 
 # five treated units (two successes), seven controls (two successes)
@@ -239,7 +240,7 @@ def test_constant_outcome_weights_are_zero_and_fall_back_once_per_pool(caplog):
     with caplog.at_level(logging.WARNING, logger="stratamatch.matching"):
         rep = estimate_m5c_mf(d, PipelineConfig())
     fallbacks = [r for r in caplog.records if "falling back to unit weights" in r.message]
-    assert len(fallbacks) == len(set(fit.leaf_ids)) < len(rep.iatt)
+    assert len(fallbacks) == len(fit.leaves) < len(rep.iatt)
     assert rep.att == 0.0
 
 
@@ -344,6 +345,17 @@ def test_m5c_m_skips_when_no_leaf_fit():
     d = make_dataset(t, x, y, ("a", "b"))
     with pytest.raises(EstimationImpossible):
         estimate_m5c_m(d, PipelineConfig())
+
+
+def test_m5c_m_skips_only_the_unit_whose_leaf_has_no_fit(caplog):
+    with caplog.at_level(logging.WARNING, logger="stratamatch.estimation"):
+        rep = estimate_m5c_m(partly_skipped(), PipelineConfig())
+    assert rep.skipped == (SkipRecord(treated_row=53, reason="leaf_fit_undefined"),)
+    assert [r.treated_row for r in rep.iatt] == [52]
+    assert rep.att == pytest.approx(2.0, abs=1e-12)
+    assert rep.tree.node(rep.iatt[0].leaf).n == 50
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["m5c-m: skipped 1 of 2 treated units"]
 
 
 def test_m5c_mf_still_works_on_tiny_control_pool():

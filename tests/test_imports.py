@@ -186,3 +186,23 @@ def test_package_imports_no_test_module():
             for name in names:
                 assert name.split(".")[0] not in {"tests", "oracles", "conftest"}, \
                     f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_test_modules_import_hypothesis_only_after_skipping_without_it():
+    """The suite runs without hypothesis: a test module imports it at its top
+    level only after ``pytest.importorskip("hypothesis")``; a module that
+    holds plain tests beside property tests takes ``given``, ``settings``
+    and ``st`` from ``conftest``, which skips only the property tests."""
+    tests = Path(__file__).parent
+    for path in sorted(tests.glob("*.py")):
+        skipped = False
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            skipped = skipped or ast.unparse(node) == "pytest.importorskip('hypothesis')"
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "hypothesis" for name in names):
+                assert skipped, f"{path.name}:{node.lineno} imports hypothesis"

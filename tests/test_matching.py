@@ -305,7 +305,7 @@ def test_scores_past_the_float_range_search_a_pinned_number_of_states():
                        PipelineConfig())
     probs = [select_candidates(candidate_pool(fit.control, fit.tree.node(leaf).control_indices,
                                               fit.weights), fit.treated.x[k])
-             for k, leaf in enumerate(fit.leaf_ids)]
+             for leaf, units in fit.leaves.items() for k in units]
     sols = solve_match(probs)
     assert sum(s.nodes for s in sols) == 598_230
     assert max(s.nodes for s in sols) == 83_183
@@ -407,10 +407,9 @@ def test_batched_solve_equals_unit_solves_on_desk_data():
     d = generate_hyb20var(seed=7, n_treated=100, n_control=4900)
     fit = fit_pipeline(d, PipelineConfig())
     probs = []
-    for leaf_id in sorted(set(fit.leaf_ids)):
+    for leaf_id, units in sorted(fit.leaves.items()):
         pool = candidate_pool(fit.control, fit.tree.node(leaf_id).control_indices, fit.weights)
-        probs += [select_candidates(pool, fit.treated.x[k])
-                  for k in np.flatnonzero(np.array(fit.leaf_ids) == leaf_id)]
+        probs += [select_candidates(pool, fit.treated.x[k]) for k in units]
     assert len(probs) == 100
     got = [solution_bits(sol) for sol in solve_match(probs)]
     assert got == [solution_bits(solve_match(prob)) for prob in probs]
@@ -575,10 +574,10 @@ def test_select_candidates_ties_at_cutoff_keep_lower_positions_in_order():
 def test_shortlist_equals_full_scan_on_desk_data(psi):
     d = generate_hyb20var(seed=7, n_treated=100, n_control=4900)
     fit = fit_pipeline(d, PipelineConfig())
-    for leaf_id in sorted(set(fit.leaf_ids)):
+    for leaf_id, units in fit.leaves.items():
         leaf = fit.tree.node(leaf_id).control_indices
         pool = candidate_pool(fit.control, leaf, fit.weights)
-        for k in np.flatnonzero(np.array(fit.leaf_ids) == leaf_id):
+        for k in units:
             got = select_candidates(pool, fit.treated.x[k], psi=psi)
             ids, feats = full_scan_shortlist(fit.control, leaf, fit.treated.x[k], fit.weights, psi)
             assert got.candidate_ids.tolist() == ids.tolist()

@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stratamatch.regression import _mean, _std, feature_weights, ols_fit
 
-from conftest import control_only
+from conftest import control_only, given, settings, st
 
 
 def test_ols_known_line():

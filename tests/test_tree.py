@@ -3,7 +3,6 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stratamatch.regression import LinearFit, ols_fit
 from stratamatch.tree import (
@@ -19,7 +18,7 @@ from stratamatch.tree import (
     tree_to_dict,
 )
 
-from conftest import control_only, held_peak
+from conftest import control_only, given, held_peak, settings, st
 from oracles import best_split
 from tree_tables import trees
 
@@ -398,6 +397,23 @@ def test_every_leaf_holds_a_control_and_a_fit_and_every_split_partitions_its_row
         left, right = model.node(node.left).control_indices, model.node(node.right).control_indices
         assert np.array_equal(np.sort(np.concatenate((left, right))), np.sort(rows))
         assert np.all(control.x[left, f] <= s) and np.all(control.x[right, f] > s)
+
+
+def test_the_tree_tables_grow_split_and_deep_trees():
+    # the tree property tests see real trees: in a derandomized sample of
+    # 150 tables, at least 30 split and at least 10 reach depth 2
+    pytest.importorskip("hypothesis")
+    depths = []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(trees())
+    def grow(case):
+        depths.append(max(nd.depth for nd in build_tree(*case).nodes))
+
+    grow()
+    assert len(depths) == 150
+    assert sum(d >= 1 for d in depths) >= 30
+    assert sum(d >= 2 for d in depths) >= 10
 
 
 def test_build_tree_sorts_each_feature_once(monkeypatch):
