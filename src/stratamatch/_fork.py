@@ -13,10 +13,13 @@ In a forked run every share runs with warnings raised as errors.
 A stage runs serially, as one share ``share(0, 1, ...)`` in this process,
 in two cases. It forks nothing below two shares, on one CPU, where
 ``os.fork`` or ``os.sched_getaffinity`` is missing, while another Python
-thread runs, and, for a stage whose shares call BLAS, while this process
-runs any native thread, such as the thread pool of a BLAS that runs on
-several threads (each process would then run such a pool, whose threads
-spin between calls and share the CPUs with every other process's work).
+thread runs, and, for a stage whose shares call BLAS, when this process
+ran any native thread at its first :func:`run`, such as the thread pool of
+a BLAS that runs on several threads (each process would then run such a
+pool, whose threads spin between calls and share the CPUs with every other
+process's work). That count is read once, before the first fork: a fork
+stops OpenBLAS's pool until its next call, so a count read after one could
+miss the pool that each forked process would then restart.
 And any failure of a forked run (a warning, an exception, a child that
 exits non-zero, ends its output early or sends a short payload) kills and
 reaps every child and reruns the stage serially under the caller's own
@@ -41,6 +44,8 @@ from typing import BinaryIO, TypeVar
 T = TypeVar("T")
 
 Exchange = Callable[[object], list]
+
+_first_threads: int | None = None  # this process's threads at its first run
 
 
 def _cpu_count() -> int:
@@ -98,7 +103,9 @@ def run(shares: int, share: Callable[[int, int, Exchange], T], blas: bool = Fals
     On ``KeyboardInterrupt`` (or any other ``BaseException`` that is not an
     ``Exception``) every child is killed and reaped, and it is re-raised.
     """
-    serial = threading.active_count() > 1 or (blas and _threads() > 1)
+    global _first_threads
+    _first_threads = _first_threads or _threads()
+    serial = threading.active_count() > 1 or (blas and _first_threads > 1)
     w = 1 if serial else min(_cpu_count(), shares)
     results = _forked(w, share) if w > 1 else None
     return results if results is not None else [share(0, 1, lambda obj: [obj])]

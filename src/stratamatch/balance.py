@@ -117,13 +117,13 @@ def _ks_sorted(ts: np.ndarray, cs: np.ndarray, ccum: np.ndarray) -> float:
     """KS distance of sorted treated values ``ts`` against sorted control
     values ``cs`` with cumulative mass ``ccum``.
 
-    The CDF gap changes only at a treated value or at the last of a run of
-    equal control values, so those points hold its maximum.
+    Between two treated values the treated CDF is flat and the control CDF
+    only rises, so the gap peaks at a treated value or just below one: the
+    CDFs are read there, with ``side="right"`` and ``side="left"``.
     """
-    ends = np.flatnonzero(np.append(cs[1:] != cs[:-1], True))
-    grid = np.concatenate([ts, cs[ends]])
-    ft = np.searchsorted(ts, grid, side="right") / ts.size
-    idx = np.concatenate([np.searchsorted(cs, ts, side="right"), ends + 1])
+    sides = ("right", "left")
+    ft = np.concatenate([np.searchsorted(ts, ts, side=s) for s in sides]) / ts.size
+    idx = np.concatenate([np.searchsorted(cs, ts, side=s) for s in sides])
     fc = np.where(idx > 0, ccum[np.maximum(idx - 1, 0)], 0.0) / ccum[-1]
     return float(np.max(np.abs(ft - fc)))
 

@@ -9,12 +9,12 @@ estimator bias can be measured directly.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -270,23 +270,26 @@ def run_bootstrap_study(
     return _study("bootstrap", methods, replications, seed, None, cfg, draw)
 
 
-def write_records_csv(result: StudyResult, path: str | Path) -> None:
-    """Long-format per-replication rows: seed, method, estimate, bias, runtime."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["replication", "seed", "method", "estimate", "bias", "runtime_s", "error"])
-        for r in result.records:
-            wr.writerow(
-                [
-                    r.replication,
-                    r.seed,
-                    r.method,
-                    "" if r.estimate is None else repr(r.estimate),
-                    "" if r.bias is None else repr(r.bias),
-                    repr(r.runtime_s),
-                    r.error or "",
-                ]
-            )
+def write_records_csv(result: StudyResult) -> str:
+    """The CSV text of the long-format per-replication rows: seed, method,
+    estimate, bias, runtime. ``csv.writer`` ends each row in ``\\r\\n``, so
+    the text is written with ``newline=""``."""
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(["replication", "seed", "method", "estimate", "bias", "runtime_s", "error"])
+    for r in result.records:
+        wr.writerow(
+            [
+                r.replication,
+                r.seed,
+                r.method,
+                "" if r.estimate is None else repr(r.estimate),
+                "" if r.bias is None else repr(r.bias),
+                repr(r.runtime_s),
+                r.error or "",
+            ]
+        )
+    return buf.getvalue()
 
 
 def summary_to_dict(result: StudyResult) -> dict:

@@ -25,7 +25,6 @@ every live object on the way out.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import logging
 import os
 import sys
@@ -196,24 +195,12 @@ def _dry_run(args: argparse.Namespace, *paths: str, detail: str = "") -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _writing(args: argparse.Namespace):
-    """Run the block that makes ``--out`` and writes the artifacts: an
-    ``OSError`` there, such as ``--out`` naming an existing file, is a
-    configuration error."""
-    try:
-        yield
-    except OSError as exc:
-        raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
-
-
 def _check_out(args: argparse.Namespace) -> None:
     """Refuse, before any data is loaded or generated, an ``--out``
     directory that could not be made: one that exists and is not a
     directory, or whose first existing ancestor is not a directory.
-    Nothing is made here; the artifacts' writer makes ``--out``, and any
-    other failure to write there is still a configuration error (see
-    :func:`_writing`)."""
+    Nothing is made here; :func:`_write` makes ``--out``, and any other
+    failure to write there is still a configuration error."""
     out = Path(args.out)
     for path in (out, *out.parents):
         if path.exists():
@@ -222,10 +209,19 @@ def _check_out(args: argparse.Namespace) -> None:
             return
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
+def _write(args: argparse.Namespace, files: dict[str, str]) -> None:
+    """Make ``--out`` and write ``files``, text by file name, into it in
+    order. A command forms every text, and so refuses a non-finite number,
+    before it calls this, so a refused artifact leaves no file. An
+    ``OSError`` here, such as ``--out`` naming an existing file, is a
+    configuration error."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text, newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
 
 
 def _json(obj, path: Path, **kwargs) -> str:
@@ -239,16 +235,13 @@ def _json(obj, path: Path, **kwargs) -> str:
         raise NonFiniteResult(f"cannot write {path}: {exc}") from None
 
 
-def _dump_json(obj: dict, path: Path) -> None:
-    path.write_text(_json(obj, path, indent=2) + "\n")
-
-
-def _write_tree(tree: TreeModel, out: Path) -> None:
-    """``tree.json`` and ``tree_rules.txt`` of ``tree`` in ``out``."""
+def _tree_files(tree: TreeModel, out: Path) -> dict[str, str]:
+    """The texts of ``tree.json`` and ``tree_rules.txt`` of ``tree``, by
+    file name, for ``out``."""
     from .tree import export_rules, tree_to_dict
 
-    _dump_json(tree_to_dict(tree), out / "tree.json")
-    (out / "tree_rules.txt").write_text(export_rules(tree))
+    return {"tree.json": _json(tree_to_dict(tree), out / "tree.json", indent=2) + "\n",
+            "tree_rules.txt": export_rules(tree)}
 
 
 def _by_field(records: tuple) -> list[dict]:
@@ -283,13 +276,6 @@ def _report_payload(report: AttReport, iatt: list[dict], cfg: PipelineConfig,
         "skipped": _by_field(report.skipped),
         "strata": [dict(s) for s in report.strata],
     }
-
-
-def _write_audit(report: AttReport, iatt: list[dict], path: Path) -> None:
-    lines = [_json(r, path) for r in iatt]
-    for r in report.skipped:
-        lines.append(_json({"treated_row": r.treated_row, "skipped": r.reason}, path))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _summary_text(report: AttReport, method: str) -> str:
@@ -327,21 +313,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     # normalization and the normalized ones once the estimator has split them,
     # before the tree grows; the artifacts read the dataset's facts off the report
     report = ESTIMATORS[method](normalize_min_max(_load(args)), cfg)
-    with _writing(args):
-        out = _out_dir(args)
-        if report.tree is not None:
-            _write_tree(report.tree, out)
-        iatt = _by_field(report.iatt)
-        _write_audit(report, iatt, out / "audit.jsonl")
-        (out / "summary.txt").write_text(_summary_text(report, method))
-        payload = _report_payload(report, iatt, cfg, method)
-        meta = {
-            "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "runtime_s": time.perf_counter() - t0,
-            "version": __version__,
-            "input": str(args.input),
-        }
-        _dump_json({"payload": payload, "meta": meta}, out / "report.json")
+    out = Path(args.out)
+    files = {} if report.tree is None else _tree_files(report.tree, out)
+    iatt = _by_field(report.iatt)
+    audit = out / "audit.jsonl"
+    lines = [_json(r, audit) for r in iatt]
+    lines += [_json({"treated_row": r.treated_row, "skipped": r.reason}, audit)
+              for r in report.skipped]
+    files["audit.jsonl"] = "\n".join(lines) + "\n"
+    files["summary.txt"] = _summary_text(report, method)
+    meta = {
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "runtime_s": time.perf_counter() - t0,
+        "version": __version__,
+        "input": str(args.input),
+    }
+    files["report.json"] = _json({"payload": _report_payload(report, iatt, cfg, method),
+                                  "meta": meta}, out / "report.json", indent=2) + "\n"
+    _write(args, files)
     logger.info("att = %r (method %s); artifacts in %s", report.att, method, out)
     return 0
 
@@ -378,10 +367,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         result = run_bootstrap_study(
             d, methods, args.replications, args.treated_sample, seed=args.seed, cfg=cfg
         )
-    with _writing(args):
-        out = _out_dir(args)
-        write_records_csv(result, out / "records.csv")
-        _dump_json(summary_to_dict(result), out / "summary.json")
+    out = Path(args.out)
+    _write(args, {
+        "records.csv": write_records_csv(result),
+        "summary.json": _json(summary_to_dict(result), out / "summary.json", indent=2) + "\n",
+    })
     for s in result.summaries:
         logger.info(
             "%s: mean estimate %s (n_ok=%d, failed=%d)",
@@ -449,14 +439,12 @@ def cmd_balance(args: argparse.Namespace) -> int:
         post = post_match_report(d, matches, bins=args.bins)
     except MemoryError:
         raise ConfigError(f"--bins {args.bins}: too many histogram bins to allocate") from None
-    # both texts are formed, and a non-finite number refused, before any file is written
-    text = report_to_text(pre) + "\n" + report_to_text(post)
-    blob = _json({"pre": report_to_dict(pre), "post": report_to_dict(post)},
-                 Path(args.out) / "balance.json", indent=2)
-    with _writing(args):
-        out = _out_dir(args)
-        (out / "balance.txt").write_text(text)
-        (out / "balance.json").write_text(blob + "\n")
+    out = Path(args.out)
+    _write(args, {
+        "balance.txt": report_to_text(pre) + "\n" + report_to_text(post),
+        "balance.json": _json({"pre": report_to_dict(pre), "post": report_to_dict(post)},
+                              out / "balance.json", indent=2) + "\n",
+    })
     logger.info(
         "balance: pre mean |SMD| %s -> post %s; artifacts in %s",
         _fmt(pre.mean_abs_smd), _fmt(post.mean_abs_smd), out,
@@ -473,9 +461,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
     if args.dry_run:
         return _dry_run(args, args.input)
     fit = fit_pipeline(normalize_min_max(_load(args)), cfg)
-    with _writing(args):
-        out = _out_dir(args)
-        _write_tree(fit.tree, out)
+    out = Path(args.out)
+    _write(args, _tree_files(fit.tree, out))
     logger.info("tree: %d leaves; artifacts in %s", len(fit.tree.leaves()), out)
     return 0
 
@@ -502,13 +489,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise ConfigError(f"--n-treated {spec.n_treated} --n-control {spec.n_control}: "
                           "too many rows to allocate") from None
     out = Path(args.out)
-    with _writing(args):
+    try:
         out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["t", "y", *d.feature_names])
             for i in range(d.n):
                 wr.writerow([int(d.t[i]), repr(float(d.y[i])), *(repr(float(v)) for v in d.x[i])])
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {args.out}: {exc}") from None
     logger.info("wrote %s: n=%d (treated=%d), p=%d", out, d.n, d.n_treated, d.p)
     return 0
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -151,12 +152,11 @@ def test_bootstrap_rejects_oversample():
                             seed=0, cfg=PipelineConfig())
 
 
-def test_records_csv_round_trip(tmp_path):
+def test_records_csv_round_trip():
     res = run_bias_study(_tiny_spec(), ["naive"], 2, PipelineConfig())
-    path = tmp_path / "records.csv"
-    write_records_csv(res, path)
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
+    text = write_records_csv(res)
+    assert text.count("\r\n") == 3  # csv.writer's row ends: the header and two rows
+    rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 2
     for row, rec in zip(rows, res.records):
         assert row["method"] == rec.method

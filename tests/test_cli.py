@@ -540,6 +540,31 @@ def test_balance_with_a_non_finite_number_writes_no_file(tmp_path, monkeypatch, 
     assert not (tmp_path / "balance").exists()
 
 
+@pytest.mark.parametrize("command, refused", [
+    ("estimate", "report.json"), ("tree", "tree.json"), ("bench", "summary.json"),
+])
+def test_a_refused_artifact_leaves_no_out(tmp_path, data_csv, monkeypatch, caplog,
+                                          command, refused):
+    # one artifact is made to hold a NaN: every text is formed before the
+    # first file is written, so the files formed before it are not written
+    from stratamatch import bench, cli, tree
+
+    payload = cli._report_payload
+    monkeypatch.setattr(*{
+        "estimate": (cli, "_report_payload", lambda *a: {**payload(*a), "att": math.nan}),
+        "tree": (tree, "tree_to_dict", lambda model: {"nan": math.nan}),
+        "bench": (bench, "summary_to_dict", lambda result: {"nan": math.nan}),
+    }[command])
+    io = ["--input", str(data_csv), "--treatment", "t", "--outcome", "y"]
+    argv = {"estimate": io, "tree": io,
+            "bench": ["--replications", "1", "--methods", "naive"]}[command]
+    out = tmp_path / "out"
+    assert cli.main([command, *argv, "--out", str(out)]) == 3
+    (line,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert line.startswith(f"data error: cannot write {out / refused}: Out of range float")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["estimate", "tree"])
 def test_outcomes_near_1e200_fit_a_finite_r2(tmp_path, command):
     # the outcomes' sums of squares pass the float range, their ratio does not:

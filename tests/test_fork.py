@@ -6,8 +6,9 @@ share of a forked run fails, it kills and reaps every child and returns
 ``[share(0, 1, ...)]``, run once in this process under the caller's warning
 filters. The CPU count and the native thread count are forced by replacing
 ``_fork._cpu_count`` and ``_fork._threads``, so these tests also fork on a
-one-CPU machine and where numpy's BLAS runs a thread pool. After every call
-no child may be left.
+one-CPU machine and where numpy's BLAS runs a thread pool; the thread count
+that the first ``run`` stored is cleared first. After every call no child
+may be left.
 """
 
 import os
@@ -26,6 +27,7 @@ def forks(monkeypatch):
     """Force the CPU count and the native thread count; the list of the
     children forked from then on."""
     pids, fork = [], os.fork
+    monkeypatch.setattr(_fork, "_first_threads", None)
 
     def counting():
         pid = fork()
@@ -211,6 +213,16 @@ def test_a_native_thread_keeps_a_blas_stage_in_one_process(forks, blas, threads,
     forked, calls = forks(2, threads), []
     assert _run(2, _here(calls), blas) == [(i, w) for i in range(w)]
     assert len(forked) == w - 1
+
+
+def test_the_thread_count_is_read_before_the_first_fork(forks, monkeypatch):
+    # a fork stops OpenBLAS's pool until its next call, so a count read after
+    # one misses the pool that each forked process would restart
+    forked, calls = forks(2), []
+    monkeypatch.setattr(_fork, "_threads", lambda: 1 if forked else 2)
+    assert _run(2, _here(calls)) == [(0, 2), (1, 2)]
+    assert _run(2, _here(calls), blas=True) == [(0, 1)]
+    assert len(forked) == 1
 
 
 @pytest.mark.parametrize("blas", [False, True])

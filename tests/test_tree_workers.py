@@ -6,7 +6,8 @@ splits and their fits at every node. Any process count must give the nodes
 of the serial builder bit for bit, and a failed worker must give the serial
 tree. The count is forced by replacing ``_fork._cpu_count``, so these tests
 also fork on a one-CPU machine, and ``_fork._threads``, so they also fork
-where numpy's BLAS runs a thread pool. After every build no child may be
+where numpy's BLAS runs a thread pool; the thread count that an earlier
+``_fork.run`` stored is cleared first. After every build no child may be
 left, and no file or pipe may be left open.
 """
 
@@ -59,6 +60,7 @@ def _build(control, processes, threads=1, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_fork, "_cpu_count", lambda: processes)
         mp.setattr(_fork, "_threads", lambda: threads)
+        mp.setattr(_fork, "_first_threads", None)
         mp.setattr(os, "fork", counting)
         mp.setattr(tree, "_grow", growing)
         model = build_tree(control, **kwargs)
@@ -162,6 +164,7 @@ def test_an_interrupt_kills_and_reaps_every_worker(grown, monkeypatch):
     monkeypatch.setattr(tree, "_scan", interrupted)
     monkeypatch.setattr(_fork, "_cpu_count", lambda: 3)
     monkeypatch.setattr(_fork, "_threads", lambda: 1)
+    monkeypatch.setattr(_fork, "_first_threads", None)
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     with pytest.raises(KeyboardInterrupt):

@@ -16,9 +16,13 @@ methods, ``tree``, and ``balance`` on the ``m5c-mf`` audit, and takes the
 sha256 of 22 artifacts: ``audit.jsonl``, the ``report.json`` payload and
 ``summary.txt`` of every method; ``tree.json`` and ``tree_rules.txt`` of the
 three tree methods and of ``tree``; ``balance.json`` and ``balance.txt``.
-Those 66 digests are taken at 1, 2 and 3 processes, forced through
-``_fork._cpu_count``, with every BLAS thread variable set to 1. The
-``report.json`` digest covers the payload only: its ``meta`` holds the time.
+It also runs ``bench`` twice on ``hyb20var-desk``: ``--study bias`` with
+all four methods, and ``--study bootstrap --treated-sample 20``, two
+replications each; it takes the digests of their ``summary.json``, and of
+their ``records.csv`` without its ``runtime_s`` column. Those 70 digests
+are taken at 1, 2 and 3 processes, forced through ``_fork._cpu_count``,
+with every BLAS thread variable set to 1. The ``report.json`` digest
+covers the payload only: its ``meta`` holds the time.
 
 ``OUT.json`` holds the inputs' digests and the artifacts' digests by process
 count, and nothing that depends on where the checkout lies, so two
@@ -29,7 +33,9 @@ took 18 s and held at most 122 MB.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -48,6 +54,10 @@ INPUTS = {
 METHODS = ("m5c-mf", "m5c-m", "strategies", "naive")
 TREE_METHODS = ("m5c-mf", "m5c-m", "strategies")
 PROCESSES = (1, 2, 3)
+BENCH = {
+    "bias": ["--study", "bias", "--methods", ",".join(METHODS)],
+    "bootstrap": ["--study", "bootstrap", "--treated-sample", "20"],
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -87,6 +97,23 @@ def _digests(main, csv: Path, work: Path) -> dict[str, str]:
     return out
 
 
+def _bench_digests(main, work: Path) -> dict[str, str]:
+    """The digests of both ``bench`` studies' ``summary.json`` and of their
+    ``records.csv`` without its ``runtime_s`` column, by ``study/file``."""
+    out = {}
+    for study, args in BENCH.items():
+        d = work / study
+        _run(main, ["bench", *args, "--replications", "2", "--out", str(d)])
+        out[f"{study}/summary.json"] = _sha256((d / "summary.json").read_bytes())
+        with open(d / "records.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("runtime_s")
+        buf = io.StringIO()
+        csv.writer(buf).writerows([r[:col] + r[col + 1:] for r in rows])
+        out[f"{study}/records.csv:-runtime_s"] = _sha256(buf.getvalue().encode())
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -116,6 +143,8 @@ def main(argv: list[str]) -> int:
                 work = tmp / f"{name}-{w}"
                 for key, digest in _digests(cli_main, tmp / f"{name}.csv", work).items():
                     at[f"{name}/{key}"] = digest
+            for key, digest in _bench_digests(cli_main, tmp / f"bench-{w}").items():
+                at[f"bench/{key}"] = digest
     dest.write_text(json.dumps({"inputs": inputs, "artifacts": artifacts},
                                indent=1, sort_keys=True) + "\n")
     same = all(artifacts[str(w)] == artifacts["1"] for w in PROCESSES)
