@@ -28,7 +28,7 @@ covers the payload only: its ``meta`` holds the time.
 count, and nothing that depends on where the checkout lies, so two
 checkouts that give the same artifacts write the same bytes; compare two
 of them with ``diff``. On 2 shared cores (Python 3.11, numpy 2.4) a run
-took 18 s and held at most 122 MB.
+took 24–30 s and held at most 122 MB.
 """
 
 from __future__ import annotations
@@ -70,13 +70,13 @@ def _run(main, argv: list[str]) -> None:
         raise SystemExit(f"stratamatch {' '.join(argv)} exited {code}")
 
 
-def _digests(main, csv: Path, work: Path) -> dict[str, str]:
+def _digests(main, data: Path, work: Path) -> dict[str, str]:
     """The 22 artifact digests of one input, by ``command/file``."""
-    io = ["--input", str(csv), "--treatment", "t", "--outcome", "y"]
+    cols = ["--input", str(data), "--treatment", "t", "--outcome", "y"]
     out = {}
     for method in METHODS:
         d = work / method
-        _run(main, ["estimate", *io, "--method", method, "--out", str(d)])
+        _run(main, ["estimate", *cols, "--method", method, "--out", str(d)])
         payload = json.loads((d / "report.json").read_text())["payload"]
         out[f"{method}/report.json:payload"] = _sha256(
             json.dumps(payload, sort_keys=True).encode())
@@ -86,11 +86,11 @@ def _digests(main, csv: Path, work: Path) -> dict[str, str]:
         for name in names:
             out[f"{method}/{name}"] = _sha256((d / name).read_bytes())
     d = work / "tree"
-    _run(main, ["tree", *io, "--out", str(d)])
+    _run(main, ["tree", *cols, "--out", str(d)])
     for name in ("tree.json", "tree_rules.txt"):
         out[f"tree/{name}"] = _sha256((d / name).read_bytes())
     d = work / "balance"
-    _run(main, ["balance", *io, "--audit", str(work / "m5c-mf" / "audit.jsonl"),
+    _run(main, ["balance", *cols, "--audit", str(work / "m5c-mf" / "audit.jsonl"),
                 "--out", str(d)])
     for name in ("balance.json", "balance.txt"):
         out[f"balance/{name}"] = _sha256((d / name).read_bytes())
@@ -133,9 +133,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="stratamatch-artifacts-") as tmp:
         tmp = Path(tmp)
         for name, args in INPUTS.items():
-            csv = tmp / f"{name}.csv"
-            _run(cli_main, ["gen", *args, "--out", str(csv)])
-            inputs[name] = _sha256(csv.read_bytes())
+            data = tmp / f"{name}.csv"
+            _run(cli_main, ["gen", *args, "--out", str(data)])
+            inputs[name] = _sha256(data.read_bytes())
         for w in PROCESSES:
             _fork._cpu_count = lambda w=w: w
             at = artifacts[str(w)] = {}
