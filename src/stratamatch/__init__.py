@@ -25,9 +25,7 @@ _EXPORTS = {
     ),
     "bench": (
         "PRESETS",
-        "DgpSpec",
         "StudyResult",
-        "generate",
         "generate_hyb20var",
         "run_bias_study",
         "run_bootstrap_study",

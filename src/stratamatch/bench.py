@@ -1,9 +1,13 @@
 """Synthetic benchmark harness: data generator, bias study, bootstrap study.
 
-The generator draws a 20-feature dataset (5 continuous, 15 binary) with a
-nonlinear, interaction-bearing control outcome and a constant additive
-treatment effect, so the true effect on the treated is known exactly and
-estimator bias can be measured directly.
+The generator draws the ``hyb20var`` design: 20 features (5 continuous on
+[0, 10), 15 binary) with a nonlinear, interaction-bearing control outcome
+and a constant additive treatment effect of :data:`TRUE_ATT`, so the true
+effect on the treated is known exactly and estimator bias can be measured
+directly. Its only inputs are the two group sizes and the seed.
+
+The estimators and their config load only where a study runs them, so
+``gen`` loads no pipeline layer.
 """
 
 from __future__ import annotations
@@ -15,62 +19,45 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import PipelineConfig
 from .dataset import Dataset, make_dataset
 from .errors import ConfigError, InvalidSample
-from .estimation import ESTIMATORS
+
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 logger = logging.getLogger(__name__)
 
 Z95 = 1.96
+# the constant effect treatment adds to every unit's outcome
+TRUE_ATT = 2.0
 
-
-@dataclass(frozen=True)
-class DgpSpec:
-    """Shape and effect size of the synthetic generator.
-
-    ``fixed_binary_probs`` freezes the binary features' success
-    probabilities; by default they are redrawn from U(0.1, 0.9) on every
-    generation, so each replication gets a fresh feature distribution.
-    """
-
-    name: str = "hyb20var"
-    n_treated: int = 200
-    n_control: int = 19800
-    n_continuous: int = 5
-    n_binary: int = 15
-    continuous_low: float = 0.0
-    continuous_high: float = 10.0
-    true_att: float = 2.0
-    seed: int = 0
-    fixed_binary_probs: tuple[float, ...] | None = None
-
-
-PRESETS: dict[str, DgpSpec] = {
-    "hyb20var": DgpSpec(name="hyb20var", n_treated=200, n_control=19800),
-    "hyb20var-desk": DgpSpec(name="hyb20var-desk", n_treated=100, n_control=4900),
+# preset name -> (treated count, control count)
+PRESETS: dict[str, tuple[int, int]] = {
+    "hyb20var": (200, 19800),
+    "hyb20var-desk": (100, 4900),
 }
 
 
-def generate(spec: DgpSpec, seed: int | None = None) -> Dataset:
-    """Draw one dataset from ``spec``; ``seed`` overrides ``spec.seed``."""
-    if spec.n_continuous < 4 or spec.n_binary < 2:
-        raise ConfigError("the outcome formula needs at least 4 continuous and 2 binary features")
-    if spec.n_treated < 1 or spec.n_control < 1:
+def generate_hyb20var(n_treated: int, n_control: int, seed: int) -> Dataset:
+    """Draw one ``hyb20var`` dataset of ``n_treated`` treated and
+    ``n_control`` control units from ``default_rng(seed)``.
+
+    The draws come in this order: the 5 continuous features, U(0, 10); the
+    15 binary features' success probabilities, U(0.1, 0.9); the binary
+    features; the outcome noise, U(0, 1); then the treated rows, by
+    ``choice`` without replacement.
+    """
+    if n_treated < 1 or n_control < 1:
         raise ConfigError("both treated and control counts must be positive")
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
-    n = spec.n_treated + spec.n_control
-    xc = rng.uniform(spec.continuous_low, spec.continuous_high, size=(n, spec.n_continuous))
-    if spec.fixed_binary_probs is not None:
-        probs = np.asarray(spec.fixed_binary_probs, dtype=np.float64)
-        if probs.size != spec.n_binary:
-            raise ConfigError("fixed_binary_probs length must equal n_binary")
-    else:
-        probs = rng.uniform(0.1, 0.9, size=spec.n_binary)
-    xb = (rng.random(size=(n, spec.n_binary)) < probs).astype(np.float64)
+    rng = np.random.default_rng(seed)
+    n = n_treated + n_control
+    xc = rng.uniform(0.0, 10.0, size=(n, 5))
+    probs = rng.uniform(0.1, 0.9, size=15)
+    xb = (rng.random(size=(n, 15)) < probs).astype(np.float64)
     noise = rng.uniform(0.0, 1.0, size=n)
     x = np.column_stack([xc, xb])
     # control outcome: linear terms, one interaction, a sine, a square, one
@@ -84,28 +71,12 @@ def generate(spec: DgpSpec, seed: int | None = None) -> Dataset:
         + 0.3 * (x[:, 6] == 1.0)
         + noise
     )
-    y1 = y0 + spec.true_att
+    y1 = y0 + TRUE_ATT
     t = np.zeros(n, dtype=np.int64)
-    t[rng.choice(n, size=spec.n_treated, replace=False)] = 1
+    t[rng.choice(n, size=n_treated, replace=False)] = 1
     y = np.where(t == 1, y1, y0)
     names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
     return make_dataset(t, x, y, names)
-
-
-def generate_hyb20var(
-    seed: int = 0,
-    n_treated: int = 200,
-    n_control: int = 19800,
-    fixed_binary_probs: tuple[float, ...] | None = None,
-) -> Dataset:
-    """Convenience wrapper over :func:`generate` at an explicit scale."""
-    spec = replace(
-        PRESETS["hyb20var"],
-        n_treated=n_treated,
-        n_control=n_control,
-        fixed_binary_probs=fixed_binary_probs,
-    )
-    return generate(spec, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -171,6 +142,8 @@ def _summarize(records: list[ReplicationRecord], methods: list[str], with_bias: 
 
 
 def _check(methods: list[str], replications: int) -> None:
+    from .estimation import ESTIMATORS
+
     unknown = [m for m in methods if m not in ESTIMATORS]
     if unknown:
         raise ConfigError(f"unknown method(s): {', '.join(unknown)}")
@@ -183,6 +156,9 @@ def _study(kind: str, methods: list[str], replications: int, seed: int, true_att
     """Time each method once on ``draw(rep_seed)``, for each replication's
     seed derived from ``seed``. A failure is recorded with its error, never
     raised; the bias is left out when ``true_att`` is unknown."""
+    from .config import PipelineConfig
+    from .estimation import ESTIMATORS
+
     cfg = cfg or PipelineConfig()
     records: list[ReplicationRecord] = []
     for rep, child in enumerate(np.random.SeedSequence(seed).spawn(replications)):
@@ -218,20 +194,25 @@ def _study(kind: str, methods: list[str], replications: int, seed: int, true_att
 
 
 def run_bias_study(
-    spec: DgpSpec,
+    n_treated: int,
+    n_control: int,
     methods: list[str],
     replications: int,
+    seed: int = 0,
     cfg: PipelineConfig | None = None,
 ) -> StudyResult:
-    """Repeatedly draw fresh datasets and score each method's bias.
+    """Repeatedly draw fresh datasets of ``n_treated`` treated and
+    ``n_control`` control units and score each method's bias against
+    :data:`TRUE_ATT`.
 
-    Every replication gets its own derived seed (recorded, so any row can be
-    regenerated standalone). A method failing on a replication is recorded
-    with its error and excluded from that method's summary, never fatal.
+    Every replication gets its own seed derived from ``seed`` (recorded, so
+    any row can be regenerated standalone). A method failing on a
+    replication is recorded with its error and excluded from that method's
+    summary, never fatal.
     """
     _check(methods, replications)
-    return _study("bias", methods, replications, spec.seed, spec.true_att, cfg,
-                  lambda rep_seed: generate(spec, seed=rep_seed))
+    return _study("bias", methods, replications, seed, TRUE_ATT, cfg,
+                  lambda rep_seed: generate_hyb20var(n_treated, n_control, rep_seed))
 
 
 def run_bootstrap_study(

@@ -13,8 +13,14 @@ move with that count on large data.
 
 Each subcommand imports the layers and the standard-library modules it calls
 inside its own function, so a call loads only what it uses: ``balance`` never
-loads the tree or the matcher, and ``--version`` loads no numpy, ``json``,
-``csv`` or ``dataclasses``.
+loads the tree or the matcher, ``gen`` loads the generator and the loader's
+dataset type but no estimator, config, regression, tree or matcher, and
+``--version`` loads no numpy, ``json``, ``csv`` or ``dataclasses``.
+
+``gen`` and ``bench`` draw from the one synthetic design, sized by a
+preset's two group sizes (``gen`` may replace either) and ``--seed``;
+``--treated-sample`` is read by the bootstrap study alone, and the bias
+study refuses it.
 
 :func:`main` is the in-process API. :func:`run` is the program's entry
 point: it runs :func:`main`, flushes the logs and the standard streams, and
@@ -336,11 +342,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .bench import (
         PRESETS,
-        generate,
+        generate_hyb20var,
         run_bias_study,
         run_bootstrap_study,
         summary_to_dict,
@@ -350,20 +354,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg, _ = _resolve_config(args)
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
-    spec = dataclasses.replace(PRESETS[args.preset], seed=args.seed)
+    n_treated, n_control = PRESETS[args.preset]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ConfigError("no methods given")
-    if args.study == "bootstrap" and args.treated_sample is None:
-        raise ConfigError("bootstrap study needs --treated-sample")
+    if (args.study == "bootstrap") != (args.treated_sample is not None):
+        raise ConfigError("--treated-sample is required by the bootstrap study and "
+                          "read by no other")
     _check_out(args)
     if args.dry_run:
         logger.info("dry run ok: %s study, preset=%s, methods=%s", args.study, args.preset, methods)
         return 0
     if args.study == "bias":
-        result = run_bias_study(spec, methods, args.replications, cfg)
+        result = run_bias_study(n_treated, n_control, methods, args.replications,
+                                seed=args.seed, cfg=cfg)
     else:
-        d = generate(spec)
+        d = generate_hyb20var(n_treated, n_control, args.seed)
         result = run_bootstrap_study(
             d, methods, args.replications, args.treated_sample, seed=args.seed, cfg=cfg
         )
@@ -469,24 +475,23 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     import csv
-    import dataclasses
 
-    from .bench import PRESETS, generate
+    from .bench import PRESETS, generate_hyb20var
 
     if args.preset not in PRESETS:
         raise ConfigError(f"unknown preset {args.preset!r} (choose from {', '.join(PRESETS)})")
-    spec = PRESETS[args.preset]
+    n_treated, n_control = PRESETS[args.preset]
     if args.n_treated is not None:
-        spec = dataclasses.replace(spec, n_treated=args.n_treated)
+        n_treated = args.n_treated
     if args.n_control is not None:
-        spec = dataclasses.replace(spec, n_control=args.n_control)
+        n_control = args.n_control
     if args.dry_run:
         logger.info("dry run ok: preset=%s seed=%d", args.preset, args.seed)
         return 0
     try:
-        d = generate(spec, seed=args.seed)
+        d = generate_hyb20var(n_treated, n_control, args.seed)
     except MemoryError:
-        raise ConfigError(f"--n-treated {spec.n_treated} --n-control {spec.n_control}: "
+        raise ConfigError(f"--n-treated {n_treated} --n-control {n_control}: "
                           "too many rows to allocate") from None
     out = Path(args.out)
     try:

@@ -98,7 +98,6 @@ def make_dataset(
     x: np.ndarray,
     y: np.ndarray,
     feature_names: tuple[str, ...] | list[str],
-    scaling: tuple[tuple[float, float], ...] | None = None,
     row_ids: np.ndarray | None = None,
 ) -> Dataset:
     """Validate raw arrays and assemble an immutable :class:`Dataset`.
@@ -119,7 +118,6 @@ def make_dataset(
         np.array(x, dtype=np.float64),
         np.array(y, dtype=np.float64),
         feature_names,
-        scaling,
         row_ids,
     )
 
@@ -129,7 +127,6 @@ def _checked_dataset(
     x: np.ndarray,
     y: np.ndarray,
     feature_names: tuple[str, ...] | list[str],
-    scaling: tuple[tuple[float, float], ...] | None = None,
     row_ids: np.ndarray | None = None,
 ) -> Dataset:
     """:func:`make_dataset` on int64 and float64 arrays that the caller hands
@@ -160,7 +157,6 @@ def _checked_dataset(
         x=_frozen(x),
         y=_frozen(y),
         feature_names=tuple(feature_names),
-        scaling=scaling,
         row_ids=_frozen(row_ids),
     )
 

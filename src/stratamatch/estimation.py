@@ -47,7 +47,6 @@ class StratumOutcome:
 
     treated: np.ndarray
     control: np.ndarray
-    stratum_id: int | str = 0
 
     def __post_init__(self):
         t = np.asarray(self.treated, dtype=np.float64).reshape(-1)
@@ -414,7 +413,7 @@ def estimate_strategies(d: Dataset, cfg: PipelineConfig | None = None) -> AttRep
     strata: list[dict] = []
     for leaf_id, units in sorted(fit.leaves.items()):
         yc = control.y[fit.tree.node(leaf_id).control_indices]
-        s = StratumOutcome(treated=treated.y[units], control=yc, stratum_id=leaf_id)
+        s = StratumOutcome(treated=treated.y[units], control=yc)
         cbar = _mean(yc)
         for k in units:
             records.append(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _fork, dataset
+from . import _fork
 from .dataset import Dataset
 from .regression import LinearFit, _fit_design, _std
 
@@ -24,6 +24,8 @@ DEFAULT_LAMBDA = 0.1
 DEFAULT_MAX_DEPTH = 32
 # most floats _fit gathers into a node's design at once
 _GATHER = 1 << 14
+# fewest controls per process: the tree grows in two processes from 8 192
+_SHARE_CONTROLS = 4096
 
 
 def default_theta(p: int) -> int:
@@ -198,7 +200,7 @@ def build_tree(
     warning.
 
     :func:`_fork.run` grows the tree in ``w`` processes at once, at most
-    one per ``2 * _CHUNK_ROWS`` controls, so from 8 192 controls on; each
+    one per ``_SHARE_CONTROLS`` controls, so from 8 192 controls on; each
     makes LAPACK calls, and :mod:`._fork` says when the tree grows in one
     process. Every process runs the same recursion over the same nodes (see
     :func:`_grow`): process ``i`` presorts, scans and partitions only the
@@ -216,7 +218,7 @@ def build_tree(
         logger.warning(
             "control set too small for any split (n=%d < p+2=%d); single-leaf tree", n, p + 2
         )
-    nodes = _fork.run(n // (2 * dataset._CHUNK_ROWS),
+    nodes = _fork.run(n // _SHARE_CONTROLS,
                       lambda i, w, exchange: _grow(x, y, lambda_, theta, max_depth,
                                                    i, w, exchange), blas=True)[0]
     model = TreeModel(

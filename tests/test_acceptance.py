@@ -51,10 +51,9 @@ def instances500():
 
 @pytest.fixture(scope="module")
 def desk_study():
-    spec = sm.PRESETS["hyb20var-desk"]
     cfg = sm.PipelineConfig()
     t0 = time.perf_counter()
-    res = sm.run_bias_study(spec, ["m5c-mf", "naive"], 30, cfg)
+    res = sm.run_bias_study(*sm.PRESETS["hyb20var-desk"], ["m5c-mf", "naive"], 30, cfg=cfg)
     elapsed = time.perf_counter() - t0
     return res, elapsed
 

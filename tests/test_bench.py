@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 
 import numpy as np
@@ -7,8 +6,6 @@ import pytest
 
 from stratamatch.bench import (
     PRESETS,
-    DgpSpec,
-    generate,
     generate_hyb20var,
     run_bias_study,
     run_bootstrap_study,
@@ -20,10 +17,7 @@ from stratamatch.errors import ConfigError, InvalidSample
 
 
 def test_presets_shapes():
-    assert PRESETS["hyb20var"].n_treated == 200
-    assert PRESETS["hyb20var"].n_control == 19800
-    assert PRESETS["hyb20var-desk"].n_treated == 100
-    assert PRESETS["hyb20var-desk"].n_control == 4900
+    assert PRESETS == {"hyb20var": (200, 19800), "hyb20var-desk": (100, 4900)}
 
 
 def test_generate_shapes_and_types():
@@ -70,27 +64,45 @@ def test_generate_deterministic_per_seed():
     assert not np.array_equal(a.y, c.y)
 
 
-def test_generate_fixed_binary_probs():
-    probs = tuple([0.5] * 15)
-    a = generate_hyb20var(seed=3, n_treated=10, n_control=100, fixed_binary_probs=probs)
-    assert a.p == 20
-    with pytest.raises(ConfigError):
-        generate_hyb20var(seed=3, n_treated=10, n_control=100, fixed_binary_probs=(0.5,))
-
-
 def test_generate_validates_spec():
     with pytest.raises(ConfigError):
-        generate(DgpSpec(n_treated=0, n_control=10))
-    with pytest.raises(ConfigError):
-        generate(DgpSpec(n_continuous=2))
+        generate_hyb20var(n_treated=0, n_control=10, seed=0)
 
 
-def _tiny_spec():
-    return dataclasses.replace(PRESETS["hyb20var-desk"], n_treated=10, n_control=200)
+def _reference_draw(n_treated, n_control, seed):
+    """The generator's draw sequence, written out: ``default_rng(seed)``,
+    then 5 uniforms in [0, 10), 15 probabilities in [0.1, 0.9), the binary
+    draws, the noise, the outcome formula, and ``choice`` of the treated."""
+    rng = np.random.default_rng(seed)
+    n = n_treated + n_control
+    xc = rng.uniform(0.0, 10.0, size=(n, 5))
+    probs = rng.uniform(0.1, 0.9, size=15)
+    xb = (rng.random(size=(n, 15)) < probs).astype(np.float64)
+    noise = rng.uniform(0.0, 1.0, size=n)
+    x = np.column_stack([xc, xb])
+    y0 = (0.5 * x[:, 0] + 0.3 * x[:, 1] + 0.2 * x[:, 0] * x[:, 5] + 0.5 * np.sin(x[:, 2])
+          + 0.5 * x[:, 3] ** 2 + 0.3 * (x[:, 6] == 1.0) + noise)
+    t = np.zeros(n, dtype=np.int64)
+    t[rng.choice(n, size=n_treated, replace=False)] = 1
+    return t, x, np.where(t == 1, y0 + 2.0, y0)
+
+
+@pytest.mark.parametrize("shape", [(100, 4900, 7), (12, 240, 11), (3, 2, 0)])
+def test_generate_is_the_reference_draw_sequence_bit_for_bit(shape):
+    # the data of every `gen` file and `bench` study, and so perfbench's
+    # inputs, come from this stream
+    d = generate_hyb20var(*shape)
+    t, x, y = _reference_draw(*shape)
+    for got, want in ((d.t, t), (d.x, x), (d.y, y)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+_TINY = (10, 200)
 
 
 def test_bias_study_records_and_summaries():
-    res = run_bias_study(_tiny_spec(), ["naive", "strategies"], 3, PipelineConfig())
+    res = run_bias_study(*_TINY, ["naive", "strategies"], 3, cfg=PipelineConfig())
     assert res.kind == "bias"
     assert res.replications == 3
     assert res.true_att == 2.0
@@ -108,27 +120,27 @@ def test_bias_study_records_and_summaries():
 
 
 def test_bias_study_deterministic():
-    a = run_bias_study(_tiny_spec(), ["naive"], 3, PipelineConfig())
-    b = run_bias_study(_tiny_spec(), ["naive"], 3, PipelineConfig())
+    a = run_bias_study(*_TINY, ["naive"], 3, cfg=PipelineConfig())
+    b = run_bias_study(*_TINY, ["naive"], 3, cfg=PipelineConfig())
     assert [r.estimate for r in a.records] == [r.estimate for r in b.records]
     assert [r.seed for r in a.records] == [r.seed for r in b.records]
 
 
 def test_bias_study_distinct_rep_seeds():
-    res = run_bias_study(_tiny_spec(), ["naive"], 4, PipelineConfig())
+    res = run_bias_study(*_TINY, ["naive"], 4, cfg=PipelineConfig())
     seeds = [r.seed for r in res.records]
     assert len(set(seeds)) == 4
 
 
 def test_bias_study_rejects_unknown_method():
     with pytest.raises(ConfigError):
-        run_bias_study(_tiny_spec(), ["nope"], 2, PipelineConfig())
+        run_bias_study(*_TINY, ["nope"], 2, cfg=PipelineConfig())
 
 
 def test_bootstrap_full_sample_reproduces_plain_estimate():
     from stratamatch.estimation import estimate_naive
 
-    d = generate(_tiny_spec(), seed=4)
+    d = generate_hyb20var(*_TINY, seed=4)
     res = run_bootstrap_study(d, ["naive"], 3, treated_sample=d.n_treated,
                               seed=0, cfg=PipelineConfig())
     plain = estimate_naive(d, PipelineConfig())
@@ -138,7 +150,7 @@ def test_bootstrap_full_sample_reproduces_plain_estimate():
 
 
 def test_bootstrap_subsample_varies():
-    d = generate(_tiny_spec(), seed=4)
+    d = generate_hyb20var(*_TINY, seed=4)
     res = run_bootstrap_study(d, ["naive"], 4, treated_sample=5,
                               seed=0, cfg=PipelineConfig())
     estimates = [r.estimate for r in res.records]
@@ -146,14 +158,14 @@ def test_bootstrap_subsample_varies():
 
 
 def test_bootstrap_rejects_oversample():
-    d = generate(_tiny_spec(), seed=4)
+    d = generate_hyb20var(*_TINY, seed=4)
     with pytest.raises(InvalidSample):
         run_bootstrap_study(d, ["naive"], 2, treated_sample=d.n_treated + 1,
                             seed=0, cfg=PipelineConfig())
 
 
 def test_records_csv_round_trip():
-    res = run_bias_study(_tiny_spec(), ["naive"], 2, PipelineConfig())
+    res = run_bias_study(*_TINY, ["naive"], 2, cfg=PipelineConfig())
     text = write_records_csv(res)
     assert text.count("\r\n") == 3  # csv.writer's row ends: the header and two rows
     rows = list(csv.DictReader(io.StringIO(text)))
@@ -167,7 +179,7 @@ def test_records_csv_round_trip():
 def test_summary_to_dict_is_json_ready(tmp_path):
     import json
 
-    res = run_bias_study(_tiny_spec(), ["naive"], 2, PipelineConfig())
+    res = run_bias_study(*_TINY, ["naive"], 2, cfg=PipelineConfig())
     blob = summary_to_dict(res)
     json.dumps(blob)
     assert blob["kind"] == "bias"
@@ -177,8 +189,7 @@ def test_summary_to_dict_is_json_ready(tmp_path):
 
 def test_errors_recorded_not_raised():
     # 21 controls with p=20 leave the root fit without residual dof
-    spec = dataclasses.replace(PRESETS["hyb20var-desk"], n_treated=2, n_control=21)
-    res = run_bias_study(spec, ["m5c-m", "naive"], 2, PipelineConfig())
+    res = run_bias_study(2, 21, ["m5c-m", "naive"], 2, cfg=PipelineConfig())
     m = [r for r in res.records if r.method == "m5c-m"]
     assert all(r.error is not None and r.estimate is None for r in m)
     sm = next(s for s in res.summaries if s.method == "m5c-m")
@@ -190,13 +201,13 @@ def test_errors_recorded_not_raised():
 def test_bias_study_naive_ci_brackets_truth():
     # the additive-effect design makes naive unbiased here, so at 30
     # replications its interval should cover the true value of 2
-    res = run_bias_study(_tiny_spec(), ["naive"], 30, PipelineConfig())
+    res = run_bias_study(*_TINY, ["naive"], 30, cfg=PipelineConfig())
     (s,) = res.summaries
     assert s.ci_low <= 2.0 <= s.ci_high
 
 
 def test_bias_study_single_rep_single_method():
-    res = run_bias_study(_tiny_spec(), ["naive"], 1, PipelineConfig())
+    res = run_bias_study(*_TINY, ["naive"], 1, cfg=PipelineConfig())
     assert len(res.records) == 1
     (s,) = res.summaries
     assert s.n_ok == 1
@@ -207,7 +218,7 @@ def test_bias_study_single_rep_single_method():
 def test_bootstrap_ci_covers_full_data_estimate():
     from stratamatch.estimation import estimate_naive
 
-    d = generate(_tiny_spec(), seed=6)
+    d = generate_hyb20var(*_TINY, seed=6)
     res = run_bootstrap_study(d, ["naive"], 30, treated_sample=7,
                               seed=0, cfg=PipelineConfig())
     plain = estimate_naive(d, PipelineConfig())

@@ -1085,6 +1085,24 @@ def test_bench_bootstrap_needs_sample_size(tmp_path):
     assert r.returncode == 2
 
 
+def test_bench_bias_refuses_a_treated_sample(tmp_path, monkeypatch, caplog):
+    # the flag belongs to the bootstrap study: the bias study refuses it
+    # before it draws any data or makes --out
+    from stratamatch import bench, cli
+
+    def no_draw(*args):
+        raise AssertionError("the bias study drew data")
+
+    monkeypatch.setattr(bench, "generate_hyb20var", no_draw)
+    out = tmp_path / "b"
+    rc = cli.main(["bench", "--study", "bias", "--treated-sample", "5", "--replications", "1",
+                   "--methods", "naive", "--out", str(out)])
+    assert rc == 2
+    (error,) = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert error.startswith("configuration error") and "--treated-sample" in error
+    assert not out.exists()
+
+
 def test_bench_unknown_preset_exit_2(tmp_path):
     r = run_cli(
         "bench", "--preset", "nope", "--replications", "1",

@@ -102,6 +102,15 @@ def test_estimate_loads_no_balance_or_bench(run):
     assert not modules & _NO_POOLS
 
 
+def test_gen_loads_no_pipeline_layer(tmp_path):
+    rc, loaded, modules = _command("gen", "--n-treated", "3", "--n-control", "2",
+                                   "--out", str(tmp_path / "gen.csv"))
+    assert rc == 0
+    assert "stratamatch.bench" in loaded
+    assert not loaded & {"stratamatch.estimation", "stratamatch.config", "stratamatch.tree",
+                         "stratamatch.regression", "stratamatch.matching"}
+
+
 def test_version_loads_no_numpy():
     rc, loaded, modules = _command("--version")
     assert rc == 0
@@ -130,15 +139,15 @@ def test_only_the_match_form_loads_the_matcher_and_only_strategies_fractions(run
 # alone call (their oracles live in tests/oracles.py)
 _PUBLIC = [
     "AttReport", "AuditNotFound", "BalanceReport", "CandidatePool", "ConfigError", "Dataset",
-    "DgpSpec", "ESTIMATORS", "EmptyInput", "EstimationImpossible", "FeatureBalance",
+    "ESTIMATORS", "EmptyInput", "EstimationImpossible", "FeatureBalance",
     "HierarchyBoundWarning", "IattRecord", "InvalidSample", "LinearFit", "MalformedInput",
     "MatchProblem", "MatchSolution", "NamedColumnAbsent", "NoCandidates", "NonFiniteResult",
     "PRESETS", "ParseFailure", "PipelineConfig", "PipelineFit", "PositivityViolation",
     "StrataMatchError", "StrategyRequiresBinary", "StratumOutcome", "StudyResult", "TreeModel",
     "TreeNode", "aggregate_att", "assign_leaf", "build_tree", "candidate_pool",
     "compute_balance", "default_theta", "estimate_m5c_m", "estimate_m5c_mf", "estimate_naive",
-    "estimate_strategies", "export_rules", "feature_weights", "fit_pipeline", "generate",
-    "generate_hyb20var", "hierarchy_m2_bound", "load_dataset", "make_dataset",
+    "estimate_strategies", "export_rules", "feature_weights", "fit_pipeline", "generate_hyb20var",
+    "hierarchy_m2_bound", "load_dataset", "make_dataset",
     "normalize_min_max", "ols_fit", "post_match_report", "pre_match_report", "robust_att_1to1",
     "robust_att_1tok", "robust_att_ktok", "run_bias_study", "run_bootstrap_study",
     "select_candidates", "should_split", "solve_match", "solve_match_lexicographic",

@@ -32,11 +32,11 @@ from conftest import (  # noqa: E402
     node_bits,
     serial_build_tree,
 )
-from stratamatch import _fork, dataset, tree  # noqa: E402
+from stratamatch import _fork, tree  # noqa: E402
 from stratamatch.tree import SplitCandidate, _best, build_tree  # noqa: E402
 from tree_tables import trees  # noqa: E402
 
-CUTOFF = 4 * dataset._CHUNK_ROWS  # the fewest controls that grow in two processes
+CUTOFF = 2 * tree._SHARE_CONTROLS  # the fewest controls that grow in two processes
 
 
 def _build(control, processes, threads=1, **kwargs):
@@ -206,7 +206,7 @@ def test_a_tie_across_processes_goes_to_the_lowest_feature():
     y = np.where(step <= 0.4, 10 * step, 9 - 10 * step) + rng.normal(0, 0.01, 60)
     control = control_only(x, y)
     serial = node_bits(serial_build_tree(control, 0.1, 2, 1))
-    with mock.patch.object(dataset, "_CHUNK_ROWS", 1):
+    with mock.patch.object(tree, "_SHARE_CONTROLS", 2):
         for processes in (2, 3):
             assert _build(control, processes, theta=2, max_depth=1) == (serial, processes - 1, 1)
     assert serial[0][5][0] == 1  # the root splits on feature 1
@@ -231,8 +231,8 @@ def test_the_merge_keeps_the_serial_scans_choice():
 def test_every_process_count_grows_the_serial_builders_tree(case):
     control, lambda_, theta, max_depth = case
     serial = node_bits(serial_build_tree(control, lambda_, theta, max_depth))
-    # chunks of one row: two processes grow a tree of 4 controls, three of 6
-    with mock.patch.object(dataset, "_CHUNK_ROWS", 1):
+    # shares of two controls: two processes grow a tree of 4 controls, three of 6
+    with mock.patch.object(tree, "_SHARE_CONTROLS", 2):
         for processes in (1, 2, 3):
             forks = max(0, min(processes, control.n // 2) - 1)
             assert _build(control, processes, lambda_=lambda_, theta=theta,
